@@ -11,7 +11,8 @@
 //! error is injected anywhere.
 
 use powersim::cpu::CoreRole;
-use powersim::rack::{CoreId, Rack};
+use powersim::rack::{server_power, Rack, RoleView};
+use powersim::server::ServerSpec;
 use powersim::units::{NormFreq, Watts};
 
 /// Linear idle↔full interpolation estimator.
@@ -93,28 +94,7 @@ impl CalibratedRackEstimator {
     /// Estimate rack power for a candidate frequency vector using the
     /// rack's measured utilizations.
     pub fn estimate(&self, rack: &Rack, freqs: &[NormFreq]) -> Watts {
-        assert_eq!(freqs.len(), rack.num_cores(), "one frequency per core");
-        let iv = rack.role(CoreRole::Interactive);
-        let bv = rack.role(CoreRole::Batch);
-        let cps = rack.cores_per_server();
-        let m = cps as f64;
-        let mut total = 0.0;
-        for s in 0..rack.num_servers() {
-            total += self.idle_per_server;
-            let mut tp = 0.0;
-            let base = s * cps;
-            let utils = iv.server_utils(s).iter().chain(bv.server_utils(s));
-            for (k, &util) in utils.enumerate() {
-                let f = freqs[base + k].0.clamp(0.0, 1.0);
-                let u = util.clamp(0.0, 1.0);
-                let shape = self.cubic_fraction * f.powi(3) + (1.0 - self.cubic_fraction) * f;
-                total += self.cpu_peak_per_core * shape * u;
-                tp += f * u;
-            }
-            // Linear (not concave) non-CPU model: the calibration error.
-            total += self.noncpu_span * (tp / m);
-        }
-        Watts(total)
+        EstimateProbe::new(*self, rack, &mut ProbeBuffers::default()).reset(freqs)
     }
 }
 
@@ -123,25 +103,230 @@ impl CalibratedRackEstimator {
 /// feasible in practice without closed-loop control"): exact plant power
 /// for a candidate frequency vector.
 pub fn oracle_power(rack: &Rack, freqs: &[NormFreq]) -> Watts {
-    let mut probe = rack.clone();
-    assert_eq!(freqs.len(), probe.num_cores(), "one frequency per core");
-    let cps = probe.cores_per_server();
-    for (idx, &f) in freqs.iter().enumerate() {
-        let id = CoreId {
-            server: idx / cps,
-            core: idx % cps,
-        };
-        // Ideal actuation: continuous frequencies, no ladder snap.
-        probe.set_freq_unquantized(id, f.clamp(NormFreq(0.0), NormFreq(1.0)));
+    OracleProbe::new(rack, &mut ProbeBuffers::default()).reset(freqs)
+}
+
+/// Incremental rack power evaluation for the greedy sprint walk.
+///
+/// A probe holds one candidate frequency vector (rack order,
+/// server-major) over the utilizations of the rack it was built on.
+/// [`PowerProbe::reset`] evaluates a whole vector; [`PowerProbe::set`]
+/// moves one core, re-evaluates only that core's server, and refolds the
+/// rack total in the whole-vector association order. Both models are
+/// separable per server, so `set(i, f)` returns exactly the bits `reset`
+/// would for the updated vector. `set` requires a prior `reset`.
+pub trait PowerProbe {
+    /// Make `freqs` (one per core, rack order) the candidate; its power.
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts;
+    /// Move core `core` (rack order) to `f`; the candidate's new power.
+    fn set(&mut self, core: usize, f: NormFreq) -> Watts;
+}
+
+/// Storage the probes evaluate in. Callers that probe a rack every
+/// control period keep one so a warm probe allocates nothing; `reset`
+/// overwrites whatever a previous probe left.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeBuffers {
+    /// Per core, rack order: the oracle's clamped frequency, the
+    /// estimate's active CPU term.
+    core: Vec<f64>,
+    /// Per core, rack order: the estimate's `f·u` throughput term.
+    throughput: Vec<f64>,
+    /// Per server: the oracle's plant power, the estimate's non-CPU term.
+    server: Vec<f64>,
+    /// The estimate's running total before each server (`n + 1` slots).
+    prefix: Vec<f64>,
+}
+
+/// Rack geometry and utilization rows the probes read.
+#[derive(Debug, Clone, Copy)]
+struct Rows<'a> {
+    servers: usize,
+    cps: usize,
+    ipc: usize,
+    iv: RoleView<'a>,
+    bv: RoleView<'a>,
+}
+
+impl<'a> Rows<'a> {
+    fn of(rack: &'a Rack) -> Self {
+        Rows {
+            servers: rack.num_servers(),
+            cps: rack.cores_per_server(),
+            ipc: rack.interactive_cores_per_server(),
+            iv: rack.role(CoreRole::Interactive),
+            bv: rack.role(CoreRole::Batch),
+        }
     }
-    probe.power()
+
+    /// Server `s`'s interactive and batch utilization rows.
+    fn server(&self, s: usize) -> (&'a [f64], &'a [f64]) {
+        (self.iv.server_utils(s), self.bv.server_utils(s))
+    }
+
+    /// Utilization of core `core` (rack order).
+    fn util(&self, core: usize) -> f64 {
+        let (s, k) = (core / self.cps, core % self.cps);
+        if k < self.ipc {
+            self.iv.server_utils(s)[k]
+        } else {
+            self.bv.server_utils(s)[k - self.ipc]
+        }
+    }
+}
+
+/// [`PowerProbe`] over the exact plant ([`oracle_power`]): caches each
+/// server's power and recomputes only the touched server through
+/// [`powersim::rack::server_power`], then refolds the server powers from
+/// `0.0` in server order — the association [`Rack::power`] uses.
+#[derive(Debug)]
+pub struct OracleProbe<'a> {
+    spec: &'a ServerSpec,
+    rows: Rows<'a>,
+    buf: &'a mut ProbeBuffers,
+}
+
+impl<'a> OracleProbe<'a> {
+    pub fn new(rack: &'a Rack, buf: &'a mut ProbeBuffers) -> Self {
+        OracleProbe {
+            spec: rack.spec(),
+            rows: Rows::of(rack),
+            buf,
+        }
+    }
+
+    fn refresh_server(&mut self, s: usize) {
+        let (cps, ipc) = (self.rows.cps, self.rows.ipc);
+        let (fi, fb) = self.buf.core[s * cps..(s + 1) * cps].split_at(ipc);
+        let (ui, ub) = self.rows.server(s);
+        self.buf.server[s] = server_power(self.spec, [(fi, ui), (fb, ub)]);
+    }
+
+    fn total(&self) -> Watts {
+        let mut total = 0.0;
+        for &p in &self.buf.server {
+            total += p;
+        }
+        Watts(total)
+    }
+}
+
+impl PowerProbe for OracleProbe<'_> {
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
+        let rows = self.rows;
+        assert_eq!(
+            freqs.len(),
+            rows.servers * rows.cps,
+            "one frequency per core"
+        );
+        // Ideal actuation: continuous frequencies, no ladder snap.
+        self.buf.core.clear();
+        self.buf
+            .core
+            .extend(freqs.iter().map(|f| f.0.clamp(0.0, 1.0)));
+        self.buf.server.resize(rows.servers, 0.0);
+        for s in 0..rows.servers {
+            self.refresh_server(s);
+        }
+        self.total()
+    }
+
+    fn set(&mut self, core: usize, f: NormFreq) -> Watts {
+        self.buf.core[core] = f.0.clamp(0.0, 1.0);
+        self.refresh_server(core / self.rows.cps);
+        self.total()
+    }
+}
+
+/// [`PowerProbe`] over [`CalibratedRackEstimator`]: caches each core's
+/// active term and `f·u`, and each server's non-CPU term. A `set`
+/// recomputes the touched core and its server's non-CPU term, then
+/// resumes the single running sum of the whole-vector estimate from the
+/// stored total before the touched server.
+#[derive(Debug)]
+pub struct EstimateProbe<'a> {
+    est: CalibratedRackEstimator,
+    rows: Rows<'a>,
+    buf: &'a mut ProbeBuffers,
+}
+
+impl<'a> EstimateProbe<'a> {
+    pub fn new(est: CalibratedRackEstimator, rack: &'a Rack, buf: &'a mut ProbeBuffers) -> Self {
+        EstimateProbe {
+            est,
+            rows: Rows::of(rack),
+            buf,
+        }
+    }
+
+    fn refresh_core(&mut self, core: usize, f: NormFreq) {
+        let est = &self.est;
+        let f = f.0.clamp(0.0, 1.0);
+        let u = self.rows.util(core).clamp(0.0, 1.0);
+        let shape = est.cubic_fraction * f.powi(3) + (1.0 - est.cubic_fraction) * f;
+        self.buf.core[core] = est.cpu_peak_per_core * shape * u;
+        self.buf.throughput[core] = f * u;
+    }
+
+    fn refresh_server(&mut self, s: usize) {
+        let cps = self.rows.cps;
+        let mut tp = 0.0;
+        for &t in &self.buf.throughput[s * cps..(s + 1) * cps] {
+            tp += t;
+        }
+        // Linear (not concave) non-CPU model: the calibration error.
+        self.buf.server[s] = self.est.noncpu_span * (tp / cps as f64);
+    }
+
+    /// Resume the running total at server `from` and fold every later
+    /// server on top: idle, each core's active term, the non-CPU term.
+    fn refold(&mut self, from: usize) -> Watts {
+        let cps = self.rows.cps;
+        let buf = &mut *self.buf;
+        let mut total = buf.prefix[from];
+        for s in from..self.rows.servers {
+            total += self.est.idle_per_server;
+            for &a in &buf.core[s * cps..(s + 1) * cps] {
+                total += a;
+            }
+            total += buf.server[s];
+            buf.prefix[s + 1] = total;
+        }
+        Watts(total)
+    }
+}
+
+impl PowerProbe for EstimateProbe<'_> {
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
+        let rows = self.rows;
+        let n = rows.servers * rows.cps;
+        assert_eq!(freqs.len(), n, "one frequency per core");
+        self.buf.core.resize(n, 0.0);
+        self.buf.throughput.resize(n, 0.0);
+        self.buf.server.resize(rows.servers, 0.0);
+        self.buf.prefix.resize(rows.servers + 1, 0.0);
+        self.buf.prefix[0] = 0.0;
+        for (core, &f) in freqs.iter().enumerate() {
+            self.refresh_core(core, f);
+        }
+        for s in 0..rows.servers {
+            self.refresh_server(s);
+        }
+        self.refold(0)
+    }
+
+    fn set(&mut self, core: usize, f: NormFreq) -> Watts {
+        let s = core / self.rows.cps;
+        self.refresh_core(core, f);
+        self.refresh_server(s);
+        self.refold(s)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powersim::cpu::CoreRole;
-    use powersim::server::ServerSpec;
+    use powersim::rack::CoreId;
     use powersim::units::Utilization;
 
     fn rack() -> Rack {

@@ -6,6 +6,7 @@
 //! processor utilization as the demand metric, and rank either purely by
 //! utilization (SGCT, SGCT-V1) or interactive-first (SGCT-V2).
 
+use crate::estimate::PowerProbe;
 use powersim::cpu::CoreRole;
 use powersim::rack::{CoreId, Rack};
 use powersim::units::{NormFreq, Watts};
@@ -22,49 +23,98 @@ pub enum SprintRanking {
     InteractiveFirst,
 }
 
-/// Rank every core of the rack for this epoch, highest priority first.
-pub fn rank_cores(rack: &Rack, ranking: SprintRanking) -> Vec<CoreId> {
-    let mut ids: Vec<CoreId> = Vec::with_capacity(rack.num_cores());
-    for s in 0..rack.num_servers() {
-        for c in 0..rack.cores_per_server() {
-            ids.push(CoreId { server: s, core: c });
+/// One core's ranking key, computed once per epoch: ascending `u128`
+/// order is priority order.
+///
+/// From the top bit down: a NaN flag (a NaN utilization ranks after
+/// every other core), then class, utilization and tie, each complemented
+/// so that higher values rank first, then the rack index ascending — the
+/// `CoreId` tiebreak that makes the order total. Utilization enters as
+/// its order-preserving bit pattern with `-0.0` folded onto `+0.0`, so
+/// non-NaN values order exactly as `partial_cmp` orders them (which
+/// `f64::total_cmp` would not: it splits the two zeros).
+fn rank_key(class: u8, util: f64, tie: u8, index: usize) -> u128 {
+    let nan = util.is_nan();
+    let util_order = if nan {
+        0
+    } else {
+        let bits = if util == 0.0 { 0 } else { util.to_bits() };
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
         }
-    }
-    let key = |id: &CoreId| -> (u8, f64, u8) {
-        let role = rack.role_of(*id);
-        let (class, tie) = match ranking {
-            // §VI-B: utilization is the demand metric; batch cores (which
-            // never idle between requests) win *exact* ties only.
-            SprintRanking::ByUtilization => (
-                0,
-                match role {
-                    CoreRole::Batch => 1,
-                    CoreRole::Interactive => 0,
-                },
-            ),
-            // SGCT-V2: interactive cores outrank batch outright, each
-            // group utilization-ordered.
-            SprintRanking::InteractiveFirst => (
-                match role {
-                    CoreRole::Interactive => 1,
-                    CoreRole::Batch => 0,
-                },
-                0,
-            ),
-        };
-        (class, rack.util(*id).0, tie)
     };
-    // Descending by (class, utilization, tie); ascending CoreId as the
-    // final deterministic tiebreak.
-    ids.sort_by(|a, b| {
-        let (ca, ua, ta) = key(a);
-        let (cb, ub, tb) = key(b);
-        cb.cmp(&ca)
-            .then(ub.partial_cmp(&ua).expect("NaN utilization"))
-            .then(tb.cmp(&ta))
-            .then(a.cmp(b))
-    });
-    ids
+    debug_assert!(index <= u32::MAX as usize, "rack index fits the key");
+    u128::from(nan) << 112
+        | u128::from(!class) << 104
+        | u128::from(!util_order) << 40
+        | u128::from(!tie) << 32
+        | index as u128
+}
+
+/// Reusable ranking storage: per-core keys and the resulting order, kept
+/// across epochs so re-ranking allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CoreRanking {
+    keys: Vec<u128>,
+    order: Vec<CoreId>,
+}
+
+impl CoreRanking {
+    /// Rank every core of the rack for this epoch, highest priority
+    /// first (see [`rank_cores`]).
+    pub(crate) fn rank(&mut self, rack: &Rack, ranking: SprintRanking) -> &[CoreId] {
+        let cps = rack.cores_per_server();
+        let iv = rack.role(CoreRole::Interactive);
+        let bv = rack.role(CoreRole::Batch);
+        self.keys.clear();
+        for server in 0..rack.num_servers() {
+            let utils = iv
+                .server_utils(server)
+                .iter()
+                .chain(bv.server_utils(server));
+            for (core, &util) in utils.enumerate() {
+                let role = rack.role_of(CoreId { server, core });
+                let (class, tie) = match (ranking, role) {
+                    // §VI-B: utilization is the demand metric; batch cores
+                    // (which never idle between requests) win *exact* ties
+                    // only.
+                    (SprintRanking::ByUtilization, CoreRole::Batch) => (0, 1),
+                    (SprintRanking::ByUtilization, CoreRole::Interactive) => (0, 0),
+                    // SGCT-V2: interactive cores outrank batch outright,
+                    // each group utilization-ordered.
+                    (SprintRanking::InteractiveFirst, CoreRole::Interactive) => (1, 0),
+                    (SprintRanking::InteractiveFirst, CoreRole::Batch) => (0, 0),
+                };
+                self.keys
+                    .push(rank_key(class, util, tie, server * cps + core));
+            }
+        }
+        // The keys are distinct, so the unstable sort yields the one
+        // ranking.
+        self.keys.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.keys.iter().map(|&k| {
+            let index = (k & u128::from(u32::MAX)) as usize;
+            CoreId {
+                server: index / cps,
+                core: index % cps,
+            }
+        }));
+        &self.order
+    }
+}
+
+/// Rank every core of the rack for this epoch, highest priority first.
+///
+/// A core whose utilization is NaN (a corrupt measurement) is treated as
+/// having no demand: it ranks after every core with a comparable
+/// utilization, whatever its class, rather than aborting the epoch.
+pub fn rank_cores(rack: &Rack, ranking: SprintRanking) -> Vec<CoreId> {
+    let mut r = CoreRanking::default();
+    r.rank(rack, ranking);
+    r.order
 }
 
 /// Result of one cooperative-threshold assignment.
@@ -83,13 +133,17 @@ pub struct Assignment {
 /// within `budget`. When `fractional` is set (the idealized variants),
 /// the first core that does not fit whole gets the exact intermediate
 /// frequency that exhausts the budget.
+///
+/// `probe` is the deciding power model over `rack`'s utilizations; each
+/// candidate moves one core, so the walk re-evaluates one server per
+/// candidate rather than the whole rack.
 pub fn cooperative_threshold(
     rack: &Rack,
     ranked: &[CoreId],
     f_nom: NormFreq,
     budget: Watts,
     fractional: bool,
-    power_of: &dyn Fn(&[NormFreq]) -> Watts,
+    probe: &mut impl PowerProbe,
 ) -> Assignment {
     let total_cores = rack.num_cores();
     assert_eq!(ranked.len(), total_cores, "ranking must cover every core");
@@ -99,7 +153,7 @@ pub fn cooperative_threshold(
     };
 
     let mut freqs = vec![f_nom; total_cores];
-    let mut power = power_of(&freqs);
+    let mut power = probe.reset(&freqs);
     let mut sprinted = 0;
     if power.0 > budget.0 {
         // Even the nominal configuration exceeds the budget — nothing to
@@ -114,30 +168,29 @@ pub fn cooperative_threshold(
         let i = index(id);
         let prev = freqs[i];
         freqs[i] = NormFreq::PEAK;
-        let with = power_of(&freqs);
+        let with = probe.set(i, NormFreq::PEAK);
         if with.0 <= budget.0 {
             power = with;
             sprinted += 1;
             continue;
         }
         if fractional {
-            // Secant solve for the frequency that exactly meets budget —
-            // power is affine in this core's frequency for both the
-            // estimator and (near-affine) for the plant, so a couple of
-            // iterations suffice; bisection guards convergence.
+            // Fixed 40-step bisection of the [prev, 1] bracket for the
+            // highest frequency that still meets the budget: both models
+            // grow with this core's frequency, and 40 halvings leave a
+            // bracket of (1 − prev)·2⁻⁴⁰.
             let mut lo = prev.0;
             let mut hi = 1.0;
             for _ in 0..40 {
                 let mid = 0.5 * (lo + hi);
-                freqs[i] = NormFreq(mid);
-                if power_of(&freqs).0 <= budget.0 {
+                if probe.set(i, NormFreq(mid)).0 <= budget.0 {
                     lo = mid;
                 } else {
                     hi = mid;
                 }
             }
             freqs[i] = NormFreq(lo);
-            power = power_of(&freqs);
+            power = probe.set(i, freqs[i]);
         } else {
             freqs[i] = prev;
         }
@@ -153,6 +206,9 @@ pub fn cooperative_threshold(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{
+        oracle_power, CalibratedRackEstimator, EstimateProbe, OracleProbe, ProbeBuffers,
+    };
     use powersim::server::ServerSpec;
     use powersim::units::Utilization;
 
@@ -173,8 +229,8 @@ mod tests {
         rk
     }
 
-    fn est() -> crate::estimate::LinearRackEstimator {
-        crate::estimate::LinearRackEstimator::from_spec(&ServerSpec::paper_default())
+    fn est() -> CalibratedRackEstimator {
+        CalibratedRackEstimator::from_spec(&ServerSpec::paper_default())
     }
 
     #[test]
@@ -210,10 +266,16 @@ mod tests {
     fn big_budget_sprints_everyone() {
         let rk = rack();
         let ranked = rank_cores(&rk, SprintRanking::ByUtilization);
-        let e = est();
-        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), Watts(10_000.0), false, &|f| {
-            e.estimate(&rk, f)
-        });
+        let mut buf = ProbeBuffers::default();
+        let mut probe = EstimateProbe::new(est(), &rk, &mut buf);
+        let a = cooperative_threshold(
+            &rk,
+            &ranked,
+            NormFreq(0.5),
+            Watts(10_000.0),
+            false,
+            &mut probe,
+        );
         assert_eq!(a.sprinted, 16);
         assert!(a.freqs.iter().all(|f| (f.0 - 1.0).abs() < 1e-12));
     }
@@ -222,13 +284,12 @@ mod tests {
     fn tight_budget_sprints_only_the_top() {
         let rk = rack();
         let ranked = rank_cores(&rk, SprintRanking::ByUtilization);
-        let e = est();
         // Nominal config power + a bit: room for only a few sprints.
-        let nominal = e.estimate(&rk, &[NormFreq(0.5); 16]);
+        let nominal = est().estimate(&rk, &[NormFreq(0.5); 16]);
         let budget = Watts(nominal.0 + 40.0);
-        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), budget, false, &|f| {
-            e.estimate(&rk, f)
-        });
+        let mut buf = ProbeBuffers::default();
+        let mut probe = EstimateProbe::new(est(), &rk, &mut buf);
+        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), budget, false, &mut probe);
         assert!(a.sprinted > 0 && a.sprinted < 16, "sprinted={}", a.sprinted);
         assert!(a.predicted_power.0 <= budget.0 + 1e-9);
         // The sprinted cores are exactly the top of the ranking.
@@ -244,11 +305,11 @@ mod tests {
     fn fractional_assignment_exhausts_the_budget_exactly() {
         let rk = rack();
         let ranked = rank_cores(&rk, SprintRanking::ByUtilization);
-        let nominal = crate::estimate::oracle_power(&rk, &[NormFreq(0.5); 16]);
+        let nominal = oracle_power(&rk, &[NormFreq(0.5); 16]);
         let budget = Watts(nominal.0 + 55.0);
-        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), budget, true, &|f| {
-            crate::estimate::oracle_power(&rk, f)
-        });
+        let mut buf = ProbeBuffers::default();
+        let mut probe = OracleProbe::new(&rk, &mut buf);
+        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), budget, true, &mut probe);
         // Power lands on the budget to within the bisection tolerance.
         assert!(
             (a.predicted_power.0 - budget.0).abs() < 0.5,
@@ -269,10 +330,9 @@ mod tests {
     fn impossible_budget_returns_nominal() {
         let rk = rack();
         let ranked = rank_cores(&rk, SprintRanking::ByUtilization);
-        let e = est();
-        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), Watts(10.0), false, &|f| {
-            e.estimate(&rk, f)
-        });
+        let mut buf = ProbeBuffers::default();
+        let mut probe = EstimateProbe::new(est(), &rk, &mut buf);
+        let a = cooperative_threshold(&rk, &ranked, NormFreq(0.5), Watts(10.0), false, &mut probe);
         assert_eq!(a.sprinted, 0);
         assert!(a.freqs.iter().all(|f| (f.0 - 0.5).abs() < 1e-12));
     }

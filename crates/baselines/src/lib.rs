@@ -11,9 +11,9 @@
 //! * [`sgct::SgctVariant::V2InteractivePriority`] — V1 plus priority for
 //!   interactive cores.
 //!
-//! Modules: [`estimate`] (the open-loop model and the ideal oracle),
-//! [`game`] (cooperative-threshold assignment), [`sgct`] (the stateful
-//! policies).
+//! Modules: [`estimate`] (the open-loop model and the ideal oracle, each
+//! evaluated through an incremental [`PowerProbe`]), [`game`]
+//! (cooperative-threshold assignment), [`sgct`] (the stateful policies).
 
 #![forbid(unsafe_code)]
 
@@ -21,6 +21,9 @@ pub mod estimate;
 pub mod game;
 pub mod sgct;
 
-pub use estimate::{oracle_power, CalibratedRackEstimator, LinearRackEstimator};
+pub use estimate::{
+    oracle_power, CalibratedRackEstimator, EstimateProbe, LinearRackEstimator, OracleProbe,
+    PowerProbe, ProbeBuffers,
+};
 pub use game::{cooperative_threshold, rank_cores, Assignment, SprintRanking};
 pub use sgct::{SgctCommand, SgctConfig, SgctPolicy, SgctVariant};

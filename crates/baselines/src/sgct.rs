@@ -16,8 +16,8 @@
 //! recovery — the total sprint budget stays constant (the nearly-flat
 //! total power of Fig. 6(b)(c)).
 
-use crate::estimate::{oracle_power, CalibratedRackEstimator};
-use crate::game::{cooperative_threshold, rank_cores, SprintRanking};
+use crate::estimate::{CalibratedRackEstimator, EstimateProbe, OracleProbe, ProbeBuffers};
+use crate::game::{cooperative_threshold, CoreRanking, SprintRanking};
 use powersim::rack::Rack;
 use powersim::units::{NormFreq, Seconds, Watts};
 
@@ -102,6 +102,10 @@ pub struct SgctPolicy {
     pub cfg: SgctConfig,
     /// Time into the current overload/recovery cycle.
     phase_clock: Seconds,
+    /// Ranking and probe storage reused across epochs: a steady-state
+    /// step allocates only the frequency vector it returns.
+    ranking: CoreRanking,
+    probe: ProbeBuffers,
 }
 
 impl SgctPolicy {
@@ -110,6 +114,8 @@ impl SgctPolicy {
         SgctPolicy {
             cfg,
             phase_clock: Seconds::ZERO,
+            ranking: CoreRanking::default(),
+            probe: ProbeBuffers::default(),
         }
     }
 
@@ -145,33 +151,23 @@ impl SgctPolicy {
             SgctVariant::V2InteractivePriority => SprintRanking::InteractiveFirst,
             _ => SprintRanking::ByUtilization,
         };
-        let ranked = rank_cores(rack, ranking);
         let budget = match self.cfg.variant {
             SgctVariant::Uncontrolled => self.cfg.sprint_budget(),
             SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
                 Watts((self.cfg.sprint_budget().0 * self.cfg.ideal_safety - p_overhead.0).max(0.0))
             }
         };
-        type PowerFn = Box<dyn Fn(&[NormFreq]) -> Watts>;
-        let (fractional, power_of): (bool, PowerFn) = match self.cfg.variant {
+        let ranked = self.ranking.rank(rack, ranking);
+        let assignment = match self.cfg.variant {
             SgctVariant::Uncontrolled => {
-                let est = self.cfg.estimator;
-                let rk = rack.clone();
-                (false, Box::new(move |f: &[NormFreq]| est.estimate(&rk, f)))
+                let mut probe = EstimateProbe::new(self.cfg.estimator, rack, &mut self.probe);
+                cooperative_threshold(rack, ranked, self.cfg.f_nom, budget, false, &mut probe)
             }
             SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
-                let rk = rack.clone();
-                (true, Box::new(move |f: &[NormFreq]| oracle_power(&rk, f)))
+                let mut probe = OracleProbe::new(rack, &mut self.probe);
+                cooperative_threshold(rack, ranked, self.cfg.f_nom, budget, true, &mut probe)
             }
         };
-        let assignment = cooperative_threshold(
-            rack,
-            &ranked,
-            self.cfg.f_nom,
-            budget,
-            fractional,
-            &*power_of,
-        );
 
         // Power routing: overload phase → CB is the only sprint source;
         // recovery phase → CB at (just under) rated, UPS supplies the
@@ -208,7 +204,10 @@ impl SgctPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::oracle_power;
+    use crate::game::rank_cores;
     use powersim::cpu::CoreRole;
+    use powersim::rack::CoreId;
     use powersim::server::ServerSpec;
     use powersim::units::Utilization;
 
@@ -344,6 +343,34 @@ mod tests {
             "ups={}",
             c.ups_target
         );
+    }
+
+    #[test]
+    fn nan_utilization_ranks_last_and_does_not_panic() {
+        // A corrupt monitor lane: the core has no measurable demand.
+        let mut rk = rack();
+        let bad = CoreId { server: 3, core: 6 };
+        rk.set_util(bad, Utilization(f64::NAN));
+        let ranked = rank_cores(&rk, SprintRanking::ByUtilization);
+        assert_eq!(ranked.len(), 128);
+        assert_eq!(ranked.last(), Some(&bad));
+        let mut sorted = ranked.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 128, "every core ranked exactly once");
+        // Every finite core keeps its order.
+        let clean = rank_cores(&rack(), SprintRanking::ByUtilization);
+        let without: Vec<CoreId> = clean.into_iter().filter(|id| *id != bad).collect();
+        assert_eq!(&ranked[..127], &without[..]);
+        for variant in [
+            SgctVariant::Uncontrolled,
+            SgctVariant::V1Ideal,
+            SgctVariant::V2InteractivePriority,
+        ] {
+            let mut p = SgctPolicy::new(SgctConfig::paper_default(variant));
+            let cmd = p.step(Seconds(1.0), &rk, Watts(4000.0), Watts::ZERO);
+            assert_eq!(cmd.freqs.len(), 128);
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Criterion benches for the control-path hot spots: the MPC solve that
 //! runs every control period on 64 channels, the underlying QP solvers,
-//! and the cheaper loops around them.
+//! the SGCT baselines' per-period assignment, and the cheaper loops
+//! around them.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use baselines::{SgctConfig, SgctPolicy, SgctVariant};
+use powersim::cpu::CoreRole;
+use powersim::rack::Rack;
 use powersim::units::{Seconds, Utilization, Watts};
 use sprint_control::linalg::Mat;
 use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
@@ -147,6 +151,33 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     });
 }
 
+/// One SGCT-family control period on the §VI-A paper rack at the repo
+/// benchmark's operating point (interactive 0.65, batch 0.97
+/// utilization). A zero `dt` holds the open-loop schedule in its
+/// overload phase; the policy's ranking and probe buffers stay warm
+/// across iterations, as they do across periods in a run.
+fn bench_sgct(c: &mut Criterion) {
+    let mut rack = Rack::builder().build().expect("paper rack is valid");
+    for (role, u) in [(CoreRole::Interactive, 0.65), (CoreRole::Batch, 0.97)] {
+        for id in rack.cores_with_role(role) {
+            rack.set_util(id, Utilization(u));
+        }
+    }
+    for (tag, variant) in [
+        ("sgct", SgctVariant::Uncontrolled),
+        ("v1", SgctVariant::V1Ideal),
+        ("v2", SgctVariant::V2InteractivePriority),
+    ] {
+        let mut policy = SgctPolicy::new(SgctConfig::paper_default(variant));
+        c.bench_function(format!("baselines/sgct_step_{tag}"), |b| {
+            b.iter(|| {
+                let cmd = policy.step(Seconds(0.0), &rack, Watts(4000.0), Watts::ZERO);
+                black_box(cmd.sprinted)
+            })
+        });
+    }
+}
+
 fn bench_small_loops(c: &mut Criterion) {
     c.bench_function("pid/step", |b| {
         let mut pid = Pid::new(PidConfig {
@@ -182,6 +213,7 @@ criterion_group!(
     bench_server_controller,
     bench_telemetry_overhead,
     bench_allocator,
+    bench_sgct,
     bench_small_loops
 );
 criterion_main!(benches);

@@ -747,13 +747,6 @@ impl Rack {
         let ni = self.num_servers * ipc;
         let (fi, fb) = self.state.freq.split_at(ni);
         let (ui, ub) = self.state.util.split_at(ni);
-        // Hoisted law constants: every per-lane expression below performs
-        // the identical operations, in the identical order, as
-        // `CorePowerLaw::active_power` — the bit-identity contract behind
-        // the committed golden digests.
-        let law = self.spec.core_law;
-        let lin = 1.0 - law.cubic_fraction;
-        let cores = self.spec.num_cores as f64;
         let mut total = 0.0;
         for s in 0..self.num_servers {
             if powered.is_some_and(|p| !p[s]) {
@@ -762,18 +755,7 @@ impl Rack {
             }
             let (rfi, rui) = (&fi[s * ipc..(s + 1) * ipc], &ui[s * ipc..(s + 1) * ipc]);
             let (rfb, rub) = (&fb[s * bpc..(s + 1) * bpc], &ub[s * bpc..(s + 1) * bpc]);
-            let mut active = 0.0;
-            let mut tp = 0.0;
-            for (rf, ru) in [(rfi, rui), (rfb, rub)] {
-                for (&f, &u) in rf.iter().zip(ru) {
-                    let fh = f.clamp(0.0, 1.0);
-                    let shape = law.cubic_fraction * fh.powi(3) + lin * fh;
-                    active += law.peak_active_watts * shape * u.clamp(0.0, 1.0);
-                    tp += f * u;
-                }
-            }
-            let mean_tp = tp / cores;
-            let p = self.spec.idle_watts + active + self.spec.noncpu_power(mean_tp);
+            let p = server_power(&self.spec, [(rfi, rui), (rfb, rub)]);
             record(s, p);
             total += p;
         }
@@ -868,6 +850,35 @@ impl Rack {
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max)
     }
+}
+
+/// Plant power of one server, W, from its `(freqs, utils)` rows in core
+/// order: the interactive row, then the batch row.
+///
+/// Active power and throughput fold over both rows strictly in lane
+/// order, then the idle floor, the active sum and the non-CPU term are
+/// added. Every per-lane expression performs the identical operations, in
+/// the identical order, as `CorePowerLaw::active_power` — the bit-identity
+/// contract behind the committed golden digests. This is the single
+/// implementation of the per-server law behind [`Rack::power`]; callers
+/// that evaluate candidate frequencies one server at a time (the oracle
+/// baselines) use it directly.
+#[inline]
+pub fn server_power(spec: &ServerSpec, rows: [(&[f64], &[f64]); 2]) -> f64 {
+    let law = spec.core_law;
+    let lin = 1.0 - law.cubic_fraction;
+    let mut active = 0.0;
+    let mut tp = 0.0;
+    for (rf, ru) in rows {
+        for (&f, &u) in rf.iter().zip(ru) {
+            let fh = f.clamp(0.0, 1.0);
+            let shape = law.cubic_fraction * fh.powi(3) + lin * fh;
+            active += law.peak_active_watts * shape * u.clamp(0.0, 1.0);
+            tp += f * u;
+        }
+    }
+    let mean_tp = tp / spec.num_cores as f64;
+    spec.idle_watts + active + spec.noncpu_power(mean_tp)
 }
 
 fn mean(xs: &[f64]) -> Option<f64> {
