@@ -40,7 +40,7 @@ pub use linalg::Mat;
 pub use mpc::{MpcBackend, MpcConfig, MpcController, MpcDecision};
 pub use pid::{Pid, PidConfig};
 pub use qp::{QpProblem, QpSolution};
-pub use qp_structured::{solve_blocks_into, solve_blocks_into_warm, BlockSolve, RankOneDiagQp};
+pub use qp_structured::{solve_blocks_into, BlockSolve, RankOneDiagQp};
 pub use reference::{discrete_settling_periods, settling_time, ExpReference};
 pub use stability::{
     max_gain_ratio, mimo_closed_loop, mimo_spectral_radius, scalar_pole, scalar_stable, LoopParams,

@@ -23,7 +23,7 @@
 
 use crate::linalg::Mat;
 use crate::qp::{QpProblem, QpSolution, QpWorkspace};
-use crate::qp_structured::solve_blocks_into_warm;
+use crate::qp_structured::solve_blocks_into;
 
 /// Which QP machinery [`MpcController::compute`] runs each period.
 ///
@@ -145,8 +145,8 @@ pub struct MpcController {
 
 /// Scratch for the structured backend: the per-block coupling scalars
 /// plus the diagonal/linear terms and solution over the full `n·Lc`
-/// decision vector. Sized once at construction; the hot path rebuilds
-/// them in place.
+/// decision vector, and the solver's `2n` kernel scratch. Sized once at
+/// construction; the hot path rebuilds them in place.
 #[derive(Debug, Clone, Default)]
 struct StructuredBuffers {
     /// Per-block rank-one weight `c_b = 2q·(tracking steps fed)`.
@@ -157,6 +157,9 @@ struct StructuredBuffers {
     g: Vec<f64>,
     /// Solution vector, length `n·Lc`.
     x: Vec<f64>,
+    /// Root-find kernel scratch (curvatures and slope shares), length
+    /// `2n`, shared by the blocks.
+    kernel: Vec<f64>,
     /// Per-block coupling-scalar roots `u_b = kᵀy_b` carried across
     /// control periods as warm-start hints (NaN = cold). The solver's
     /// stale-bracket guard rejects a carried root whenever the bracket
@@ -223,6 +226,7 @@ impl MpcController {
                 d: vec![0.0; dim],
                 g: vec![0.0; dim],
                 x: vec![0.0; dim],
+                kernel: vec![0.0; 2 * n],
                 warm_u: vec![f64::NAN; cfg.lc],
             },
         }
@@ -348,7 +352,7 @@ impl MpcController {
             }
         }
 
-        let (evals, converged, kkt_residual) = solve_blocks_into_warm(
+        let (evals, converged, kkt_residual) = solve_blocks_into(
             &sb.c,
             &self.gains,
             &sb.d,
@@ -356,6 +360,7 @@ impl MpcController {
             &self.qp.lo,
             &self.qp.hi,
             &mut sb.x,
+            &mut sb.kernel,
             1e-7,
             200,
             Some(&mut sb.warm_u),

@@ -22,15 +22,26 @@
 //! `−c·kⱼ²/dⱼ ≤ 0` and clamping only flattens it), so
 //! `φ(u) = kᵀy(u) − u` is strictly decreasing with `φ' ≤ −1` and has a
 //! unique root `u*` inside the bracket `[min kᵀy, max kᵀy]`. The solver
-//! finds `u*` by bracketed bisection with a Newton polish — each
-//! evaluation is O(n), and Newton contracts the bracket to machine
-//! precision in a handful of evaluations — then reads the optimum off the
-//! closed forms. Against the dense FISTA path this replaces O((n·Lc)²)
-//! matvecs per iteration with O(n·Lc) total work per control period.
+//! finds `u*` by bracketed bisection with a Newton polish, then reads the
+//! optimum off the closed forms. Each evaluation is O(n); on the paper's
+//! 64-channel MPC a block takes about 21 of them (φ is piecewise linear
+//! with up to 2n kinks, and a Newton step is exact only from the root's
+//! own piece). Against the dense FISTA path this replaces O((n·Lc)²) matvecs
+//! per iteration with O(n·Lc) total work per control period.
+//!
+//! An evaluation runs as two passes. Pass 1 computes every `yⱼ(u)` and
+//! its slope share (`wⱼ = c·kⱼ²/dⱼ` if the lane is free, else `0`) with
+//! selects only, so it vectorizes. Pass 2 folds `kᵀy` and the slope in
+//! index order. No floating-point sum is reordered, so φ, φ′ and `y` are
+//! bitwise those of a one-pass scalar loop, and the iterate sequence
+//! does not depend on the vector width. The curvatures `wⱼ` are divided
+//! once per block solve, not once per evaluation.
 //!
 //! [`RankOneDiagQp`] is one block; [`solve_blocks_into`] runs the Lc
 //! independent blocks of the MPC problem back to back. Both write into
-//! caller-provided slices and allocate nothing.
+//! caller-provided slices and take a caller-provided scratch of `2n`
+//! values (the curvatures and the slope shares), so a solve allocates
+//! nothing.
 
 use crate::linalg::Mat;
 
@@ -92,60 +103,113 @@ impl<'a> RankOneDiagQp<'a> {
         );
     }
 
+    /// Per-lane curvature `wⱼ = c·kⱼ·kⱼ/dⱼ`: how much a free coordinate
+    /// steepens φ. Computed once per block solve; `0.0` where `dⱼ = 0`
+    /// (such a lane is never free).
+    fn curvatures_into(&self, w: &mut [f64]) {
+        for (j, wj) in w.iter_mut().enumerate() {
+            *wj = if self.d[j] > 0.0 {
+                self.c * self.k[j] * self.k[j] / self.d[j]
+            } else {
+                0.0
+            };
+        }
+    }
+
     /// Evaluate the closed-form minimizer `y(u)` at a fixed coupling
     /// scalar, returning `(φ, φ')` with `φ(u) = kᵀy(u) − u`. `y` is
-    /// overwritten with `y(u)`.
-    fn eval(&self, u: f64, y: &mut [f64]) -> (f64, f64) {
+    /// overwritten with `y(u)`; `w` holds the curvatures of
+    /// [`Self::curvatures_into`] and `share` is scratch.
+    ///
+    /// Pass 1 is lane-independent and written with selects only, so it
+    /// vectorizes; pass 2 folds `kᵀy` and the slope in index order, the
+    /// same sums in the same order as a one-pass scalar loop, so φ, φ′
+    /// and `y` are bitwise those of the scalar closed forms.
+    fn eval(&self, u: f64, w: &[f64], y: &mut [f64], share: &mut [f64]) -> (f64, f64) {
+        let n = y.len();
+        let (k, d, g) = (&self.k[..n], &self.d[..n], &self.g[..n]);
+        let (lo, hi, w, share) = (&self.lo[..n], &self.hi[..n], &w[..n], &mut share[..n]);
+        let cu = self.c * u;
+        for j in 0..n {
+            let s = g[j] + cu * k[j];
+            let raw = -s / d[j];
+            let below = raw <= lo[j];
+            let above = raw >= hi[j];
+            let curved = if below {
+                lo[j]
+            } else if above {
+                hi[j]
+            } else {
+                raw
+            };
+            // No curvature: the coordinate rides its cheaper bound, and
+            // at s = 0 takes `0.0.clamp(lo, hi)` (spelled as selects;
+            // `validate` guarantees lo ≤ hi).
+            let zero = if 0.0 < lo[j] { lo[j] } else { 0.0 };
+            let zero = if zero > hi[j] { hi[j] } else { zero };
+            let flat = if s > 0.0 {
+                lo[j]
+            } else if s < 0.0 {
+                hi[j]
+            } else {
+                zero
+            };
+            let has_curvature = d[j] > 0.0;
+            y[j] = if has_curvature { curved } else { flat };
+            share[j] = if has_curvature & !below & !above {
+                w[j]
+            } else {
+                0.0
+            };
+        }
         let mut ky = 0.0;
         let mut slope = -1.0;
-        for (j, out) in y.iter_mut().enumerate() {
-            let s = self.g[j] + self.c * u * self.k[j];
-            let yj = if self.d[j] > 0.0 {
-                let raw = -s / self.d[j];
-                if raw <= self.lo[j] {
-                    self.lo[j]
-                } else if raw >= self.hi[j] {
-                    self.hi[j]
-                } else {
-                    slope -= self.c * self.k[j] * self.k[j] / self.d[j];
-                    raw
-                }
-            } else if s > 0.0 {
-                // No curvature: the coordinate rides its cheaper bound.
-                self.lo[j]
-            } else if s < 0.0 {
-                self.hi[j]
-            } else {
-                0.0_f64.clamp(self.lo[j], self.hi[j])
-            };
-            *out = yj;
-            ky += self.k[j] * yj;
+        for j in 0..n {
+            ky += k[j] * y[j];
+            slope -= share[j];
         }
         (ky - u, slope)
     }
 
-    /// Solve the block into `y` (length `n`). `tol` is the target
-    /// projected-KKT accuracy of the returned point; `max_evals` bounds
-    /// the root-find evaluations (each O(n)). No allocation.
-    pub fn solve_into(&self, y: &mut [f64], tol: f64, max_evals: usize) -> BlockSolve {
-        self.solve_into_warm(y, tol, max_evals, None)
+    /// Solve the block into `y` (length `n`). `scratch` holds at least
+    /// `2n` values (contents ignored and overwritten). `tol` is the
+    /// target projected-KKT accuracy of the returned point; `max_evals`
+    /// bounds the root-find evaluations (each O(n)). No allocation.
+    ///
+    /// `warm` is an optional hint for the coupling scalar `u = kᵀy` —
+    /// typically the previous control period's root. The hint is only
+    /// trusted if it lies strictly inside the freshly computed bracket
+    /// `(min kᵀy, max kᵀy)` (the stale-bracket guard): a hint from a
+    /// problem whose bounds, gains, or linear term have since shifted the
+    /// bracket falls back to the midpoint start, so a stale hint can
+    /// never slow the solve below the cold path's bisection guarantee,
+    /// and the returned point meets the same `tol` certificate either
+    /// way.
+    pub fn solve_into(
+        &self,
+        y: &mut [f64],
+        scratch: &mut [f64],
+        tol: f64,
+        max_evals: usize,
+        warm: Option<f64>,
+    ) -> BlockSolve {
+        let n = self.k.len();
+        assert!(scratch.len() >= 2 * n, "solver scratch needs 2n values");
+        let (w, share) = scratch[..2 * n].split_at_mut(n);
+        self.curvatures_into(w);
+        let w = &*w;
+        self.root_find(y, tol, max_evals, warm, |u, y| self.eval(u, w, y, share))
     }
 
-    /// [`Self::solve_into`] with an optional warm-start hint for the
-    /// coupling scalar `u = kᵀy` — typically the previous control
-    /// period's root. The hint is only trusted if it lies strictly inside
-    /// the freshly computed bracket `(min kᵀy, max kᵀy)` (the stale-
-    /// bracket guard): a hint from a problem whose bounds, gains, or
-    /// linear term have since shifted the bracket falls back to the
-    /// midpoint start, so a stale hint can never slow the solve below
-    /// the cold path's bisection guarantee, and the returned point meets
-    /// the same `tol` certificate either way.
-    pub fn solve_into_warm(
+    /// Safeguarded Newton-bisection on φ, driven by `eval(u, y)` (the
+    /// kernel in production, the scalar oracle in tests).
+    fn root_find(
         &self,
         y: &mut [f64],
         tol: f64,
         max_evals: usize,
         warm: Option<f64>,
+        mut eval: impl FnMut(f64, &mut [f64]) -> (f64, f64),
     ) -> BlockSolve {
         debug_assert_eq!(y.len(), self.k.len());
         assert!(tol > 0.0 && max_evals > 0);
@@ -154,7 +218,7 @@ impl<'a> RankOneDiagQp<'a> {
         // exact at any u; one evaluation finishes the block.
         let coupled = self.c > 0.0 && self.k.iter().any(|&k| k != 0.0);
         if !coupled {
-            let (phi, _) = self.eval(0.0, y);
+            let (phi, _) = eval(0.0, y);
             // φ(0) = kᵀy(0); report the actual coupling value.
             return BlockSolve {
                 u: phi,
@@ -184,7 +248,7 @@ impl<'a> RankOneDiagQp<'a> {
         let mut evals = 0;
         let mut converged = false;
         while evals < max_evals {
-            let (phi, slope) = self.eval(u, y);
+            let (phi, slope) = eval(u, y);
             evals += 1;
             if phi.abs() <= tol_u {
                 converged = true;
@@ -262,7 +326,15 @@ impl<'a> RankOneDiagQp<'a> {
 /// `[b·n, (b+1)·n)`), all sharing the gain vector `k`. Returns the
 /// summed evaluation count, the worst per-block convergence flag, and the
 /// overall projected-KKT residual of `x`. This is the MPC hot path:
-/// O(n·blocks) total, zero allocation.
+/// O(n·blocks) total, zero allocation. The blocks run back to back and
+/// share one `scratch` of at least `2n` values.
+///
+/// With `warm = Some(state)`, `state[b]` holds the coupling-scalar hint
+/// for block `b` on entry (NaN = cold) and is overwritten with the
+/// block's converged root on exit, so a caller that keeps the slice alive
+/// across control periods warm-starts every solve. Each hint goes through
+/// the stale-bracket guard of [`RankOneDiagQp::solve_into`], so the
+/// returned point carries the same `tol` KKT certificate as a cold solve.
 #[allow(clippy::too_many_arguments)] // the six problem slices mirror the MPC assembly layout
 pub fn solve_blocks_into(
     c: &[f64],
@@ -272,28 +344,7 @@ pub fn solve_blocks_into(
     lo: &[f64],
     hi: &[f64],
     x: &mut [f64],
-    tol: f64,
-    max_evals: usize,
-) -> (usize, bool, f64) {
-    solve_blocks_into_warm(c, k, d, g, lo, hi, x, tol, max_evals, None)
-}
-
-/// [`solve_blocks_into`] with per-block warm-start state: `warm[b]` holds
-/// the coupling-scalar hint for block `b` on entry (NaN = cold) and is
-/// overwritten with the block's converged root on exit, so a caller that
-/// keeps the slice alive across control periods warm-starts every solve.
-/// Each hint goes through the stale-bracket guard of
-/// [`RankOneDiagQp::solve_into_warm`], so the returned point carries the
-/// same `tol` KKT certificate as the cold path.
-#[allow(clippy::too_many_arguments)] // the six problem slices mirror the MPC assembly layout
-pub fn solve_blocks_into_warm(
-    c: &[f64],
-    k: &[f64],
-    d: &[f64],
-    g: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    x: &mut [f64],
+    scratch: &mut [f64],
     tol: f64,
     max_evals: usize,
     mut warm: Option<&mut [f64]>,
@@ -324,7 +375,7 @@ pub fn solve_blocks_into_warm(
         };
         block.validate();
         let hint = warm.as_deref().map(|w| w[b]);
-        let s = block.solve_into_warm(&mut x[r.clone()], tol, max_evals, hint);
+        let s = block.solve_into(&mut x[r.clone()], scratch, tol, max_evals, hint);
         if let Some(w) = warm.as_deref_mut() {
             w[b] = s.u;
         }
@@ -339,6 +390,62 @@ pub fn solve_blocks_into_warm(
 mod tests {
     use super::*;
     use crate::qp::QpProblem;
+    use proptest::prelude::*;
+
+    impl RankOneDiagQp<'_> {
+        /// Bit-identity oracle for [`Self::eval`]: the one-pass scalar
+        /// loop the two-pass kernel replaced.
+        fn eval_scalar(&self, u: f64, y: &mut [f64]) -> (f64, f64) {
+            let mut ky = 0.0;
+            let mut slope = -1.0;
+            for (j, out) in y.iter_mut().enumerate() {
+                let s = self.g[j] + self.c * u * self.k[j];
+                let yj = if self.d[j] > 0.0 {
+                    let raw = -s / self.d[j];
+                    if raw <= self.lo[j] {
+                        self.lo[j]
+                    } else if raw >= self.hi[j] {
+                        self.hi[j]
+                    } else {
+                        slope -= self.c * self.k[j] * self.k[j] / self.d[j];
+                        raw
+                    }
+                } else if s > 0.0 {
+                    self.lo[j]
+                } else if s < 0.0 {
+                    self.hi[j]
+                } else {
+                    0.0_f64.clamp(self.lo[j], self.hi[j])
+                };
+                *out = yj;
+                ky += self.k[j] * yj;
+            }
+            (ky - u, slope)
+        }
+
+        /// [`Self::solve_into`] driven by the scalar oracle.
+        fn solve_scalar(
+            &self,
+            y: &mut [f64],
+            tol: f64,
+            max_evals: usize,
+            warm: Option<f64>,
+        ) -> BlockSolve {
+            self.root_find(y, tol, max_evals, warm, |u, y| self.eval_scalar(u, y))
+        }
+
+        /// [`Self::solve_into`] with a fresh scratch.
+        fn solve(
+            &self,
+            y: &mut [f64],
+            tol: f64,
+            max_evals: usize,
+            warm: Option<f64>,
+        ) -> BlockSolve {
+            let mut scratch = vec![0.0; 2 * self.k.len()];
+            self.solve_into(y, &mut scratch, tol, max_evals, warm)
+        }
+    }
 
     fn xorshift(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -368,6 +475,184 @@ mod tests {
         (c, k, d, g, lo, hi)
     }
 
+    /// Owned block data whose lanes hit every branch of the closed
+    /// forms at the coupling scalar `u`: free and clamped curved lanes,
+    /// `d = 0` lanes with `s > 0`, `s < 0`, `s = 0.0` and `s = −0.0`
+    /// (against boxes that hold, exclude or touch zero), `lo = hi` pins,
+    /// and lanes whose unclamped `raw` lands exactly on `lo` or `hi`.
+    /// Gains take both signs; `huge` widens the ordinary boxes to ±1e12.
+    /// Further blocks share `k` and scale `c` by `b + 1`, so only block 0
+    /// is guaranteed to sit on its edges at `u`.
+    struct EdgeBlock {
+        c: f64,
+        k: Vec<f64>,
+        d: Vec<f64>,
+        g: Vec<f64>,
+        lo: Vec<f64>,
+        hi: Vec<f64>,
+    }
+
+    impl EdgeBlock {
+        fn new(seed: u64, n: usize, blocks: usize, u: f64, huge: bool) -> Self {
+            let mut r = xorshift(seed);
+            let c = 0.05 + 4.0 * r().abs();
+            let cu = c * u;
+            let mut b = EdgeBlock {
+                c,
+                k: (0..n).map(|_| 6.0 * r()).collect(),
+                d: Vec::new(),
+                g: Vec::new(),
+                lo: Vec::new(),
+                hi: Vec::new(),
+            };
+            let zeros = [0.0, -0.0, 0.5, -0.5];
+            for _ in 0..blocks {
+                for j in 0..n {
+                    let kj = b.k[j];
+                    let kind = (r().abs() * 9.0) as usize;
+                    let mut d = 0.05 + 4.0 * r().abs();
+                    let mut g = 8.0 * r();
+                    let (mut lo, mut hi) = if huge {
+                        (-1e12, 1e12)
+                    } else {
+                        let lo = -1.0 + r();
+                        (lo, lo + 0.1 + r().abs())
+                    };
+                    match kind {
+                        1 => {
+                            d = 0.0;
+                            g = -(cu * kj) + 1.0 + r().abs();
+                        }
+                        2 => {
+                            d = 0.0;
+                            g = -(cu * kj) - 1.0 - r().abs();
+                        }
+                        3 | 4 => {
+                            // s = g + cu·k is +0.0 for g = −(cu·k); for
+                            // s = −0.0 every term must be −0.0.
+                            d = 0.0;
+                            if kind == 3 {
+                                g = -(cu * kj);
+                            } else {
+                                b.k[j] = if cu.is_sign_negative() { 0.0 } else { -0.0 };
+                                g = -0.0;
+                            }
+                            let pick = |x: f64| zeros[(x.abs() * 4.0) as usize % 4];
+                            let (a, z) = (pick(r()), pick(r()));
+                            (lo, hi) = if a <= z { (a, z) } else { (z, a) };
+                        }
+                        5 => hi = lo,
+                        6 | 7 => {
+                            let raw = -(g + cu * kj) / d;
+                            let width = 0.1 + r().abs();
+                            (lo, hi) = if kind == 6 {
+                                (raw, raw + width)
+                            } else {
+                                (raw - width, raw)
+                            };
+                        }
+                        _ => {}
+                    }
+                    b.d.push(d);
+                    b.g.push(g);
+                    b.lo.push(lo);
+                    b.hi.push(hi);
+                }
+            }
+            b
+        }
+
+        fn block(&self, b: usize) -> RankOneDiagQp<'_> {
+            let r = b * self.k.len()..(b + 1) * self.k.len();
+            RankOneDiagQp {
+                c: self.c * (b + 1) as f64,
+                k: &self.k,
+                d: &self.d[r.clone()],
+                g: &self.g[r.clone()],
+                lo: &self.lo[r.clone()],
+                hi: &self.hi[r],
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The two-pass kernel reproduces the scalar loop bit for bit —
+        /// φ, φ′ and every yⱼ — for every n from 1 to 70 (each vector
+        /// tail length), at the construction point and at points around
+        /// it, including u = ±0.
+        #[test]
+        fn kernel_eval_is_bitwise_the_scalar_oracle(
+            seed in 0u64..1_000_000_000,
+            u in -40.0f64..40.0,
+            huge in proptest::bool::ANY,
+        ) {
+            for n in 1..=70 {
+                let e = EdgeBlock::new(seed ^ n as u64, n, 1, u, huge);
+                let block = e.block(0);
+                block.validate();
+                let mut w = vec![0.0; n];
+                let mut share = vec![0.0; n];
+                block.curvatures_into(&mut w);
+                for at in [u, -u, 0.0, -0.0, 0.5 * u, 3.0 * u + 1.0] {
+                    let mut y_kernel = vec![f64::NAN; n];
+                    let mut y_scalar = vec![f64::NAN; n];
+                    let (phi, slope) = block.eval(at, &w, &mut y_kernel, &mut share);
+                    let (phi_s, slope_s) = block.eval_scalar(at, &mut y_scalar);
+                    prop_assert_eq!(phi.to_bits(), phi_s.to_bits());
+                    prop_assert_eq!(slope.to_bits(), slope_s.to_bits());
+                    prop_assert!(bits(&y_kernel) == bits(&y_scalar), "n={n} u={at}");
+                }
+            }
+        }
+
+        /// Whole multi-block solves through the kernel match solves
+        /// driven by the scalar oracle bit for bit: x, the carried roots
+        /// u, eval counts, convergence flags and the KKT residual, from
+        /// cold, in-bracket and out-of-bracket warm hints.
+        #[test]
+        fn whole_solves_are_bitwise_the_scalar_oracle(
+            seed in 0u64..1_000_000_000,
+            u in -20.0f64..20.0,
+            hint in -60.0f64..60.0,
+            huge in proptest::bool::ANY,
+        ) {
+            for n in 1..=70 {
+                let blocks = 1 + n % 3;
+                let e = EdgeBlock::new(seed ^ n as u64, n, blocks, u, huge);
+                let c: Vec<f64> = (0..blocks).map(|b| e.block(b).c).collect();
+                let dim = n * blocks;
+                let mut x = vec![0.0; dim];
+                let mut scratch = vec![0.0; 2 * n];
+                let mut warm: Vec<f64> = (0..blocks).map(|b| if b == 0 { f64::NAN } else { hint }).collect();
+                let mut warm_s = warm.clone();
+                let (evals, converged, res) = solve_blocks_into(
+                    &c, &e.k, &e.d, &e.g, &e.lo, &e.hi, &mut x, &mut scratch, 1e-7, 200,
+                    Some(&mut warm),
+                );
+                let mut x_s = vec![0.0; dim];
+                let (mut evals_s, mut converged_s, mut res_s) = (0, true, 0.0_f64);
+                for (b, hint_b) in warm_s.iter_mut().enumerate() {
+                    let block = e.block(b);
+                    let y = &mut x_s[b * n..(b + 1) * n];
+                    let s = block.solve_scalar(y, 1e-7, 200, Some(*hint_b));
+                    *hint_b = s.u;
+                    evals_s += s.evals;
+                    converged_s &= s.converged;
+                    res_s = res_s.max(block.kkt_residual(y));
+                }
+                prop_assert!(bits(&x) == bits(&x_s), "n={n}: x");
+                prop_assert!(bits(&warm) == bits(&warm_s), "n={n}: u");
+                prop_assert!((evals, converged) == (evals_s, converged_s), "n={n}: evals");
+                prop_assert!(res.to_bits() == res_s.to_bits(), "n={n}: kkt");
+            }
+        }
+    }
     #[test]
     fn agrees_with_dense_fista_on_random_blocks() {
         for seed in 0..30 {
@@ -382,7 +667,7 @@ mod tests {
                 hi: &hi,
             };
             let mut y = vec![0.0; n];
-            let s = block.solve_into(&mut y, 1e-9, 200);
+            let s = block.solve(&mut y, 1e-9, 200, None);
             assert!(s.converged, "seed={seed}");
             assert!(block.kkt_residual(&y) < 1e-8, "seed={seed}");
             let p = QpProblem::new(block.dense_hessian(), g.clone(), lo.clone(), hi.clone());
@@ -413,7 +698,7 @@ mod tests {
             hi: &hi,
         };
         let mut y = vec![0.0; 4];
-        let s = block.solve_into(&mut y, 1e-12, 500);
+        let s = block.solve(&mut y, 1e-12, 500, None);
         assert!(s.converged);
         // y = −D⁻¹g + (c·kᵀD⁻¹g / (1 + c·kᵀD⁻¹k))·D⁻¹k
         let ktdg: f64 = (0..4).map(|j| k[j] * g[j] / d[j]).sum();
@@ -443,7 +728,7 @@ mod tests {
             hi: &hi,
         };
         let mut y = vec![0.0; 2];
-        let s = block.solve_into(&mut y, 1e-10, 100);
+        let s = block.solve(&mut y, 1e-10, 100, None);
         assert!(s.converged);
         assert_eq!(y, lo);
         assert!(block.kkt_residual(&y) < 1e-12);
@@ -465,7 +750,7 @@ mod tests {
             hi: &hi,
         };
         let mut y = vec![0.0; 3];
-        let s = block.solve_into(&mut y, 1e-10, 100);
+        let s = block.solve(&mut y, 1e-10, 100, None);
         assert_eq!(s.evals, 1);
         for (j, &yj) in y.iter().enumerate() {
             assert!((yj - 2.0 / d[j]).abs() < 1e-12);
@@ -490,7 +775,7 @@ mod tests {
             hi: &hi,
         };
         let mut y = vec![0.0; 2];
-        block.solve_into(&mut y, 1e-9, 200);
+        block.solve(&mut y, 1e-9, 200, None);
         assert!(y[0] == -1.0 || y[0] == 1.0, "y0={}", y[0]);
         // The dense reference agrees on the objective value.
         let p = QpProblem::new(block.dense_hessian(), g.clone(), lo.clone(), hi.clone());
@@ -508,8 +793,20 @@ mod tests {
         let lo = vec![-1.0; 6];
         let hi = vec![1.0; 6];
         let mut x = vec![0.0; 6];
-        let (evals, converged, res) =
-            solve_blocks_into(&c, &k, &d, &g, &lo, &hi, &mut x, 1e-9, 200);
+        let mut scratch = vec![0.0; 2 * n];
+        let (evals, converged, res) = solve_blocks_into(
+            &c,
+            &k,
+            &d,
+            &g,
+            &lo,
+            &hi,
+            &mut x,
+            &mut scratch,
+            1e-9,
+            200,
+            None,
+        );
         assert!(converged && evals >= 2);
         assert!(res < 1e-8);
         // Each block matches its standalone solve.
@@ -524,7 +821,7 @@ mod tests {
                 hi: &hi[r.clone()],
             };
             let mut y = vec![0.0; n];
-            block.solve_into(&mut y, 1e-9, 200);
+            block.solve(&mut y, 1e-9, 200, None);
             for (a, bb) in x[r].iter().zip(&y) {
                 assert!((a - bb).abs() < 1e-12);
             }
@@ -551,7 +848,7 @@ mod tests {
             hi: &hi,
         };
         let mut y = vec![0.0; n];
-        let s = block.solve_into(&mut y, 1e-9, 200);
+        let s = block.solve(&mut y, 1e-9, 200, None);
         assert!(s.converged);
         assert!(s.evals <= 60, "evals={}", s.evals);
         assert!(block.kkt_residual(&y) < 1e-8);
@@ -571,12 +868,12 @@ mod tests {
                 hi: &hi,
             };
             let mut y_cold = vec![0.0; n];
-            let cold = block.solve_into(&mut y_cold, 1e-9, 200);
+            let cold = block.solve(&mut y_cold, 1e-9, 200, None);
             assert!(cold.converged);
             // Re-solving the same block from its own root must converge
             // at least as fast and land on the same point.
             let mut y_warm = vec![0.0; n];
-            let warm = block.solve_into_warm(&mut y_warm, 1e-9, 200, Some(cold.u));
+            let warm = block.solve(&mut y_warm, 1e-9, 200, Some(cold.u));
             assert!(warm.converged, "seed={seed}");
             assert!(warm.evals <= cold.evals, "seed={seed}");
             assert!(block.kkt_residual(&y_warm) < 1e-8, "seed={seed}");
@@ -600,10 +897,10 @@ mod tests {
             hi: &hi,
         };
         let mut y_cold = vec![0.0; 5];
-        let cold = block.solve_into(&mut y_cold, 1e-9, 200);
+        let cold = block.solve(&mut y_cold, 1e-9, 200, None);
         for bad in [1e12, -1e12, f64::NAN, f64::INFINITY] {
             let mut y = vec![0.0; 5];
-            let s = block.solve_into_warm(&mut y, 1e-9, 200, Some(bad));
+            let s = block.solve(&mut y, 1e-9, 200, Some(bad));
             assert!(s.converged);
             assert_eq!(s.evals, cold.evals, "hint={bad}");
             assert_eq!(y, y_cold, "hint={bad}");
@@ -620,8 +917,9 @@ mod tests {
         let lo = vec![-1.0; 6];
         let hi = vec![1.0; 6];
         let mut x_cold = vec![0.0; 6];
+        let mut scratch = vec![0.0; 2 * n];
         let mut warm = vec![f64::NAN; 2];
-        let (cold_evals, conv, res) = solve_blocks_into_warm(
+        let (cold_evals, conv, res) = solve_blocks_into(
             &c,
             &k,
             &d,
@@ -629,6 +927,7 @@ mod tests {
             &lo,
             &hi,
             &mut x_cold,
+            &mut scratch,
             1e-9,
             200,
             Some(&mut warm),
@@ -637,7 +936,7 @@ mod tests {
         assert!(warm.iter().all(|u| u.is_finite()), "roots recorded");
         // Second solve of the identical problem starts at the root.
         let mut x_warm = vec![0.0; 6];
-        let (warm_evals, conv2, res2) = solve_blocks_into_warm(
+        let (warm_evals, conv2, res2) = solve_blocks_into(
             &c,
             &k,
             &d,
@@ -645,6 +944,7 @@ mod tests {
             &lo,
             &hi,
             &mut x_warm,
+            &mut scratch,
             1e-9,
             200,
             Some(&mut warm),

@@ -83,7 +83,7 @@ proptest! {
         let lo = if widen { vec![-1e6; n] } else { lo };
         let block = RankOneDiagQp { c, k: &k, d: &d, g: &g, lo: &lo, hi: &hi };
         let mut y = vec![0.0; n];
-        let s = block.solve_into(&mut y, 1e-9, 300);
+        let s = block.solve_into(&mut y, &mut [0.0; 2 * 5], 1e-9, 300, None);
         prop_assert!(s.converged);
         prop_assert!(block.kkt_residual(&y) < 1e-7);
         let p = QpProblem::new(block.dense_hessian(), g.clone(), lo.clone(), hi.clone());
@@ -113,11 +113,12 @@ proptest! {
         let hi: Vec<f64> = lo.iter().zip(&width).map(|(l, w)| l + w).collect();
         let block = RankOneDiagQp { c, k: &k, d: &d, g: &g, lo: &lo, hi: &hi };
         let mut y_cold = vec![0.0; 5];
-        let cold = block.solve_into(&mut y_cold, 1e-7, 300);
+        let mut scratch = [0.0; 2 * 5];
+        let cold = block.solve_into(&mut y_cold, &mut scratch, 1e-7, 300, None);
         prop_assert!(cold.converged);
         prop_assert!(block.kkt_residual(&y_cold) < 1e-7);
         let mut y_warm = vec![0.0; 5];
-        let warm = block.solve_into_warm(&mut y_warm, 1e-7, 300, Some(cold.u + hint_shift));
+        let warm = block.solve_into(&mut y_warm, &mut scratch, 1e-7, 300, Some(cold.u + hint_shift));
         prop_assert!(warm.converged);
         prop_assert!(block.kkt_residual(&y_warm) < 1e-7, "warm KKT regressed");
         for (a, b) in y_cold.iter().zip(&y_warm) {
@@ -125,7 +126,7 @@ proptest! {
         }
         // Exact-root hint: one evaluation per solve, certificate intact.
         let mut y_exact = vec![0.0; 5];
-        let exact = block.solve_into_warm(&mut y_exact, 1e-7, 300, Some(warm.u));
+        let exact = block.solve_into(&mut y_exact, &mut scratch, 1e-7, 300, Some(warm.u));
         prop_assert!(exact.converged && exact.evals <= cold.evals.max(1));
         prop_assert!(block.kkt_residual(&y_exact) < 1e-7);
     }

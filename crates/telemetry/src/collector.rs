@@ -57,13 +57,9 @@ impl Collector {
         });
     }
 
-    pub fn emit_span(&self, name: &str, nanos: u64) {
+    pub fn emit_span(&self, name: &'static str, nanos: u64) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.sink.record(&Record::Span {
-            seq,
-            name: name.to_string(),
-            nanos,
-        });
+        self.sink.record(&Record::Span { seq, name, nanos });
     }
 
     pub fn flush(&self) {
@@ -134,7 +130,8 @@ pub fn enabled() -> bool {
 
 /// RAII span guard: measures wall time from construction to drop, feeding a
 /// duration histogram (`<name>.ns`) and the trace sink. Inert (no clock
-/// read) when no collector is installed.
+/// read) when no collector is installed. With one installed, a span whose
+/// name has been seen before allocates nothing.
 #[must_use = "a span measures until it is dropped"]
 #[derive(Debug)]
 pub struct Span {
@@ -158,9 +155,7 @@ impl Drop for Span {
         if let Some(start) = self.start {
             let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             with_active(|c| {
-                c.metrics
-                    .histogram(&format!("{}.ns", self.name))
-                    .observe(nanos as f64);
+                c.metrics.observe_span(self.name, nanos as f64);
                 c.emit_span(self.name, nanos);
             });
         }

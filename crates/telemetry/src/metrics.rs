@@ -196,6 +196,10 @@ pub struct MetricsRegistry {
     counters: RwLock<HashMap<String, Arc<Counter>>>,
     gauges: RwLock<HashMap<String, Arc<Gauge>>>,
     histograms: RwLock<HashMap<String, Arc<Histogram>>>,
+    /// Span-duration histograms keyed by span name: the same cells as the
+    /// `<name>.ns` entries of `histograms`, cached so that timing a span
+    /// neither formats the suffixed name nor allocates.
+    spans: RwLock<HashMap<&'static str, Arc<Histogram>>>,
 }
 
 fn get_or_insert<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -232,6 +236,27 @@ impl MetricsRegistry {
             w.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::exponential_default())),
         )
+    }
+
+    /// Observe `nanos` into span `name`'s `<name>.ns` histogram. Only the
+    /// first observation of a name formats and registers `<name>.ns`;
+    /// later ones are one read-locked lookup and allocate nothing.
+    pub(crate) fn observe_span(&self, name: &'static str, nanos: f64) {
+        if let Some(h) = self
+            .spans
+            .read()
+            .expect("metrics registry poisoned")
+            .get(name)
+        {
+            h.observe(nanos);
+            return;
+        }
+        let h = self.histogram(&format!("{name}.ns"));
+        h.observe(nanos);
+        self.spans
+            .write()
+            .expect("metrics registry poisoned")
+            .insert(name, h);
     }
 
     pub fn histogram_with_buckets(&self, name: &str, bounds: Vec<f64>) -> Arc<Histogram> {
@@ -551,6 +576,24 @@ mod tests {
         assert_eq!(m, m2);
         // And the name lists stay sorted.
         assert!(m.counters.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn span_observations_land_in_the_suffixed_histogram() {
+        let r = MetricsRegistry::default();
+        // A pre-registered layout is the one spans feed.
+        r.histogram_with_buckets("tick.ns", vec![10.0, 100.0]);
+        for v in [5.0, 50.0, 500.0] {
+            r.observe_span("tick", v);
+        }
+        r.observe_span("other", 1.0);
+        let s = r.snapshot();
+        let h = s.histogram("tick.ns").unwrap();
+        assert_eq!(h.buckets, vec![(10.0, 1), (100.0, 1)]);
+        assert_eq!((h.count, h.overflow, h.sum), (3, 1, 555.0));
+        assert_eq!(s.histogram("other.ns").unwrap().count, 1);
+        let names: Vec<&str> = s.histograms.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["other.ns", "tick.ns"]);
     }
 
     #[test]

@@ -104,13 +104,18 @@ pub enum Record {
         fields: Vec<(String, Value)>,
     },
     /// A closed span: a named scope and how long it took.
-    Span { seq: u64, name: String, nanos: u64 },
+    Span {
+        seq: u64,
+        name: &'static str,
+        nanos: u64,
+    },
 }
 
 impl Record {
     pub fn name(&self) -> &str {
         match self {
-            Record::Event { name, .. } | Record::Span { name, .. } => name,
+            Record::Event { name, .. } => name,
+            Record::Span { name, .. } => name,
         }
     }
 
@@ -259,7 +264,7 @@ mod tests {
         for i in 0..5u64 {
             s.record(&Record::Span {
                 seq: i,
-                name: "t".into(),
+                name: "t",
                 nanos: i,
             });
         }
@@ -287,7 +292,7 @@ mod tests {
         );
         let s = Record::Span {
             seq: 1,
-            name: "sim.tick".into(),
+            name: "sim.tick",
             nanos: 42,
         };
         assert!(s.to_json().contains("\"dur_ns\":42"));
@@ -316,7 +321,7 @@ mod tests {
         let sink = JsonlSink::new(Box::new(W(shared.clone())));
         sink.record(&Record::Span {
             seq: 0,
-            name: "x".into(),
+            name: "x",
             nanos: 1,
         });
         sink.record(&Record::Event {
