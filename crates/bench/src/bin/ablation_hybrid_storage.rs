@@ -21,9 +21,8 @@ fn main() {
     // the 15-minute run...
     let scenario = Scenario::paper_default(2019);
     let mut runs = Campaign::new()
-        .with_run(scenario, PolicyKind::SprintCon)
-        .with_exec(args.exec)
-        .run();
+        .add(scenario, PolicyKind::SprintCon)
+        .run_with(args.exec);
     let run = runs.remove(0).output;
     let demand: Vec<f64> = run
         .recorder

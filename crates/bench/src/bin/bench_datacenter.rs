@@ -4,8 +4,8 @@
 //!
 //! 1. **Scale** — wall-clock and `rack_ticks_per_sec` of a 1000-rack ×
 //!    60 simulated-second campaign (one full SprintCon stack per rack,
-//!    two-level headroom market at every allocator boundary) under the
-//!    full worker pool, in streaming retention by default. The CI gate
+//!    two-level headroom market at every allocator boundary) on one
+//!    worker per core, in streaming retention by default. The CI gate
 //!    requires this under 5 minutes. Peak resident memory is sampled
 //!    from `/proc/self/status` `VmHWM` and an optional `--max-rss-mb`
 //!    ceiling turns it into a hard gate (the nightly 10k-rack job uses
@@ -249,7 +249,7 @@ fn equivalence_gate() -> Result<(), String> {
     Ok(())
 }
 
-/// Gate 1: the full-size campaign under the worker pool, timed.
+/// Gate 1: the full-size campaign on one worker per core, timed.
 /// Returns (wall seconds, control ticks per rack, output).
 fn scale_run(
     racks: usize,

@@ -89,7 +89,9 @@ fn campaign(secs: f64) -> Campaign {
         sc.duration = Seconds(secs);
         sc
     });
-    Campaign::new().with_grid(scenarios, &PolicyKind::ALL)
+    let mut c = Campaign::new();
+    c.add_grid(scenarios, &PolicyKind::ALL);
+    c
 }
 
 /// Compare digests run-by-run; returns the mismatched labels.

@@ -10,9 +10,6 @@
 //! 2. **Determinism** — open-loop campaign digests must be
 //!    bit-identical between sequential and parallel execution (the
 //!    queueing state and latency sketches are rack-private).
-//! 3. **UtilTrace equivalence** — the deprecated `wiki()` builder shim
-//!    and the typed `workload(WorkloadSource::UtilTrace(..))` call must
-//!    produce bit-identical closed-loop trajectories.
 //!
 //! Flags: `--secs N` simulated seconds (default 180), `--seed N`
 //! (default 2019), `--out PATH` (default `BENCH_tail_latency.json`),
@@ -20,11 +17,9 @@
 
 use powersim::units::Seconds;
 use simkit::{
-    qos_report, run_digest, run_policy, Campaign, DemandModel, ExecConfig, PolicyKind, QosReport,
-    Scenario, WorkloadSource,
+    qos_report, run_policy, Campaign, ExecConfig, PolicyKind, QosReport, Scenario, WorkloadSource,
 };
 use std::time::Instant;
-use workloads::wiki_trace::WikiTraceConfig;
 
 struct Args {
     secs: f64,
@@ -136,34 +131,6 @@ fn determinism_gate(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Gate 3: the deprecated `wiki()` shim and the typed `workload()` call
-/// build bit-identical closed-loop runs.
-#[allow(deprecated)]
-fn equivalence_gate(seed: u64) -> Result<(), String> {
-    let via_shim = Scenario::builder(seed)
-        .duration(Seconds(90.0))
-        .deadline(Seconds(75.0))
-        .wiki(WikiTraceConfig::paper_default())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let via_typed = Scenario::builder(seed)
-        .duration(Seconds(90.0))
-        .deadline(Seconds(75.0))
-        .workload(WorkloadSource::UtilTrace(DemandModel::Wiki(
-            WikiTraceConfig::paper_default(),
-        )))
-        .build()
-        .map_err(|e| e.to_string())?;
-    let a = run_digest(&run_policy(&via_shim, PolicyKind::SprintCon));
-    let b = run_digest(&run_policy(&via_typed, PolicyKind::SprintCon));
-    if a != b {
-        return Err(format!(
-            "wiki() shim digest 0x{a:016x} != workload() digest 0x{b:016x}"
-        ));
-    }
-    Ok(())
-}
-
 fn policy_json(t: &PolicyTail) -> String {
     let q = &t.qos;
     let attain: Vec<String> = q
@@ -202,13 +169,6 @@ fn main() {
     }
     println!("  ok: open-loop digests bit-identical across worker counts");
 
-    println!("UtilTrace equivalence gate (wiki() shim vs typed workload())...");
-    if let Err(e) = equivalence_gate(args.seed) {
-        eprintln!("EQUIVALENCE VIOLATION: {e}");
-        std::process::exit(1);
-    }
-    println!("  ok: deprecated shim reproduces the typed-API digest");
-
     println!("tail separation run: SprintCon vs SGCT under the flash crowd...");
     let t0 = Instant::now();
     let tails: Vec<PolicyTail> = [PolicyKind::SprintCon, PolicyKind::Sgct, PolicyKind::SgctV2]
@@ -235,7 +195,7 @@ fn main() {
     let json = format!(
         "{{\n  \"seed\": {},\n  \"secs\": {},\n  \"wall_secs\": {:.3},\n  \
          \"policies\": [{}\n  ],\n  \"determinism\": \"pass\",\n  \
-         \"util_trace_equivalence\": \"pass\",\n  \"separation\": \"pass\"\n}}\n",
+         \"separation\": \"pass\"\n}}\n",
         args.seed,
         args.secs,
         wall,

@@ -16,9 +16,8 @@ fn main() {
     banner("Fig. 5 — uncontrolled sprinting (SGCT): power and frequency curves");
     let scenario = Scenario::paper_default(2019);
     let mut runs = Campaign::new()
-        .with_run(scenario, PolicyKind::Sgct)
-        .with_exec(args.exec)
-        .run();
+        .add(scenario, PolicyKind::Sgct)
+        .run_with(args.exec);
     let run = runs.remove(0).output;
     let (rec, summary) = (&run.recorder, &run.summary);
 

@@ -20,9 +20,8 @@ fn main() {
         ("c-sgct-v2", PolicyKind::SgctV2),
     ];
     let runs = Campaign::new()
-        .with_grid([scenario], &tags.map(|(_, k)| k))
-        .with_exec(args.exec)
-        .run();
+        .add_grid([scenario], &tags.map(|(_, k)| k))
+        .run_with(args.exec);
     let mut results = Vec::new();
     for ((tag, kind), run) in tags.iter().zip(&runs) {
         banner(&format!("Fig. 7({}) — {}", &tag[..1], kind.name()));

@@ -22,12 +22,11 @@ fn main() {
         .flat_map(|&d| PolicyKind::ALL.iter().map(move |&k| (d, k)))
         .collect();
     let runs = Campaign::new()
-        .with_grid(
+        .add_grid(
             deadlines.map(|d| Scenario::paper_default(2019).with_deadline(Seconds::minutes(d))),
             &PolicyKind::ALL,
         )
-        .with_exec(args.exec)
-        .run();
+        .run_with(args.exec);
     let results: Vec<(f64, PolicyKind, simkit::RunSummary)> = cases
         .iter()
         .zip(runs)

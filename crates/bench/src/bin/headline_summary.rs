@@ -14,9 +14,8 @@ fn main() {
     let scenario = Scenario::paper_default(2019);
     banner("Headline: 15-minute sprint, 12-minute batch deadline");
     let results = Campaign::new()
-        .with_all_policies(scenario)
-        .with_exec(args.exec)
-        .run();
+        .add_all_policies(scenario)
+        .run_with(args.exec);
     let summaries: Vec<_> = results.iter().map(|r| r.summary().clone()).collect();
     println!("{}", summary_table(&summaries));
 

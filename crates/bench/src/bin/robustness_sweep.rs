@@ -34,12 +34,11 @@ fn main() {
     let intensities = [0.0, 0.05, 0.10, 0.20, 0.40];
     let kinds = [PolicyKind::SprintCon, PolicyKind::Sgct];
     let sweep_runs = Campaign::new()
-        .with_grid(
+        .add_grid(
             intensities.map(|i| scenario_with(FaultPlan::monitor_dropout(i, MEAN_OUTAGE))),
             &kinds,
         )
-        .with_exec(args.exec)
-        .run();
+        .run_with(args.exec);
     let mut rows = Vec::new();
     let mut run_it = sweep_runs.iter();
     for &intensity in &intensities {
@@ -74,10 +73,9 @@ fn main() {
 
     banner("Zero-drift check: empty fault plan == no fault subsystem");
     let mut drift_runs = Campaign::new()
-        .with_run(Scenario::paper_default(SEED), PolicyKind::SprintCon)
-        .with_run(scenario_with(FaultPlan::none()), PolicyKind::SprintCon)
-        .with_exec(args.exec)
-        .run();
+        .add(Scenario::paper_default(SEED), PolicyKind::SprintCon)
+        .add(scenario_with(FaultPlan::none()), PolicyKind::SprintCon)
+        .run_with(args.exec);
     let off = drift_runs.remove(1).output;
     let base = drift_runs.remove(0).output;
     let drift = base.recorder.samples().len() != off.recorder.samples().len()
@@ -131,7 +129,7 @@ fn main() {
             Default::default(),
         );
     }
-    let class_runs = class_campaign.with_exec(args.exec).run();
+    let class_runs = class_campaign.run_with(args.exec);
     for ((label, _), res) in classes.iter().zip(&class_runs) {
         let out = &res.output;
         let s = &out.summary;

@@ -28,12 +28,10 @@
 //!    ([`sprintcon::SprintCon::apply_feeder_grant`]);
 //! 2. **parallel epoch stepping**: shards advance one epoch with no
 //!    shared state — cross-rack information flows *only* through the
-//!    market round at the boundary — sharded over a **persistent worker
-//!    pool** built once per run (scoped threads parked on a barrier
-//!    between epochs, each owning a fixed contiguous slice of racks).
-//!    Every shard installs its own collector for the duration of its
-//!    step, so metrics cannot bleed between racks even on long-lived
-//!    workers;
+//!    market round at the boundary — through one [`par_map`] fork-join
+//!    per epoch (each worker steps a contiguous slice of racks). Every
+//!    shard installs its own collector for the duration of its step, so
+//!    metrics cannot bleed between racks whichever thread steps them;
 //! 3. a **sequential tree replay**: the per-rack breaker powers of the
 //!    epoch are folded rack-ascending into contiguous per-PDU tick
 //!    lanes, then the [`Datacenter`] PDU/feeder thermal breakers are
@@ -68,7 +66,7 @@
 //! includes telemetry counters, so a bid must not perturb a rack's
 //! digest).
 
-use crate::exec::{digest_run_tail, run_digest, DigestBuilder, ExecConfig};
+use crate::exec::{digest_run_tail, par_map, run_digest, DigestBuilder, ExecConfig};
 use crate::experiment::RunOutput;
 use crate::metrics::RunSummary;
 use crate::policy::SprintConPolicy;
@@ -78,9 +76,7 @@ use powersim::datacenter::{Datacenter, DatacenterTopology, TopologyError};
 use powersim::grid::GridInjector;
 use powersim::units::{Seconds, Watts};
 use sprintcon::{allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::Arc;
 use telemetry::{Collector, NullSink};
 
 /// A datacenter experiment: one rack template fanned across a power
@@ -244,42 +240,6 @@ struct RackShard {
     collector: Arc<Collector>,
 }
 
-/// Epoch hand-off between the driving thread and the persistent worker
-/// pool. Workers park on `barrier` between epochs; the driver stores
-/// the tick count, releases them through the start barrier, and meets
-/// them again at the end barrier. A worker panic is caught into `panic`
-/// (first wins) and re-raised on the driving thread, so a failed rack
-/// step surfaces exactly as it would sequentially.
-struct EpochCtl {
-    /// Rendezvous of all workers + the driver (width + 1 parties),
-    /// crossed twice per epoch: start and end.
-    barrier: Barrier,
-    /// Ticks to advance this epoch (stored before the start barrier).
-    ticks: AtomicUsize,
-    /// Set (then barrier crossed once) to shut the pool down.
-    stop: AtomicBool,
-    /// First worker panic payload, re-raised by the driver.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl EpochCtl {
-    fn new(width: usize) -> Self {
-        EpochCtl {
-            barrier: Barrier::new(width + 1),
-            ticks: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            panic: Mutex::new(None),
-        }
-    }
-}
-
-/// A `Mutex` lock that shrugs off poisoning: shard mutexes guard plain
-/// data (no invariants broken mid-panic beyond what the panic itself
-/// reports), and the driver re-raises worker panics anyway.
-fn lock_shard(cell: &Mutex<RackShard>) -> MutexGuard<'_, RackShard> {
-    cell.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// What the drive loop aggregates; [`DatacenterSim::finalize`] folds it
 /// with the per-rack outputs into the [`DcRunOutput`].
 struct DriveAgg {
@@ -431,18 +391,11 @@ impl DatacenterSim {
         let ag = self.grid.advance(now, epoch_dt);
         match ag.curtail_cap {
             Some(cap) => {
-                let curtailed =
-                    (self.num_racks_hint() as f64 * cap.0 - self.rated_total.0).max(0.0);
+                let curtailed = (self.shards.len() as f64 * cap.0 - self.rated_total.0).max(0.0);
                 Watts(self.feeder_budget.0.min(curtailed))
             }
             None => self.feeder_budget,
         }
-    }
-
-    /// Rack count that survives `run()` moving the shards into their
-    /// mutex cells (the pdu_of map is per-rack and never moves).
-    fn num_racks_hint(&self) -> usize {
-        self.pdu_of.len()
     }
 
     /// One sequential market round: gather bids, clear the two-level
@@ -451,15 +404,13 @@ impl DatacenterSim {
     /// the output allocates once the workspace is warm.
     fn market_round(
         &mut self,
-        cells: &[Mutex<RackShard>],
         bids: &mut Vec<HeadroomBid>,
         ws: &mut MarketWorkspace,
         epoch: usize,
         budget: Watts,
     ) -> MarketRound {
         bids.clear();
-        for (r, cell) in cells.iter().enumerate() {
-            let shard = lock_shard(cell);
+        for (r, shard) in self.shards.iter().enumerate() {
             bids.push(HeadroomBid {
                 id: r,
                 request: shard.policy.inner().headroom_request(),
@@ -475,8 +426,7 @@ impl DatacenterSim {
             "market overspent the feeder budget: {} > {budget}",
             outcome.spent,
         );
-        for (cell, &grant) in cells.iter().zip(ws.grants()) {
-            let mut shard = lock_shard(cell);
+        for (shard, &grant) in self.shards.iter_mut().zip(ws.grants()) {
             shard.policy.inner_mut().apply_feeder_grant(Some(grant));
         }
         MarketRound {
@@ -489,9 +439,9 @@ impl DatacenterSim {
 
     /// Advance one shard `ticks` control periods under its collector.
     ///
-    /// The collector is (re-)installed around every epoch step — pool
-    /// workers are long-lived and own several racks, so per-rack
-    /// telemetry isolation comes from the install, not thread identity.
+    /// The collector is (re-)installed around every epoch step — a
+    /// worker steps several racks, so per-rack telemetry isolation comes
+    /// from the install, not thread identity.
     fn step_shard(shard: &mut RackShard, ticks: usize) {
         let collector = Arc::clone(&shard.collector);
         let sim = &mut shard.sim;
@@ -504,34 +454,6 @@ impl DatacenterSim {
         });
     }
 
-    /// Persistent-pool worker: park on the barrier, step the owned rack
-    /// slice for the posted tick count, meet the end barrier, repeat
-    /// until `stop`. Panics are caught into the shared slot (the shard
-    /// mutex poisons too, which is fine — see [`lock_shard`]) so the
-    /// worker still reaches the end barrier and the driver can re-raise.
-    fn worker_loop(ctl: &EpochCtl, cells: &[Mutex<RackShard>]) {
-        loop {
-            ctl.barrier.wait();
-            if ctl.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let ticks = ctl.ticks.load(Ordering::Acquire);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for cell in cells {
-                    let mut shard = lock_shard(cell);
-                    Self::step_shard(&mut shard, ticks);
-                }
-            }));
-            if let Err(payload) = result {
-                let mut slot = ctl.panic.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            ctl.barrier.wait();
-        }
-    }
-
     /// Vectorized tree replay of one epoch: fold every rack's recorded
     /// breaker powers rack-ascending into contiguous per-PDU tick lanes
     /// (`lanes[p · ticks + k]`), then step the shared breakers tick by
@@ -541,7 +463,6 @@ impl DatacenterSim {
     #[allow(clippy::too_many_arguments)]
     fn replay_epoch(
         &mut self,
-        cells: &[Mutex<RackShard>],
         done: usize,
         ticks: usize,
         dt: Seconds,
@@ -557,8 +478,7 @@ impl DatacenterSim {
         let mut rack = 0;
         for (p, pdu) in self.scenario.topo.pdus.iter().enumerate() {
             let lane = &mut lanes[p * ticks..(p + 1) * ticks];
-            for cell in &cells[rack..rack + pdu.num_racks] {
-                let mut shard = lock_shard(cell);
+            for shard in &mut self.shards[rack..rack + pdu.num_racks] {
                 if let Some(src) = shard.rec.epoch_lane() {
                     assert_eq!(
                         src.len(),
@@ -598,9 +518,9 @@ impl DatacenterSim {
         }
     }
 
-    /// The sequential drive loop: market round → epoch step (inline or
-    /// via the persistent pool) → tree replay, per epoch.
-    fn drive(&mut self, cells: &[Mutex<RackShard>], ctl: Option<&EpochCtl>) -> DriveAgg {
+    /// The drive loop: sequential market round → parallel epoch step →
+    /// sequential tree replay, per epoch.
+    fn drive(&mut self, width: usize) -> DriveAgg {
         let dt = self.scenario.base.dt;
         let total = (self.scenario.base.duration.0 / dt.0).round() as usize;
         let num_pdus = self.scenario.topo.num_pdus();
@@ -610,7 +530,7 @@ impl DatacenterSim {
             feeder_trip_periods: 0,
             peak_feeder_load: Watts::ZERO,
         };
-        let mut bids: Vec<HeadroomBid> = Vec::with_capacity(cells.len());
+        let mut bids: Vec<HeadroomBid> = Vec::with_capacity(self.shards.len());
         let mut market_ws = MarketWorkspace::new();
         let mut lanes = vec![0.0f64; num_pdus * self.epoch_ticks];
         let mut tick_loads = vec![0.0f64; num_pdus];
@@ -625,27 +545,12 @@ impl DatacenterSim {
                 Seconds(done as f64 * dt.0),
                 Seconds(self.epoch_ticks as f64 * dt.0),
             );
-            let round = self.market_round(cells, &mut bids, &mut market_ws, epoch, budget);
+            let round = self.market_round(&mut bids, &mut market_ws, epoch, budget);
             agg.rounds.push(round);
-            match ctl {
-                None => {
-                    for cell in cells {
-                        let mut shard = lock_shard(cell);
-                        Self::step_shard(&mut shard, ticks);
-                    }
-                }
-                Some(ctl) => {
-                    ctl.ticks.store(ticks, Ordering::Release);
-                    ctl.barrier.wait();
-                    ctl.barrier.wait();
-                    let payload = ctl.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-                    if let Some(payload) = payload {
-                        resume_unwind(payload);
-                    }
-                }
-            }
+            par_map(&mut self.shards, width, |shard| {
+                Self::step_shard(shard, ticks)
+            });
             self.replay_epoch(
-                cells,
                 done,
                 ticks,
                 dt,
@@ -666,11 +571,10 @@ impl DatacenterSim {
     /// shards finish their fold and hand back the incrementally built
     /// digest; full shards digest their retained trajectory — both land
     /// on the same byte stream.
-    fn finalize(self, cells: Vec<Mutex<RackShard>>, agg: DriveAgg) -> DcRunOutput {
-        let mut racks = Vec::with_capacity(cells.len());
-        let mut rack_digests = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let mut shard = cell.into_inner().unwrap_or_else(|e| e.into_inner());
+    fn finalize(self, agg: DriveAgg) -> DcRunOutput {
+        let mut racks = Vec::with_capacity(self.shards.len());
+        let mut rack_digests = Vec::with_capacity(self.shards.len());
+        for mut shard in self.shards {
             shard.rec.finish_stream();
             let summary = telemetry::with_collector(Arc::clone(&shard.collector), || {
                 RunSummary::from_run("SprintCon", &shard.sim, &shard.rec)
@@ -725,49 +629,12 @@ impl DatacenterSim {
     }
 
     /// Run the whole campaign: market rounds at every allocator
-    /// boundary, parallel epoch stepping between them over a persistent
-    /// worker pool, and the vectorized tree replay behind each epoch.
-    /// Consumes the sim (a run is one-shot).
+    /// boundary, epoch stepping between them on `exec`'s workers (one
+    /// [`par_map`] fork-join per epoch), and the vectorized tree replay
+    /// behind each epoch. Consumes the sim (a run is one-shot).
     pub fn run(mut self, exec: ExecConfig) -> DcRunOutput {
-        let width = exec.resolved_jobs().min(self.shards.len()).max(1);
-        // Shards move into mutex cells so the pool's scoped threads can
-        // share them with the driver; each cell is only ever touched by
-        // one thread at a time (workers inside an epoch, the driver at
-        // the boundaries), the mutex just proves it to the compiler.
-        let cells: Vec<Mutex<RackShard>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let agg = if width <= 1 {
-            self.drive(&cells, None)
-        } else {
-            let ctl = EpochCtl::new(width);
-            let chunk = cells.len().div_ceil(width);
-            std::thread::scope(|scope| {
-                for w in 0..width {
-                    // Clamp both ends: ceil-division chunking can run a
-                    // trailing worker past the cell count, and every
-                    // worker must still reach the barrier.
-                    let lo = (w * chunk).min(cells.len());
-                    let hi = (lo + chunk).min(cells.len());
-                    let slice = &cells[lo..hi];
-                    let ctl = &ctl;
-                    scope.spawn(move || Self::worker_loop(ctl, slice));
-                }
-                // If the drive loop itself panics (market assert, replay
-                // shape assert, re-raised worker panic), still release
-                // the workers parked on the start barrier so the scope
-                // can join them, then re-raise.
-                let result = catch_unwind(AssertUnwindSafe(|| self.drive(&cells, Some(&ctl))));
-                ctl.stop.store(true, Ordering::Release);
-                ctl.barrier.wait();
-                match result {
-                    Ok(agg) => agg,
-                    Err(payload) => resume_unwind(payload),
-                }
-            })
-        };
-        self.finalize(cells, agg)
+        let agg = self.drive(exec.resolved_jobs());
+        self.finalize(agg)
     }
 }
 

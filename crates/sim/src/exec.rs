@@ -1,6 +1,10 @@
-//! The parallel experiment execution layer: fan campaigns of
-//! scenario × policy runs across a configurable rayon thread pool with
-//! deterministic, input-ordered results.
+//! The parallel execution layer: one order-preserving scoped map,
+//! [`par_map`], and the [`Campaign`] of scenario × policy runs that
+//! fans out through it with deterministic, input-ordered results.
+//!
+//! [`par_map`] is the only place `simkit` spawns threads. Campaigns map
+//! their entries through it, and the datacenter engine maps its rack
+//! shards through it once per market epoch.
 //!
 //! ## Determinism contract
 //!
@@ -10,13 +14,12 @@
 //! mechanisms guarantee that:
 //!
 //! * every run installs its own thread-scoped [`telemetry::Collector`]
-//!   (see `experiment::run_instrumented`), and pool workers are fresh
-//!   threads that inherit no thread-locals, so metrics cannot bleed
-//!   across concurrently executing runs;
-//! * results are written into per-run slots and returned in **input
-//!   order**, never completion order.
+//!   (see `experiment::run_instrumented`), and [`par_map`] workers are
+//!   fresh threads that inherit no thread-locals, so metrics cannot
+//!   bleed across concurrently executing runs;
+//! * results are returned in **input order**, never completion order.
 //!
-//! Consequently [`Campaign::run`] is bit-identical to
+//! Consequently [`Campaign::run_with`] is bit-identical to
 //! [`Campaign::run_sequential`] for everything a run computes: recorder
 //! samples, events, summaries, counters, gauges and value histograms.
 //! The only exception is wall-clock span histograms (names ending in
@@ -25,20 +28,20 @@
 //! contract by comparing digests of a sequential and a parallel pass
 //! (`bench_engine --check`, `tests/parallel.rs`).
 //!
-//! ## Thread-pool sizing
+//! ## Worker count
 //!
 //! [`ExecConfig`] picks the worker count: `default()` uses every
 //! available core (each run is an independent, cache-friendly
 //! simulation; hyperthread-level oversubscription buys nothing), and
 //! `jobs(1)`/`sequential()` degenerate to plain iteration on the calling
-//! thread with no pool at all.
+//! thread with no thread spawned.
 
-use crate::experiment::{run_policy_with, PolicyKind, PolicyOverrides, RunOutput};
+use crate::experiment::{run_instrumented, PolicyKind, PolicyOverrides, RunOutput};
 use crate::metrics::RunSummary;
 use crate::scenario::Scenario;
-use rayon::prelude::*;
 
-/// How a campaign or sweep is executed: on how many worker threads.
+/// How a campaign or a datacenter run is executed: on how many worker
+/// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Requested worker count; `0` = one worker per available core.
@@ -58,7 +61,7 @@ impl ExecConfig {
         ExecConfig::default()
     }
 
-    /// Run on the calling thread, no pool.
+    /// Run on the calling thread, spawning nothing.
     pub fn sequential() -> Self {
         ExecConfig { jobs: 1 }
     }
@@ -80,41 +83,41 @@ impl ExecConfig {
     }
 }
 
-/// Parallel parameter sweep with deterministic, input-ordered results.
+/// Order-preserving scoped map: `f` applied to every item, results in
+/// input order.
 ///
-/// Fans `params` across a rayon pool sized by `exec`; each worker owns
-/// its own item, so there is no shared mutable state. Runs started
-/// inside the sweep install thread-scoped collectors, so per-run metrics
-/// stay isolated regardless of the thread a run lands on. With
-/// `ExecConfig::sequential()` (or one available core) this is plain
-/// `iter().map()` on the calling thread.
-pub fn sweep_parallel<P, R, F>(params: &[P], exec: ExecConfig, f: F) -> Vec<R>
+/// The items are split into at most `width` contiguous chunks, each
+/// mapped on its own `std::thread::scope` thread, so `f` may borrow from
+/// the caller and mutate its item in place. With `width ≤ 1` (or fewer
+/// than two items) it is plain iteration on the calling thread. Workers
+/// are fresh threads and inherit no thread-locals. A worker panic is
+/// re-raised on the caller with its original payload.
+pub fn par_map<T, R, F>(items: &mut [T], width: usize, f: F) -> Vec<R>
 where
-    P: Sync,
+    T: Send,
     R: Send,
-    F: Fn(&P) -> R + Sync,
+    F: Fn(&mut T) -> R + Sync,
 {
-    let width = exec.resolved_jobs().min(params.len().max(1));
+    let n = items.len();
+    let width = width.min(n);
     if width <= 1 {
-        return params.iter().map(f).collect();
+        return items.iter_mut().map(f).collect();
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap_or_else(|e| panic!("building a {width}-thread pool cannot fail: {e}"));
-    pool.install(|| params.par_iter().map(&f).collect())
-}
-
-/// Run every §VII policy over the scenario concurrently, results in
-/// [`PolicyKind::ALL`] order — the parallel counterpart of
-/// [`crate::experiment::run_all`].
-pub fn run_all_parallel(scenario: &Scenario) -> Vec<RunOutput> {
-    Campaign::new()
-        .with_all_policies(scenario.clone())
-        .run()
-        .into_iter()
-        .map(|r| r.output)
-        .collect()
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks_mut(n.div_ceil(width))
+            .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
 }
 
 /// One scheduled run of a [`Campaign`].
@@ -149,8 +152,8 @@ impl CampaignResult {
     }
 }
 
-/// A list of scenario × policy runs executed together across a thread
-/// pool, results returned in the order the runs were added.
+/// A list of scenario × policy runs executed together through
+/// [`par_map`], results returned in the order the runs were added.
 ///
 /// ```
 /// use powersim::units::Seconds;
@@ -159,17 +162,15 @@ impl CampaignResult {
 /// let mut sc = Scenario::paper_default(7);
 /// sc.duration = Seconds(30.0); // doctest-sized
 /// let results = Campaign::new()
-///     .with_run(sc.clone(), PolicyKind::SprintCon)
-///     .with_run(sc, PolicyKind::Sgct)
-///     .with_exec(ExecConfig::jobs(2))
-///     .run();
+///     .add(sc.clone(), PolicyKind::SprintCon)
+///     .add(sc, PolicyKind::Sgct)
+///     .run_with(ExecConfig::jobs(2));
 /// assert_eq!(results[0].kind, PolicyKind::SprintCon);
 /// assert_eq!(results[1].kind, PolicyKind::Sgct);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Campaign {
     entries: Vec<CampaignEntry>,
-    exec: ExecConfig,
 }
 
 impl Campaign {
@@ -177,21 +178,10 @@ impl Campaign {
         Campaign::default()
     }
 
-    /// Set the execution configuration (thread-pool width).
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Schedule one run with paper-default policy configuration.
     pub fn add(&mut self, scenario: Scenario, kind: PolicyKind) -> &mut Self {
         let label = format!("{}@seed{}", kind.name(), scenario.seed);
-        self.add_entry(CampaignEntry {
-            label,
-            scenario,
-            kind,
-            overrides: PolicyOverrides::default(),
-        })
+        self.add_with(label, scenario, kind, PolicyOverrides::default())
     }
 
     /// Schedule one run with an explicit label and policy overrides.
@@ -202,17 +192,12 @@ impl Campaign {
         kind: PolicyKind,
         overrides: PolicyOverrides,
     ) -> &mut Self {
-        self.add_entry(CampaignEntry {
+        self.entries.push(CampaignEntry {
             label: label.into(),
             scenario,
             kind,
             overrides,
-        })
-    }
-
-    /// Schedule a fully-specified entry.
-    pub fn add_entry(&mut self, entry: CampaignEntry) -> &mut Self {
-        self.entries.push(entry);
+        });
         self
     }
 
@@ -240,28 +225,6 @@ impl Campaign {
         self
     }
 
-    /// Builder-style [`Campaign::add`].
-    pub fn with_run(mut self, scenario: Scenario, kind: PolicyKind) -> Self {
-        self.add(scenario, kind);
-        self
-    }
-
-    /// Builder-style [`Campaign::add_all_policies`].
-    pub fn with_all_policies(mut self, scenario: Scenario) -> Self {
-        self.add_all_policies(scenario);
-        self
-    }
-
-    /// Builder-style [`Campaign::add_grid`].
-    pub fn with_grid(
-        mut self,
-        scenarios: impl IntoIterator<Item = Scenario>,
-        kinds: &[PolicyKind],
-    ) -> Self {
-        self.add_grid(scenarios, kinds);
-        self
-    }
-
     pub fn entries(&self) -> &[CampaignEntry] {
         &self.entries
     }
@@ -274,34 +237,22 @@ impl Campaign {
         self.entries.is_empty()
     }
 
-    /// Execute every scheduled run under the configured pool; results in
-    /// input order, bit-identical to [`Campaign::run_sequential`] (see
-    /// the module docs for the contract).
-    pub fn run(&self) -> Vec<CampaignResult> {
-        self.run_with(self.exec)
-    }
-
     /// Execute on the calling thread, one run at a time.
     pub fn run_sequential(&self) -> Vec<CampaignResult> {
         self.run_with(ExecConfig::sequential())
     }
 
-    /// Execute under an explicit execution configuration, ignoring the
-    /// campaign's own.
+    /// Execute every scheduled run on `exec`'s workers; results in input
+    /// order, bit-identical to [`Campaign::run_sequential`] (see the
+    /// module docs for the contract).
     pub fn run_with(&self, exec: ExecConfig) -> Vec<CampaignResult> {
-        let outputs = sweep_parallel(&self.entries, exec, |e| {
-            run_policy_with(&e.scenario, e.kind, &e.overrides)
-        });
-        self.entries
-            .iter()
-            .zip(outputs)
-            .map(|(e, output)| CampaignResult {
-                label: e.label.clone(),
-                kind: e.kind,
-                seed: e.scenario.seed,
-                output,
-            })
-            .collect()
+        let mut entries: Vec<&CampaignEntry> = self.entries.iter().collect();
+        par_map(&mut entries, exec.resolved_jobs(), |e| CampaignResult {
+            label: e.label.clone(),
+            kind: e.kind,
+            seed: e.scenario.seed,
+            output: run_instrumented(&e.scenario, e.kind, &e.overrides),
+        })
     }
 }
 
@@ -556,13 +507,13 @@ mod tests {
 
     #[test]
     fn parallel_digests_match_sequential() {
-        let c = Campaign::new()
-            .with_all_policies(quick_scenario(5))
-            .with_exec(ExecConfig::jobs(4));
-        let par = c.run();
+        let mut c = Campaign::new();
+        c.add_all_policies(quick_scenario(5));
+        let par = c.run_with(ExecConfig::jobs(4));
         let seq = c.run_sequential();
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
+        assert_eq!(par.len(), PolicyKind::ALL.len());
+        for ((p, s), kind) in par.iter().zip(&seq).zip(PolicyKind::ALL) {
+            assert_eq!(p.summary().policy, kind.name(), "not in ALL order");
             assert_eq!(p.digest(), s.digest(), "{} diverged", p.label);
         }
     }
@@ -578,19 +529,10 @@ mod tests {
     }
 
     #[test]
-    fn run_all_parallel_matches_run_all_order() {
-        let sc = quick_scenario(3);
-        let par = run_all_parallel(&sc);
-        assert_eq!(par.len(), PolicyKind::ALL.len());
-        for (out, kind) in par.iter().zip(PolicyKind::ALL) {
-            assert_eq!(out.summary.policy, kind.name());
-        }
-    }
-
-    #[test]
     fn grid_is_scenario_major() {
         let kinds = [PolicyKind::SprintCon, PolicyKind::Sgct];
-        let c = Campaign::new().with_grid([quick_scenario(1), quick_scenario(2)], &kinds);
+        let mut c = Campaign::new();
+        c.add_grid([quick_scenario(1), quick_scenario(2)], &kinds);
         let labels: Vec<&str> = c.entries().iter().map(|e| e.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -611,11 +553,54 @@ mod tests {
     }
 
     #[test]
-    fn sweep_parallel_preserves_order() {
-        let params: Vec<u64> = (0..23).collect();
-        let out = sweep_parallel(&params, ExecConfig::jobs(4), |p| p * 7);
-        assert_eq!(out, (0..23).map(|p| p * 7).collect::<Vec<_>>());
-        let empty: Vec<u64> = Vec::new();
-        assert!(sweep_parallel(&empty, ExecConfig::parallel(), |p| *p).is_empty());
+    fn par_map_preserves_order_and_maps_every_item_once() {
+        for width in [2, 3, 4, 23] {
+            let mut items: Vec<u64> = (0..23).collect();
+            let out = par_map(&mut items, width, |p| {
+                *p += 1;
+                *p * 7
+            });
+            assert_eq!(out, (1..24).map(|p| p * 7).collect::<Vec<_>>());
+            assert_eq!(items, (1..24).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn par_map_handles_empty_single_and_more_workers_than_items() {
+        assert!(par_map(&mut Vec::<u64>::new(), 4, |p| *p).is_empty());
+        assert_eq!(par_map(&mut [5u64], 4, |p| *p + 1), [6]);
+        assert_eq!(par_map(&mut [1u64, 2, 3], 8, |p| *p * 2), [2, 4, 6]);
+    }
+
+    #[test]
+    fn par_map_width_one_runs_on_the_caller_and_workers_start_clean() {
+        use std::cell::Cell;
+        thread_local!(static MARK: Cell<u32> = const { Cell::new(0) });
+        MARK.with(|m| m.set(7));
+        let caller = std::thread::current().id();
+        let probe = |_: &mut ()| (MARK.with(Cell::get), std::thread::current().id());
+        let seq = par_map(&mut [(); 4], 1, probe);
+        assert!(seq.iter().all(|&(m, id)| m == 7 && id == caller));
+        let par = par_map(&mut [(); 4], 4, probe);
+        assert!(
+            par.iter().all(|&(m, id)| m == 0 && id != caller),
+            "workers must be fresh threads without the caller's thread-locals"
+        );
+    }
+
+    #[test]
+    fn par_map_reraises_a_worker_panic_on_the_caller() {
+        let mut items: Vec<u64> = (0..8).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(&mut items, 4, |p| {
+                assert_ne!(*p, 5, "item five fails");
+                *p
+            })
+        }));
+        let payload = caught.expect_err("the worker panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("assert! payloads are formatted strings");
+        assert!(msg.contains("item five fails"), "payload: {msg}");
     }
 }

@@ -1,8 +1,9 @@
-//! Experiment harness: run policies over scenarios, in parallel where a
-//! sweep allows it, with deterministic result ordering.
+//! Experiment harness: the §VII policies and the single-run body.
 //!
-//! Every runner goes through one internal body that installs a per-run
-//! [`telemetry::Collector`] (thread-scoped, so parallel sweeps cannot
+//! [`run_policy`] runs one policy over one scenario with paper defaults;
+//! [`crate::exec::Campaign`] runs many, with per-run overrides and in
+//! parallel. Both go through one internal body that installs a per-run
+//! [`telemetry::Collector`] (thread-scoped, so parallel campaigns cannot
 //! bleed metrics into each other), runs the simulation, and returns a
 //! [`RunOutput`] carrying the recording, the §VII summary, and the run's
 //! metric snapshot.
@@ -12,7 +13,7 @@ use crate::policy::{Policy, SgctSimPolicy, SprintConPolicy};
 use crate::recorder::Recorder;
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use telemetry::{Collector, MetricsSnapshot, NullSink, Sink};
+use telemetry::{Collector, MetricsSnapshot, NullSink};
 
 /// The four policies of §VII, in the paper's presentation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,15 +103,14 @@ pub struct RunOutput {
     pub metrics: MetricsSnapshot,
 }
 
-/// The single run body behind every public runner: build, install a
-/// per-run collector, run, summarize, snapshot.
-fn run_instrumented(
+/// The single run body behind [`run_policy`] and every campaign entry:
+/// build, install a per-run collector, run, summarize, snapshot.
+pub(crate) fn run_instrumented(
     scenario: &Scenario,
     kind: PolicyKind,
     overrides: &PolicyOverrides,
-    sink: Box<dyn Sink>,
 ) -> RunOutput {
-    let collector = Arc::new(Collector::new(sink));
+    let collector = Arc::new(Collector::new(Box::new(NullSink)));
     telemetry::with_collector(Arc::clone(&collector), || {
         let mut sim = scenario.build();
         let mut policy = kind.build_with(overrides);
@@ -125,43 +125,10 @@ fn run_instrumented(
     })
 }
 
-/// Run one policy over one scenario end to end with paper defaults.
+/// Run one policy over one scenario end to end with paper defaults. A
+/// [`crate::exec::Campaign`] runs with overrides or in parallel.
 pub fn run_policy(scenario: &Scenario, kind: PolicyKind) -> RunOutput {
-    run_instrumented(
-        scenario,
-        kind,
-        &PolicyOverrides::default(),
-        Box::new(NullSink),
-    )
-}
-
-/// Run one policy with configuration overrides.
-pub fn run_policy_with(
-    scenario: &Scenario,
-    kind: PolicyKind,
-    overrides: &PolicyOverrides,
-) -> RunOutput {
-    run_instrumented(scenario, kind, overrides, Box::new(NullSink))
-}
-
-/// Run one policy streaming trace records (spans, mode-change events)
-/// into `sink` — e.g. a [`telemetry::JsonlSink`] for offline analysis.
-pub fn run_policy_traced(
-    scenario: &Scenario,
-    kind: PolicyKind,
-    overrides: &PolicyOverrides,
-    sink: Box<dyn Sink>,
-) -> RunOutput {
-    run_instrumented(scenario, kind, overrides, sink)
-}
-
-/// Run every §VII policy over the scenario (sequentially — each run is
-/// itself cheap; parallelism lives in [`sweep`]).
-pub fn run_all(scenario: &Scenario) -> Vec<RunOutput> {
-    PolicyKind::ALL
-        .iter()
-        .map(|k| run_policy(scenario, *k))
-        .collect()
+    run_instrumented(scenario, kind, &PolicyOverrides::default())
 }
 
 /// Fold the per-run metric snapshots of `runs` into one aggregate, in
@@ -174,39 +141,11 @@ pub fn aggregate_metrics<'a>(runs: impl IntoIterator<Item = &'a RunOutput>) -> M
     agg
 }
 
-/// Parallel parameter sweep with deterministic, input-ordered results,
-/// on one worker per available core.
-///
-/// Thin wrapper over [`crate::exec::sweep_parallel`] with the default
-/// pool width; use that function directly (or a [`crate::exec::Campaign`])
-/// to control the worker count.
-pub fn sweep<P, R, F>(params: &[P], f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    crate::exec::sweep_parallel(params, crate::exec::ExecConfig::parallel(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Campaign, ExecConfig};
     use powersim::units::Seconds;
-
-    #[test]
-    fn sweep_preserves_order_and_runs_everything() {
-        let params: Vec<u64> = (0..17).collect();
-        let out = sweep(&params, |p| p * 2);
-        assert_eq!(out, (0..17).map(|p| p * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sweep_handles_empty_and_single() {
-        let empty: Vec<u64> = vec![];
-        assert!(sweep(&empty, |p| *p).is_empty());
-        assert_eq!(sweep(&[5u64], |p| p + 1), vec![6]);
-    }
 
     #[test]
     fn run_policy_produces_full_recording() {
@@ -257,7 +196,11 @@ mod tests {
         };
         let mut sc = Scenario::paper_default(3);
         sc.duration = Seconds(10.0);
-        let out = run_policy_with(&sc, PolicyKind::SprintCon, &overrides);
+        let out = Campaign::new()
+            .add_with("short burst", sc.clone(), PolicyKind::SprintCon, overrides)
+            .run_sequential()
+            .remove(0)
+            .output;
         assert_eq!(out.recorder.samples().last().unwrap().p_cb_target, None);
         let base = run_policy(&sc, PolicyKind::SprintCon);
         assert!(base
@@ -270,32 +213,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_of_scenarios_is_deterministic() {
-        let mut sc = Scenario::paper_default(5);
-        sc.duration = Seconds(30.0);
-        let seeds: Vec<u64> = vec![1, 2, 3, 4];
-        let run = |seed: &u64| {
-            let mut s = sc.clone();
-            s.seed = *seed;
-            run_policy(&s, PolicyKind::SgctV2).summary.avg_freq_batch
-        };
-        let a = sweep(&seeds, run);
-        let b = sweep(&seeds, run);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sweep_metrics_are_isolated_and_aggregate_deterministically() {
+    fn campaign_metrics_are_isolated_and_aggregate_deterministically() {
         let mut sc = Scenario::paper_default(5);
         sc.duration = Seconds(20.0);
-        let seeds: Vec<u64> = vec![1, 2, 3];
-        let run = |seed: &u64| {
-            let mut s = sc.clone();
-            s.seed = *seed;
-            run_policy(&s, PolicyKind::SprintCon)
+        let mut c = Campaign::new();
+        for seed in [1, 2, 3] {
+            sc.seed = seed;
+            c.add(sc.clone(), PolicyKind::SprintCon);
+        }
+        let outputs = |exec: ExecConfig| -> Vec<RunOutput> {
+            c.run_with(exec).into_iter().map(|r| r.output).collect()
         };
-        let runs_a = sweep(&seeds, run);
-        let runs_b = sweep(&seeds, run);
+        let runs_a = outputs(ExecConfig::jobs(3));
+        let runs_b = outputs(ExecConfig::jobs(2));
         for out in &runs_a {
             // Per-run isolation: each run sees exactly its own 20 solves,
             // no matter which worker thread it executed on.

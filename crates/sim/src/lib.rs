@@ -9,18 +9,21 @@
 //!   record) with trip/brownout semantics.
 //! * [`dc_engine`] — many racks under a feeder → PDU → rack power tree,
 //!   coupled only through the two-level headroom market at allocator
-//!   boundaries; parallel over racks, bit-identical to sequential.
+//!   boundaries; one fork-join over racks per epoch, bit-identical to
+//!   sequential.
 //! * [`policy`] — the policy trait plus SprintCon/SGCT adapters.
 //! * [`scenario`] — the §VI-A setup builder (16 servers, 3.2 kW CB,
 //!   400 Wh UPS, Wikipedia-like burst, SPEC-like jobs).
 //! * [`recorder`] — per-period samples, CSV export, column extraction.
 //! * [`metrics`] — run summaries (avg frequencies, DoD, deadlines, …).
 //! * [`mode`] — the shared [`mode::ModeLabel`] vocabulary for policy modes.
-//! * [`experiment`] — policy runners (with per-run telemetry snapshots)
-//!   and parallel parameter sweeps.
-//! * [`exec`] — the parallel execution layer: [`exec::Campaign`] fans
-//!   scenario × policy runs across a configurable thread pool with
-//!   deterministic, input-ordered, sequential-bit-identical results.
+//! * [`experiment`] — the §VII policy kinds and [`run_policy`], the
+//!   single-run entry point (with a per-run telemetry snapshot).
+//! * [`exec`] — the parallel execution layer: [`exec::par_map`], the
+//!   one order-preserving scoped map behind all parallel work, and
+//!   [`exec::Campaign`], which fans scenario × policy runs through it
+//!   with deterministic, input-ordered, sequential-bit-identical
+//!   results.
 //! * [`ascii_plot`] — terminal charts for the examples and figure bins.
 
 #![forbid(unsafe_code)]
@@ -43,14 +46,8 @@ pub use dc_engine::{
     DcScenario, MarketRound,
 };
 pub use engine::{RackSim, TierState};
-pub use exec::{
-    run_all_parallel, run_digest, sweep_parallel, Campaign, CampaignEntry, CampaignResult,
-    DigestBuilder, ExecConfig,
-};
-pub use experiment::{
-    aggregate_metrics, run_all, run_policy, run_policy_traced, run_policy_with, sweep, PolicyKind,
-    PolicyOverrides, RunOutput,
-};
+pub use exec::{run_digest, Campaign, CampaignEntry, CampaignResult, DigestBuilder, ExecConfig};
+pub use experiment::{aggregate_metrics, run_policy, PolicyKind, PolicyOverrides, RunOutput};
 pub use metrics::{summary_table, RunSummary};
 pub use mode::ModeLabel;
 pub use policy::{FreqCommand, Policy, PolicyCommand, SgctSimPolicy, SimView, SprintConPolicy};
@@ -67,8 +64,8 @@ pub use workloads::open_loop::{
 pub use powersim::grid::{
     ActiveGrid, GridEvent, GridEventKind, GridPlan, GridPlanError, StochasticGridEvent,
 };
-// Re-export the sink vocabulary so downstream crates can drive
-// `run_policy_traced` without a direct `telemetry` dependency.
+// Re-export the sink vocabulary so downstream crates can install their
+// own collector around a run without a direct `telemetry` dependency.
 pub use telemetry::{
     with_collector, Collector, JsonlSink, MemorySink, MetricsSnapshot, NullSink, Sink,
 };

@@ -11,7 +11,7 @@
 //! ```
 
 use powersim::units::Seconds;
-use simkit::{run_policy, sweep, PolicyKind, Scenario};
+use simkit::{Campaign, ExecConfig, PolicyKind, Scenario};
 
 fn main() {
     let deadlines_min = [8.0, 9.0, 10.0, 12.0, 15.0];
@@ -21,11 +21,16 @@ fn main() {
         "deadline", "deadlines", "t_use", "f_batch", "UPS Wh", "DoD"
     );
 
-    let rows = sweep(&deadlines_min, |&d| {
+    let mut campaign = Campaign::new();
+    for d in deadlines_min {
         let scenario = Scenario::paper_default(2019).with_deadline(Seconds::minutes(d));
-        let run = run_policy(&scenario, PolicyKind::SprintCon);
-        (d, run.summary)
-    });
+        campaign.add(scenario, PolicyKind::SprintCon);
+    }
+    let rows: Vec<_> = deadlines_min
+        .into_iter()
+        .zip(campaign.run_with(ExecConfig::parallel()))
+        .map(|(d, run)| (d, run.output.summary))
+        .collect();
 
     for (d, s) in &rows {
         println!(

@@ -6,7 +6,7 @@
 //! ```
 
 use simkit::ascii_plot::multi_chart;
-use simkit::{run_all, summary_table, Scenario};
+use simkit::{summary_table, Campaign, ExecConfig, Scenario};
 
 fn main() {
     let scenario = Scenario::paper_default(2019);
@@ -15,11 +15,13 @@ fn main() {
         scenario.num_servers, scenario.breaker.rated, scenario.ups.capacity
     );
 
-    let results = run_all(&scenario);
+    let results = Campaign::new()
+        .add_all_policies(scenario)
+        .run_with(ExecConfig::parallel());
 
     // Power behaviour, one chart per policy (Fig. 6 at a glance).
     for run in &results {
-        let (rec, summary) = (&run.recorder, &run.summary);
+        let (rec, summary) = (&run.output.recorder, run.summary());
         let cb: Vec<f64> = rec.samples().iter().map(|s| s.cb_power.0).collect();
         let total: Vec<f64> = rec.samples().iter().map(|s| s.p_total.0).collect();
         println!(
@@ -36,7 +38,7 @@ fn main() {
         );
     }
 
-    let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
+    let summaries: Vec<_> = results.iter().map(|r| r.summary().clone()).collect();
     println!("{}", summary_table(&summaries));
 
     let sprintcon = &summaries[0];

@@ -46,7 +46,8 @@ fn two_pdu_topo() -> DatacenterTopology {
 fn sharded_run_is_bit_identical_to_sequential_including_faults() {
     let dc = DcScenario::new(faulty_base(7, 90.0), two_pdu_topo()).unwrap();
     let seq = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
-    for jobs in [2usize, 4] {
+    // 8 workers over 6 racks: more workers than shards.
+    for jobs in [2usize, 4, 8] {
         let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).unwrap();
         assert_eq!(
             par.digest, seq.digest,
@@ -88,7 +89,7 @@ fn single_rack_datacenter_matches_the_standalone_engine() {
         "single-rack datacenter must reproduce the standalone digest"
     );
     // And the digest is itself reproducible across worker counts (one
-    // rack: the pool degenerates, but the code path is exercised).
+    // rack: the map runs it on the calling thread).
     let par = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
     assert_eq!(out.digest, par.digest);
 }

@@ -118,11 +118,11 @@ fn active_grid_campaigns_are_bit_identical_across_workers() {
         .faults(golden_fault_plan())
         .build()
         .expect("grid+fault scenario is valid");
-    let c = Campaign::new()
-        .with_run(gridded.clone(), PolicyKind::SprintCon)
-        .with_run(gridded, PolicyKind::Sgct)
-        .with_run(both.clone(), PolicyKind::SprintCon)
-        .with_run(both, PolicyKind::SgctV2);
+    let mut c = Campaign::new();
+    c.add(gridded.clone(), PolicyKind::SprintCon)
+        .add(gridded, PolicyKind::Sgct)
+        .add(both.clone(), PolicyKind::SprintCon)
+        .add(both, PolicyKind::SgctV2);
     let seq = c.run_sequential();
     for jobs in [2usize, 4] {
         let par = c.run_with(ExecConfig::jobs(jobs));

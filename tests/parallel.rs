@@ -1,12 +1,13 @@
 //! Execution-layer contract tests: the parallel campaign engine must be
 //! bit-identical to sequential execution (including under active fault
 //! injection), per-run telemetry must stay isolated across concurrent
-//! runs, and sweeps must return results in input order. CI runs this
-//! suite plus `bench_engine --check` on every push.
+//! runs, and the scoped map behind it must return results in input
+//! order. CI runs this suite plus `bench_engine --check` on every push.
 
 use powersim::faults::FaultPlan;
 use powersim::units::Seconds;
-use simkit::{run_digest, sweep_parallel, Campaign, ExecConfig, PolicyKind, Scenario};
+use simkit::exec::par_map;
+use simkit::{run_digest, Campaign, ExecConfig, PolicyKind, Scenario};
 
 fn short(mut sc: Scenario, secs: f64) -> Scenario {
     sc.duration = Seconds(secs);
@@ -22,21 +23,23 @@ fn mixed_campaign() -> Campaign {
         .faults(FaultPlan::monitor_dropout(0.3, Seconds(8.0)))
         .build()
         .expect("fault scenario is valid");
-    Campaign::new()
-        .with_run(
-            short(Scenario::paper_default(1), 25.0),
-            PolicyKind::SprintCon,
-        )
-        .with_run(short(Scenario::paper_default(2), 25.0), PolicyKind::Sgct)
-        .with_run(short(faulty.clone(), 40.0), PolicyKind::SprintCon)
-        .with_run(short(faulty, 40.0), PolicyKind::Sgct)
+    let mut c = Campaign::new();
+    c.add(
+        short(Scenario::paper_default(1), 25.0),
+        PolicyKind::SprintCon,
+    );
+    c.add(short(Scenario::paper_default(2), 25.0), PolicyKind::Sgct);
+    c.add(short(faulty.clone(), 40.0), PolicyKind::SprintCon);
+    c.add(short(faulty, 40.0), PolicyKind::Sgct);
+    c
 }
 
 #[test]
 fn parallel_is_bit_identical_to_sequential_including_faults() {
     let c = mixed_campaign();
     let seq = c.run_sequential();
-    for jobs in [2usize, 4] {
+    // 8 workers over 4 runs: more workers than items.
+    for jobs in [2usize, 4, 8] {
         let par = c.run_with(ExecConfig::jobs(jobs));
         assert_eq!(par.len(), seq.len());
         for (p, s) in par.iter().zip(&seq) {
@@ -67,19 +70,11 @@ fn telemetry_counters_stay_isolated_across_concurrent_runs() {
     // control period) must scale with each run's own duration — and
     // match the sequential counts exactly. A leaked or shared collector
     // would merge the counts.
-    let c = Campaign::new()
-        .with_run(
-            short(Scenario::paper_default(3), 20.0),
-            PolicyKind::SprintCon,
-        )
-        .with_run(
-            short(Scenario::paper_default(3), 40.0),
-            PolicyKind::SprintCon,
-        )
-        .with_run(
-            short(Scenario::paper_default(3), 60.0),
-            PolicyKind::SprintCon,
-        );
+    let mut c = Campaign::new();
+    for secs in [20.0, 40.0, 60.0] {
+        let sc = short(Scenario::paper_default(3), secs);
+        c.add(sc, PolicyKind::SprintCon);
+    }
     let par = c.run_with(ExecConfig::jobs(3));
     let seq = c.run_sequential();
     let count = |r: &simkit::CampaignResult| r.output.metrics.counter("qp_solve_total");
@@ -94,12 +89,12 @@ fn telemetry_counters_stay_isolated_across_concurrent_runs() {
 }
 
 #[test]
-fn sweep_parallel_returns_results_in_input_order() {
+fn par_map_returns_results_in_input_order() {
     // Earlier items sleep longer, so completion order is roughly the
     // reverse of input order — results must come back in input order
     // regardless.
-    let params: Vec<u64> = (0..8).collect();
-    let out = sweep_parallel(&params, ExecConfig::jobs(4), |&i| {
+    let mut params: Vec<u64> = (0..8).collect();
+    let out = par_map(&mut params, 4, |&mut i| {
         std::thread::sleep(std::time::Duration::from_millis((8 - i) * 3));
         i * 10
     });

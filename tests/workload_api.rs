@@ -6,8 +6,7 @@
 //!
 //! * the `UtilTrace` path is *bit-identical* to the pre-redesign
 //!   behavior — pinned here against a golden digest captured before the
-//!   API changed, and the deprecated `wiki()` shim must route to the
-//!   same trajectory;
+//!   API changed;
 //! * the open-loop queueing model conserves requests exactly
 //!   (arrivals = completed + dropped + still queued) for any seed,
 //!   frequency, and duration;
@@ -15,7 +14,6 @@
 //!   execution, both in the campaign engine and the datacenter engine.
 
 use powersim::datacenter::DatacenterTopology;
-use powersim::faults::FaultPlan;
 use powersim::units::{NormFreq, Seconds, Watts};
 use proptest::prelude::*;
 use simkit::engine::TierState;
@@ -43,30 +41,6 @@ fn util_trace_via_new_api_reproduces_the_golden_digest() {
         got, 0xdc54fcfe56a09238,
         "UtilTrace through workload() changed the trajectory: 0x{got:016x}"
     );
-}
-
-/// The deprecated `wiki()` shim and the typed `workload()` call build
-/// identical scenarios — same digest, faults included.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wiki_shim_is_digest_identical_to_workload() {
-    let build = |via_shim: bool| {
-        let b = Scenario::builder(11)
-            .duration(Seconds(120.0))
-            .deadline(Seconds(100.0))
-            .faults(FaultPlan::monitor_dropout(0.3, Seconds(8.0)));
-        let b = if via_shim {
-            b.wiki(WikiTraceConfig::paper_default())
-        } else {
-            b.workload(WorkloadSource::UtilTrace(DemandModel::Wiki(
-                WikiTraceConfig::paper_default(),
-            )))
-        };
-        b.build().unwrap()
-    };
-    let a = run_digest(&run_policy(&build(true), PolicyKind::SprintCon));
-    let b = run_digest(&run_policy(&build(false), PolicyKind::SprintCon));
-    assert_eq!(a, b, "wiki() shim diverged from workload()");
 }
 
 /// Scenario validation surfaces workload errors instead of panicking.
