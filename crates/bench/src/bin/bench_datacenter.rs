@@ -22,15 +22,6 @@
 //!    run digest exactly (grants are bit-transparent ceilings).
 //! 5. **Conservation** — at every supervisor boundary, Σ rack grants ≤
 //!    feeder headroom and each PDU's member grants ≤ its cap.
-//! 6. **Tree replay** — the pre-rework per-tick replay (a fresh
-//!    rack-power gather plus the allocating [`Datacenter::step`] every
-//!    tick, replicated operation-for-operation) vs today's vectorized
-//!    replay (epoch-contiguous per-PDU lane sums through the
-//!    allocation-free [`Datacenter::step_pdu_loads`]), driven by an
-//!    identical deterministic trace on clones of the same tree. An
-//!    agreement check requires bit-identical feeder loads and trip
-//!    counts; the timing is interleaved best-of-3, same methodology as
-//!    the PR 5 substrate gate. `--check` enforces the speedup floor.
 //!
 //! Flags: `--racks N` floor size (default 1000), `--secs N` simulated
 //! seconds (default 60), `--mode full|streaming` scale-run retention
@@ -38,7 +29,7 @@
 //! `--out PATH` (default `BENCH_datacenter.json`), `--check` CI gate
 //! mode (exit 1 on any gate failure).
 
-use powersim::datacenter::{Datacenter, DatacenterTopology};
+use powersim::datacenter::DatacenterTopology;
 use powersim::faults::FaultPlan;
 use powersim::units::{Seconds, Watts};
 use simkit::{
@@ -46,15 +37,6 @@ use simkit::{
     DcScenario, ExecConfig, PolicyKind, Scenario,
 };
 use std::time::Instant;
-
-/// CI floor for the vectorized-replay speedup over the pre-rework
-/// per-tick gather. The committed baseline shows well above this; the
-/// gate leaves slack for noisy 1-core CI runners.
-const REPLAY_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Ticks per market epoch in the replay benchmark — the engine's
-/// paper-default `allocator_period / dt` (30 s / 1 s).
-const EPOCH_TICKS: usize = 30;
 
 struct Args {
     racks: usize,
@@ -264,167 +246,6 @@ fn scale_run(
     Ok((t0.elapsed().as_secs_f64(), ticks, out))
 }
 
-/// Deterministic per-rack breaker-power trace for the replay benchmark,
-/// rack-major (`traces[r · ticks + k]`) — the same layout the recorder
-/// kept per shard, so the pre-rework gather below is exactly as strided
-/// as the historical one.
-fn synth_traces(racks: usize, ticks: usize) -> Vec<Watts> {
-    let mut traces = Vec::with_capacity(racks * ticks);
-    for r in 0..racks {
-        for k in 0..ticks {
-            traces.push(Watts(
-                2800.0 + 1200.0 * (((r * 7 + k * 13) % 97) as f64 / 96.0),
-            ));
-        }
-    }
-    traces
-}
-
-/// Trip counts and a serial feeder-load fold — enough state to prove two
-/// replay implementations walked the breakers identically.
-#[derive(PartialEq)]
-struct ReplayFold {
-    pdu_trip_ticks: u64,
-    feeder_trip_ticks: u64,
-    feeder_load_sum: u64,
-}
-
-/// The pre-rework tree replay, replicated operation-for-operation from
-/// the last commit before the vectorized rework: every tick gathered a
-/// fresh `Vec<Watts>` of rack breaker powers out of the per-rack
-/// recordings (strided reads, one allocation per tick) and fed it to the
-/// allocating [`Datacenter::step`].
-fn prework_replay(dc: &mut Datacenter, traces: &[Watts], racks: usize, ticks: usize) -> ReplayFold {
-    let dt = Seconds(1.0);
-    let mut fold = ReplayFold {
-        pdu_trip_ticks: 0,
-        feeder_trip_ticks: 0,
-        feeder_load_sum: 0.0f64.to_bits(),
-    };
-    let mut sum = 0.0f64;
-    for k in 0..ticks {
-        let rack_powers: Vec<Watts> = (0..racks).map(|r| traces[r * ticks + k]).collect();
-        let out = dc.step(&rack_powers, dt);
-        fold.pdu_trip_ticks += out.pdu_tripped.iter().filter(|&&b| b).count() as u64;
-        fold.feeder_trip_ticks += u64::from(out.feeder_tripped);
-        sum += out.feeder_load.0;
-    }
-    fold.feeder_load_sum = sum.to_bits();
-    fold
-}
-
-/// Today's vectorized replay, the same shape `dc_engine` runs per epoch:
-/// rack breaker powers folded rack-ascending into contiguous per-PDU
-/// tick lanes (one sequential pass over each rack's trace), then the
-/// breakers stepped tick by tick through the allocation-free
-/// [`Datacenter::step_pdu_loads`]. Addition order per (PDU, tick) is
-/// racks ascending — identical to [`Datacenter::step`] — so the fold is
-/// bit-identical to the pre-rework path.
-fn vectorized_replay(
-    dc: &mut Datacenter,
-    traces: &[Watts],
-    racks: usize,
-    ticks: usize,
-    pdu_of: &[usize],
-    num_pdus: usize,
-) -> ReplayFold {
-    let dt = Seconds(1.0);
-    let mut lanes = vec![0.0f64; num_pdus * EPOCH_TICKS];
-    let mut tick_loads = vec![0.0f64; num_pdus];
-    let mut delivered = vec![0.0f64; num_pdus];
-    let mut tripped = vec![false; num_pdus];
-    let mut fold = ReplayFold {
-        pdu_trip_ticks: 0,
-        feeder_trip_ticks: 0,
-        feeder_load_sum: 0.0f64.to_bits(),
-    };
-    let mut sum = 0.0f64;
-    let mut done = 0;
-    while done < ticks {
-        let e_ticks = EPOCH_TICKS.min(ticks - done);
-        let lanes = &mut lanes[..num_pdus * e_ticks];
-        lanes.fill(0.0);
-        for (r, &p) in pdu_of.iter().enumerate().take(racks) {
-            let lane = &mut lanes[p * e_ticks..(p + 1) * e_ticks];
-            let trace = &traces[r * ticks + done..r * ticks + done + e_ticks];
-            for (slot, w) in lane.iter_mut().zip(trace) {
-                *slot += w.0;
-            }
-        }
-        for k in 0..e_ticks {
-            for (p, load) in tick_loads.iter_mut().enumerate() {
-                *load = lanes[p * e_ticks + k];
-            }
-            let feeder = dc.step_pdu_loads(&tick_loads, dt, &mut delivered, &mut tripped);
-            fold.pdu_trip_ticks += tripped.iter().filter(|&&b| b).count() as u64;
-            fold.feeder_trip_ticks += u64::from(feeder.feeder_tripped);
-            sum += feeder.feeder_load.0;
-        }
-        done += e_ticks;
-    }
-    fold.feeder_load_sum = sum.to_bits();
-    fold
-}
-
-struct ReplayResult {
-    racks: usize,
-    ticks: usize,
-    prework_rack_ticks_per_sec: f64,
-    vectorized_rack_ticks_per_sec: f64,
-    speedup: f64,
-    agreement: bool,
-}
-
-/// Gate 6: identical traces through both replay implementations on
-/// clones of the same pristine tree — bit-compared folds, then
-/// interleaved best-of-3 timing (fresh breaker state per rep, so
-/// neither side ever replays against drifted thermal accumulators).
-fn bench_replay(racks: usize, ticks: usize) -> ReplayResult {
-    let topo = floor_topology(racks);
-    let num_pdus = topo.num_pdus();
-    let pdu_of: Vec<usize> = (0..racks).map(|r| topo.pdu_of_rack(r)).collect();
-    let template = Datacenter::paper_calibrated(topo).expect("floor tree is valid");
-    let traces = synth_traces(racks, ticks);
-
-    let a = prework_replay(&mut template.clone(), &traces, racks, ticks);
-    let b = vectorized_replay(
-        &mut template.clone(),
-        &traces,
-        racks,
-        ticks,
-        &pdu_of,
-        num_pdus,
-    );
-    let agreement = a == b;
-    if !agreement {
-        eprintln!("replay disagreement: prework and vectorized folds diverged");
-    }
-
-    let (mut pre_secs, mut vec_secs) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let mut dc = template.clone();
-        let t0 = Instant::now();
-        std::hint::black_box(prework_replay(&mut dc, &traces, racks, ticks));
-        pre_secs = pre_secs.min(t0.elapsed().as_secs_f64());
-
-        let mut dc = template.clone();
-        let t1 = Instant::now();
-        std::hint::black_box(vectorized_replay(
-            &mut dc, &traces, racks, ticks, &pdu_of, num_pdus,
-        ));
-        vec_secs = vec_secs.min(t1.elapsed().as_secs_f64());
-    }
-    let rack_ticks = (racks * ticks) as f64;
-    ReplayResult {
-        racks,
-        ticks,
-        prework_rack_ticks_per_sec: rack_ticks / pre_secs,
-        vectorized_rack_ticks_per_sec: rack_ticks / vec_secs,
-        speedup: pre_secs / vec_secs,
-        agreement,
-    }
-}
-
 fn mode_name(mode: DcRecordMode) -> &'static str {
     match mode {
         DcRecordMode::Full => "full",
@@ -517,45 +338,12 @@ fn main() {
         );
     }
 
-    // Replay benchmark at (up to) the committed-baseline size; capped so
-    // the trace buffer never dominates the VmHWM the scale run just
-    // exercised (14 MB at the 1000 x 1800 cap).
-    let replay_racks = args.racks.min(1000);
-    let replay_ticks = 1800;
-    println!("tree replay: prework per-tick gather vs vectorized lanes ({replay_racks} racks)...");
-    let replay = bench_replay(replay_racks, replay_ticks);
-    println!(
-        "  prework   : {:.2e} rack-ticks/s\n  vectorized: {:.2e} rack-ticks/s  ({:.1}x, folds {})",
-        replay.prework_rack_ticks_per_sec,
-        replay.vectorized_rack_ticks_per_sec,
-        replay.speedup,
-        if replay.agreement {
-            "bit-identical"
-        } else {
-            "DISAGREE"
-        }
-    );
-    if !replay.agreement {
-        eprintln!("REPLAY AGREEMENT FAILED: the two replay paths diverged");
-        std::process::exit(1);
-    }
-    if args.check_only && replay.speedup < REPLAY_SPEEDUP_FLOOR {
-        eprintln!(
-            "PERF REGRESSION: replay speedup {:.2}x < floor {REPLAY_SPEEDUP_FLOOR}x",
-            replay.speedup
-        );
-        std::process::exit(1);
-    }
-
     let json = format!(
         "{{\n  \"racks\": {},\n  \"secs\": {},\n  \"cpus\": {},\n  \"mode\": \"{}\",\n  \
          \"wall_secs\": {:.3},\n  \"rack_ticks_per_sec\": {:.0},\n  \"peak_rss_kb\": {},\n  \
          \"digest\": \"0x{:016x}\",\n  \"market_rounds\": {},\n  \"peak_feeder_w\": {:.1},\n  \
          \"feeder_trip_periods\": {},\n  \"conserved\": {},\n  \"determinism\": \"pass\",\n  \
-         \"record_mode_digest_match\": \"pass\",\n  \"single_rack_equivalence\": \"pass\",\n  \
-         \"replay\": {{\"racks\": {}, \"ticks\": {}, \"prework_rack_ticks_per_sec\": {:.0}, \
-         \"vectorized_rack_ticks_per_sec\": {:.0}, \"speedup\": {:.2}, \"agreement\": \
-         \"bit-identical\"}}\n}}\n",
+         \"record_mode_digest_match\": \"pass\",\n  \"single_rack_equivalence\": \"pass\"\n}}\n",
         args.racks,
         args.secs,
         cpus,
@@ -568,11 +356,6 @@ fn main() {
         out.peak_feeder_load.0,
         out.feeder_trip_periods,
         conserved,
-        replay.racks,
-        replay.ticks,
-        replay.prework_rack_ticks_per_sec,
-        replay.vectorized_rack_ticks_per_sec,
-        replay.speedup,
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("writing {}: {e}", args.out));
     println!("json: {}", args.out);

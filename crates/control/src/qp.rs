@@ -13,13 +13,8 @@
 //!   with adaptive restart) running entirely inside a caller-provided
 //!   [`QpWorkspace`]; the production hot path, O(n²) per iteration and
 //!   **zero allocations per iteration** (the MPC reuses one workspace
-//!   across control periods).
-//! * [`QpProblem::solve`] — the same algorithm with per-call (and
-//!   per-iteration) allocations; kept as the readable reference
-//!   implementation and the "before" side of the `bench_engine`
-//!   comparison. Bit-identical to `solve_with` by construction (the
-//!   workspace path mirrors its operation order exactly; a test below
-//!   asserts equality down to the last bit).
+//!   across control periods). [`QpProblem::solve`] is the same solve in
+//!   a fresh workspace, for one-off callers.
 //! * [`QpProblem::solve_coordinate_descent`] — cyclic exact coordinate
 //!   minimization; slower convergence per sweep but extremely robust.
 //!   Kept as a cross-validation reference (property tests assert the two
@@ -104,15 +99,6 @@ impl QpWorkspace {
     }
 }
 
-/// `out = H·v` without allocating, over the unrolled 4-accumulator
-/// kernel ([`Mat::matvec_into`]). Every Hessian product in this module
-/// — `solve`, `solve_with`, and the public objective/gradient/residual
-/// helpers — goes through here, so the reference and workspace paths
-/// share one accumulation order and stay bit-identical to each other.
-fn matvec_into(h: &Mat, v: &[f64], out: &mut [f64]) {
-    h.matvec_into(v, out);
-}
-
 impl QpProblem {
     pub fn new(h: Mat, g: Vec<f64>, lo: Vec<f64>, hi: Vec<f64>) -> Self {
         let n = g.len();
@@ -132,14 +118,14 @@ impl QpProblem {
     /// Objective value `½xᵀHx + gᵀx`.
     pub fn objective(&self, x: &[f64]) -> f64 {
         let mut hx = vec![0.0; self.h.rows()];
-        matvec_into(&self.h, x, &mut hx);
+        self.h.matvec_into(x, &mut hx);
         0.5 * crate::linalg::dot(x, &hx) + crate::linalg::dot(&self.g, x)
     }
 
     /// Gradient `Hx + g`.
     pub fn gradient(&self, x: &[f64]) -> Vec<f64> {
         let mut grad = vec![0.0; self.h.rows()];
-        matvec_into(&self.h, x, &mut grad);
+        self.h.matvec_into(x, &mut grad);
         for (gi, g0) in grad.iter_mut().zip(&self.g) {
             *gi += g0;
         }
@@ -175,78 +161,23 @@ impl QpProblem {
         max_row.max(1e-12)
     }
 
-    /// Accelerated projected-gradient solve (FISTA with restart).
+    /// Accelerated projected-gradient solve (FISTA with restart) in a
+    /// fresh workspace; see [`QpProblem::solve_with`].
     pub fn solve(&self, tol: f64, max_iters: usize) -> QpSolution {
-        let _timer = telemetry::span("qp_solve_time");
-        let _ = self.dim(); // shape validation
-        let step = 1.0 / self.lipschitz_bound();
-        // Start at the projected unconstrained-Newton-ish point: the box
-        // midpoint is a safe, feasible start.
-        let mut x: Vec<f64> = self
-            .lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, u)| 0.5 * (l + u))
-            .collect();
-        let mut y = x.clone();
-        let mut t = 1.0_f64;
-        let mut last_obj = self.objective(&x);
-        for iter in 1..=max_iters {
-            let grad = self.gradient(&y);
-            let mut x_next: Vec<f64> = y.iter().zip(&grad).map(|(yi, gi)| yi - step * gi).collect();
-            self.project(&mut x_next);
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            y = x_next
-                .iter()
-                .zip(&x)
-                .map(|(xn, xo)| xn + beta * (xn - xo))
-                .collect();
-            x = x_next;
-            t = t_next;
-            // Adaptive restart on objective increase (O'Donoghue–Candès).
-            let obj = self.objective(&x);
-            if obj > last_obj {
-                y = x.clone();
-                t = 1.0;
-            }
-            last_obj = obj;
-            if iter % 8 == 0 {
-                let res = self.kkt_residual(&x);
-                if res < tol {
-                    let sol = QpSolution {
-                        x,
-                        kkt_residual: res,
-                        iterations: iter,
-                        converged: true,
-                    };
-                    record_solve(&sol);
-                    return sol;
-                }
-            }
-        }
-        let res = self.kkt_residual(&x);
-        let sol = QpSolution {
-            converged: res < tol,
-            kkt_residual: res,
-            iterations: max_iters,
-            x,
-        };
-        record_solve(&sol);
-        sol
+        self.solve_with(&mut QpWorkspace::new(self.dim()), tol, max_iters)
     }
 
     /// Objective `½xᵀHx + gᵀx` evaluated through the workspace's `hx`
     /// scratch — same accumulation order as [`QpProblem::objective`].
     fn objective_ws(&self, x: &[f64], hx: &mut [f64]) -> f64 {
-        matvec_into(&self.h, x, hx);
+        self.h.matvec_into(x, hx);
         0.5 * crate::linalg::dot(x, hx) + crate::linalg::dot(&self.g, x)
     }
 
     /// Projected-KKT residual through workspace buffers — same math and
     /// operation order as [`QpProblem::kkt_residual`].
     fn kkt_residual_ws(&self, x: &[f64], grad: &mut [f64], moved: &mut [f64]) -> f64 {
-        matvec_into(&self.h, x, grad);
+        self.h.matvec_into(x, grad);
         for (gi, g0) in grad.iter_mut().zip(&self.g) {
             *gi += g0;
         }
@@ -263,17 +194,18 @@ impl QpProblem {
         res
     }
 
-    /// Accelerated projected-gradient solve running entirely inside `ws`:
-    /// the production hot path. Identical algorithm, operation order and
-    /// therefore **bit-identical results** to [`QpProblem::solve`], but
-    /// with zero allocations per iteration and none at all once `ws` has
-    /// been sized (only the returned [`QpSolution::x`] is a fresh `Vec`).
+    /// Accelerated projected-gradient solve (FISTA with adaptive restart)
+    /// running entirely inside `ws`: the production hot path. Zero
+    /// allocations per iteration and none at all once `ws` has been sized
+    /// (only the returned [`QpSolution::x`] is a fresh `Vec`). A reused
+    /// workspace gives the same bits as a fresh one: every buffer is
+    /// overwritten before it is read.
     pub fn solve_with(&self, ws: &mut QpWorkspace, tol: f64, max_iters: usize) -> QpSolution {
         let _timer = telemetry::span("qp_solve_time");
         let dim = self.dim();
         ws.ensure(dim);
         let step = 1.0 / self.lipschitz_bound();
-        // Same feasible start as `solve`: the box midpoint.
+        // The box midpoint is a safe, feasible start.
         for ((xi, l), u) in ws.x.iter_mut().zip(&self.lo).zip(&self.hi) {
             *xi = 0.5 * (l + u);
         }
@@ -285,7 +217,7 @@ impl QpProblem {
         };
         for iter in 1..=max_iters {
             // grad ← ∇q(y) = H·y + g
-            matvec_into(&self.h, &ws.y, &mut ws.grad);
+            self.h.matvec_into(&ws.y, &mut ws.grad);
             for (gi, g0) in ws.grad.iter_mut().zip(&self.g) {
                 *gi += g0;
             }
@@ -480,10 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn workspace_solve_is_bit_identical_to_reference() {
-        // `solve_with` must mirror `solve`'s operation order exactly:
-        // equal down to the last bit, not merely within tolerance. One
-        // shared workspace across problems also proves reuse is safe.
+    fn reused_workspace_is_bit_identical_to_a_fresh_one() {
+        // One workspace reused across 12 problems of dimension 2–8 must
+        // give the same iterations, convergence flag, KKT residual and
+        // `x` bits as the fresh workspace inside `solve`: no state may
+        // leak from one solve into the next.
         let mut ws = QpWorkspace::default();
         for seed in 0..12 {
             let n = 2 + (seed as usize % 7);

@@ -85,7 +85,12 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.minutes <= 0.0 || args.deadline_min <= 0.0 || args.slo_delay <= 0.0 {
+    // NaN compares false both ways, so test for the valid range.
+    let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+    if ![args.minutes, args.deadline_min, args.slo_delay]
+        .into_iter()
+        .all(positive_finite)
+    {
         usage()
     }
     args

@@ -59,6 +59,8 @@ pub enum ScenarioError {
     NonPositiveDt(f64),
     /// `duration` must be positive and finite.
     NonPositiveDuration(f64),
+    /// The batch deadline must be positive and finite.
+    InvalidDeadline(f64),
     /// The batch deadline cannot exceed the run duration.
     DeadlineBeyondDuration {
         deadline: Seconds,
@@ -108,6 +110,9 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::NonPositiveDuration(d) => {
                 write!(f, "run duration must be positive and finite, got {d}")
+            }
+            ScenarioError::InvalidDeadline(d) => {
+                write!(f, "batch deadline must be positive and finite, got {d}")
             }
             ScenarioError::DeadlineBeyondDuration { deadline, duration } => write!(
                 f,
@@ -229,6 +234,9 @@ impl Scenario {
         }
         if !(self.duration.0 > 0.0 && self.duration.0.is_finite()) {
             return Err(ScenarioError::NonPositiveDuration(self.duration.0));
+        }
+        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
+            return Err(ScenarioError::InvalidDeadline(self.deadline.0));
         }
         if self.num_servers == 0 {
             return Err(ScenarioError::NoServers);
@@ -581,6 +589,19 @@ mod tests {
         let err = Scenario::builder(1).grid(bad).build().unwrap_err();
         assert!(matches!(err, ScenarioError::Grid(_)));
         assert!(err.to_string().contains("grid plan"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_and_non_positive_deadlines() {
+        for d in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let sc = Scenario::paper_default(1).with_deadline(Seconds(d));
+            let err = sc.validate().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::InvalidDeadline(v) if v.to_bits() == d.to_bits()),
+                "deadline {d}: {err:?}"
+            );
+            assert!(err.to_string().contains("deadline"), "{err}");
+        }
     }
 
     #[test]

@@ -31,8 +31,6 @@ WHITELIST = {
         "mpc_hot_path.channels",
         "mpc_hot_path.periods",
         "mpc_hot_path.agreement.pass",
-        "mpc_hot_path.oracle_kernel.dim",
-        "server_ticks.substrate.model_bit_identical",
     ],
     "BENCH_datacenter.json": [
         "racks",
@@ -46,9 +44,6 @@ WHITELIST = {
         "determinism",
         "record_mode_digest_match",
         "single_rack_equivalence",
-        "replay.racks",
-        "replay.ticks",
-        "replay.agreement",
     ],
     "BENCH_grid.json": [
         "seed",
@@ -62,15 +57,30 @@ WHITELIST = {
         "separation.sprintcon_p99_s",
         "separation.sgct_p99_s",
     ],
+    "BENCH_tail_latency.json": [
+        "seed",
+        "secs",
+        "determinism",
+        "separation",
+    ]
+    + [
+        f"policies.{i}.{field}"
+        for i in range(3)
+        for field in ("policy", "request_p99_s", "drop_fraction")
+    ],
 }
 
 
 def lookup(doc, path):
+    """Walk a dotted path; integer parts index into lists."""
     node = doc
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if isinstance(node, dict) and part in node:
+            node = node[part]
+        elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        else:
             return ("missing", None)
-        node = node[part]
     return ("ok", node)
 
 
