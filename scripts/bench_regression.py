@@ -48,7 +48,6 @@ WHITELIST = {
     "BENCH_grid.json": [
         "seed",
         "secs",
-        "transparency",
         "determinism",
         "compliance.cap_w",
         "compliance.peak_cb_post_deadline_w",

@@ -5,6 +5,8 @@
 //! datacenter must reproduce the standalone engine's digest exactly.
 //! CI runs this suite plus `bench_datacenter --check` on every push.
 
+mod golden;
+
 use powersim::datacenter::DatacenterTopology;
 use powersim::faults::FaultPlan;
 use powersim::grid::{GridEventKind, GridPlan};
@@ -71,6 +73,26 @@ fn sharded_run_is_bit_identical_to_sequential_including_faults() {
             }
         }
     }
+}
+
+/// The 1000-rack floor `bench_datacenter` runs by default reproduces its
+/// pinned digest: every rack's run, every market round and the tree's
+/// trip and peak-load outcomes.
+#[test]
+fn the_default_floor_reproduces_the_golden_digest() {
+    let out = run_datacenter_with(
+        &golden::floor(),
+        ExecConfig::jobs(2),
+        DcRecordMode::Streaming,
+    )
+    .expect("the golden floor carries its rated draw");
+    assert_eq!(
+        out.digest,
+        golden::FLOOR_DIGEST,
+        "floor digest 0x{:016x} != golden 0x{:016x}",
+        out.digest,
+        golden::FLOOR_DIGEST
+    );
 }
 
 #[test]

@@ -14,91 +14,31 @@
 //! * **Grid events compose with faults**: concurrent fault and grid
 //!   plans produce finite, replayable trajectories.
 
-use powersim::faults::{FaultKind, FaultPlan, StochasticFault};
+mod golden;
+
+use golden::{busy_grid_plan, golden_fault_plan};
 use powersim::units::{Seconds, Watts};
 use simkit::exec::run_digest;
 use simkit::experiment::{run_policy, PolicyKind};
-use simkit::{Campaign, ExecConfig, GridEventKind, GridPlan, Scenario};
+use simkit::{Campaign, ExecConfig, GridPlan, Scenario};
 
-/// The committed golden digests of `tests/soa_substrate.rs`. Duplicated
-/// by value on purpose: this file proves an *explicitly wired* empty
-/// grid plan reproduces them, so the constants must not be shared with
-/// the file that defines them.
-const GOLDEN_DIGESTS: [(&str, u64); 5] = [
-    ("sprintcon_seed42_180s", 0xdc54fcfe56a09238),
-    ("sgctv2_seed7_180s", 0x156f96be14939a36),
-    ("sgct_seed3_120s", 0x7df9c1e370ccfc0c),
-    ("sprintcon_faults_seed11_240s", 0xd2977a8f6598214e),
-    ("sgctv1_faults_seed5_240s", 0x7a8855ae0bac74db),
-];
-
-fn golden_fault_plan() -> FaultPlan {
-    FaultPlan::none()
-        .with_event(Seconds(40.0), Seconds(30.0), FaultKind::MonitorStuckAt)
-        .with_event(
-            Seconds(90.0),
-            Seconds(45.0),
-            FaultKind::ActuatorLag { tau: Seconds(4.0) },
-        )
-        .with_event(
-            Seconds(150.0),
-            Seconds(30.0),
-            FaultKind::ServerCrash { server: 3 },
-        )
-        .with_stochastic(StochasticFault {
-            kind: FaultKind::MonitorDropout,
-            start_rate: 40.0 / 3600.0,
-            mean_duration: Seconds(5.0),
-        })
-}
-
-fn golden_case(label: &str) -> (Scenario, PolicyKind) {
-    let (seed, secs, deadline, faults, kind) = match label {
-        "sprintcon_seed42_180s" => (42, 180.0, 150.0, false, PolicyKind::SprintCon),
-        "sgctv2_seed7_180s" => (7, 180.0, 150.0, false, PolicyKind::SgctV2),
-        "sgct_seed3_120s" => (3, 120.0, 100.0, false, PolicyKind::Sgct),
-        "sprintcon_faults_seed11_240s" => (11, 240.0, 200.0, true, PolicyKind::SprintCon),
-        "sgctv1_faults_seed5_240s" => (5, 240.0, 200.0, true, PolicyKind::SgctV1),
-        other => panic!("unknown golden case {other}"),
-    };
-    let mut b = Scenario::builder(seed)
-        .duration(Seconds(secs))
-        .deadline(Seconds(deadline))
-        // The point of this file: the empty plan is threaded explicitly.
-        .grid(GridPlan::none());
-    if faults {
-        b = b.faults(golden_fault_plan());
-    }
-    (b.build().expect("golden scenario is valid"), kind)
-}
-
-/// A plan exercising all three event classes plus a stochastic stream.
-fn busy_grid_plan() -> GridPlan {
-    GridPlan::curtailment(Seconds(60.0), Seconds(120.0), Watts(3000.0), Seconds(30.0))
-        .with_event(
-            Seconds(20.0),
-            Seconds(40.0),
-            GridEventKind::PriceSpike { multiplier: 3.0 },
-        )
-        .with_event(
-            Seconds(200.0),
-            Seconds(30.0),
-            GridEventKind::FreqRegulation {
-                delta_w: Watts(-150.0),
-                duration_s: Seconds(20.0),
-            },
-        )
-}
-
+/// The golden cases and digests come from the shared table; the one
+/// thing this test adds is the explicitly threaded empty plan, so that
+/// builder call stays here on purpose rather than in the table.
 #[test]
 fn explicit_empty_grid_plan_reproduces_every_golden_digest() {
-    for (label, want) in GOLDEN_DIGESTS {
-        let (sc, kind) = golden_case(label);
-        let got = run_digest(&run_policy(&sc, kind));
+    for case in golden::CASES {
+        let sc = case
+            .builder()
+            .grid(GridPlan::none())
+            .build()
+            .expect("golden scenario is valid");
+        let got = run_digest(&run_policy(&sc, case.kind));
         assert_eq!(
-            got, want,
-            "{label}: digest 0x{got:016x} != golden 0x{want:016x} — \
-             an inactive grid plan must be bit-transparent"
+            got, case.digest,
+            "{}: digest 0x{got:016x} != golden 0x{:016x} — \
+             an inactive grid plan must be bit-transparent",
+            case.label, case.digest
         );
     }
 }

@@ -4,9 +4,8 @@
 //! stepping, multirate electrical substepping) is allowed to change *how*
 //! the plant is computed but not *what* it computes:
 //!
-//! * Where the batched path claims exactness, these tests pin the 64-bit
-//!   FNV run digest — captured on the pre-rework scalar substrate — and
-//!   property-test the batched pass against the retained scalar reference
+//! * Where the batched path claims exactness, these tests check the
+//!   golden run digests of `golden/mod.rs` and property-test the batched pass against the retained scalar reference
 //!   path ([`RackSim::set_reference_stepping`]) over random scenarios,
 //!   policies, and fault plans.
 //! * Where multirate substepping approximates (electrical transients),
@@ -17,6 +16,8 @@
 //! `.cargo/config.toml` relies on this file: the committed `target-cpu`
 //! rustflags are only acceptable because these digests prove codegen
 //! changes leave every trajectory bit-identical.
+
+mod golden;
 
 use powersim::faults::{FaultKind, FaultPlan, StochasticFault};
 use powersim::units::{NormFreq, Seconds, Watts};
@@ -29,104 +30,17 @@ use simkit::policy::tests_support::FixedPolicy;
 use simkit::{with_collector, Collector, NullSink, Scenario};
 use std::sync::Arc;
 
-/// The fault plan the fault-injected golden digests were captured with.
-fn golden_fault_plan() -> FaultPlan {
-    FaultPlan::none()
-        .with_event(Seconds(40.0), Seconds(30.0), FaultKind::MonitorStuckAt)
-        .with_event(
-            Seconds(90.0),
-            Seconds(45.0),
-            FaultKind::ActuatorLag { tau: Seconds(4.0) },
-        )
-        .with_event(
-            Seconds(150.0),
-            Seconds(30.0),
-            FaultKind::ServerCrash { server: 3 },
-        )
-        .with_stochastic(StochasticFault {
-            kind: FaultKind::MonitorDropout,
-            start_rate: 40.0 / 3600.0,
-            mean_duration: Seconds(5.0),
-        })
-}
-
-/// Golden digests pinning whole-run trajectories. The SGCT digests date
-/// from the pre-rework (scalar, AoS) substrate and have survived every
-/// refactor since. The SprintCon digests were re-captured when the
-/// structured QP solver gained cross-period warm starts: carrying the
-/// coupling root between control periods changes the bisection's
-/// floating-point trajectory (fewer, differently-placed evaluations), so
-/// MPC outputs move at the ulp level while the KKT certificate — checked
-/// by `control/tests/properties.rs` — is preserved. Any *other* change
-/// to these values means a trajectory changed, which is a model change,
-/// not a refactor, and needs its own justification.
-const GOLDEN_DIGESTS: [(&str, u64); 5] = [
-    ("sprintcon_seed42_180s", 0xdc54fcfe56a09238),
-    ("sgctv2_seed7_180s", 0x156f96be14939a36),
-    ("sgct_seed3_120s", 0x7df9c1e370ccfc0c),
-    ("sprintcon_faults_seed11_240s", 0xd2977a8f6598214e),
-    ("sgctv1_faults_seed5_240s", 0x7a8855ae0bac74db),
-];
-
-fn golden_case(label: &str) -> (Scenario, PolicyKind) {
-    match label {
-        "sprintcon_seed42_180s" => (
-            Scenario::builder(42)
-                .duration(Seconds(180.0))
-                .deadline(Seconds(150.0))
-                .build()
-                .unwrap(),
-            PolicyKind::SprintCon,
-        ),
-        "sgctv2_seed7_180s" => (
-            Scenario::builder(7)
-                .duration(Seconds(180.0))
-                .deadline(Seconds(150.0))
-                .build()
-                .unwrap(),
-            PolicyKind::SgctV2,
-        ),
-        "sgct_seed3_120s" => (
-            Scenario::builder(3)
-                .duration(Seconds(120.0))
-                .deadline(Seconds(100.0))
-                .build()
-                .unwrap(),
-            PolicyKind::Sgct,
-        ),
-        "sprintcon_faults_seed11_240s" => (
-            Scenario::builder(11)
-                .duration(Seconds(240.0))
-                .deadline(Seconds(200.0))
-                .faults(golden_fault_plan())
-                .build()
-                .unwrap(),
-            PolicyKind::SprintCon,
-        ),
-        "sgctv1_faults_seed5_240s" => (
-            Scenario::builder(5)
-                .duration(Seconds(240.0))
-                .deadline(Seconds(200.0))
-                .faults(golden_fault_plan())
-                .build()
-                .unwrap(),
-            PolicyKind::SgctV1,
-        ),
-        other => panic!("unknown golden case {other}"),
-    }
-}
-
 /// The batched SoA substrate reproduces the pre-rework scalar substrate
 /// bit for bit on every committed golden trajectory, faults included.
 #[test]
 fn golden_digests_unchanged() {
-    for (label, want) in GOLDEN_DIGESTS {
-        let (sc, kind) = golden_case(label);
-        let got = run_digest(&run_policy(&sc, kind));
+    for case in golden::CASES {
+        let got = run_digest(&run_policy(&case.scenario(), case.kind));
         assert_eq!(
-            got, want,
-            "{label}: digest 0x{got:016x} != golden 0x{want:016x} — \
-             the substrate changed a trajectory"
+            got, case.digest,
+            "{}: digest 0x{got:016x} != golden 0x{:016x} — \
+             the substrate changed a trajectory",
+            case.label, case.digest
         );
     }
 }

@@ -13,6 +13,8 @@
 //! * open-loop runs are bit-identical between sequential and parallel
 //!   execution, both in the campaign engine and the datacenter engine.
 
+mod golden;
+
 use powersim::datacenter::DatacenterTopology;
 use powersim::units::{NormFreq, Seconds, Watts};
 use proptest::prelude::*;
@@ -23,22 +25,22 @@ use simkit::{
 };
 use workloads::wiki_trace::WikiTraceConfig;
 
-/// The golden trajectory from `tests/soa_substrate.rs`, rebuilt through
-/// the *new* `workload(..)` entry point: the typed API must reproduce
-/// the pre-redesign digest bit for bit, faults, telemetry and all.
+/// A golden trajectory rebuilt through the *new* `workload(..)` entry
+/// point: the typed API must reproduce the pre-redesign digest bit for
+/// bit.
 #[test]
 fn util_trace_via_new_api_reproduces_the_golden_digest() {
-    let sc = Scenario::builder(42)
-        .duration(Seconds(180.0))
-        .deadline(Seconds(150.0))
+    let case = golden::case("sprintcon_seed42_180s");
+    let sc = case
+        .builder()
         .workload(WorkloadSource::UtilTrace(DemandModel::Wiki(
             WikiTraceConfig::paper_default(),
         )))
         .build()
         .unwrap();
-    let got = run_digest(&run_policy(&sc, PolicyKind::SprintCon));
+    let got = run_digest(&run_policy(&sc, case.kind));
     assert_eq!(
-        got, 0xdc54fcfe56a09238,
+        got, case.digest,
         "UtilTrace through workload() changed the trajectory: 0x{got:016x}"
     );
 }
