@@ -11,7 +11,7 @@
 //! 2. **Compliance** — under SprintCon, grid-side draw (breaker power)
 //!    is at or under a curtailed cap from the response deadline until
 //!    the event clears, with zero breaker trips and a zero
-//!    `grid.compliance_violations` count.
+//!    `RunSummary::grid_violations` count.
 //! 3. **Separation** — during a curtailment overlapping an open-loop
 //!    flash crowd, SprintCon's deadline-aware triage and hot-queue
 //!    guard must still beat frequency-throttling SGCT on request p99.
@@ -204,7 +204,7 @@ fn compliance_gate(seed: u64) -> Result<Compliance, String> {
             "post-deadline grid-side draw {peak:.1} W > 3000 W cap"
         ));
     }
-    let violations = out.metrics.counter("grid.compliance_violations");
+    let violations = out.summary.grid_violations;
     if violations != 0 {
         return Err(format!("{violations} engine-counted compliance violations"));
     }

@@ -129,7 +129,8 @@ fn main() {
             Default::default(),
         );
     }
-    let class_runs = class_campaign.run_with(args.exec);
+    // The degraded-mode columns are telemetry counters.
+    let class_runs = class_campaign.run_with(args.exec.with_telemetry());
     for ((label, _), res) in classes.iter().zip(&class_runs) {
         let out = &res.output;
         let s = &out.summary;

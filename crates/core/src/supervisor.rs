@@ -159,7 +159,7 @@ pub struct SprintCon {
     /// leaves every target untouched. See [`Self::apply_feeder_grant`].
     feeder_cap: Option<Watts>,
     /// Most recent open-loop queue measurement (store-only, like the
-    /// market methods: telemetry-free so digests are untouched).
+    /// market methods).
     last_queue: Option<QueueMeasurement>,
     /// Grid signals observed at the top of the current period; the
     /// default (no signals) leaves every code path bit-identical.
@@ -212,18 +212,17 @@ impl SprintCon {
 
     /// The most recent open-loop queue measurement handed to
     /// [`Self::step`], if any — the tail-latency signal ablation
-    /// harnesses read alongside the mode. Store-only and telemetry-free
-    /// by the same contract as the market methods below.
+    /// harnesses read alongside the mode. Store-only, like the market
+    /// methods below.
     pub fn queue_measurement(&self) -> Option<QueueMeasurement> {
         self.last_queue
     }
 
     // --- datacenter headroom market (two-level §IV-C generalization) ---
     //
-    // These methods are deliberately telemetry-free: market rounds run
-    // at supervisor boundaries outside any per-run collector scope, and
-    // the FNV run digest includes telemetry counters, so a bid must not
-    // perturb a rack's digest.
+    // These methods emit no telemetry: market rounds run on the driving
+    // thread at supervisor boundaries, outside every per-rack collector
+    // scope, so anything emitted here would not reach a rack's snapshot.
 
     /// Watts of overload headroom this rack wants from the shared tree:
     /// the full overload swing (`overloaded − rated`) whenever the

@@ -28,8 +28,8 @@
 //! total load — UPS bridging is legitimate demand response) under
 //! `cap_w`. The injector latches the absolute deadline at onset and
 //! publishes it in [`ActiveGrid::curtail_deadline`]; the engine counts
-//! a `grid.compliance_violations` tick for every post-deadline tick
-//! spent above the cap.
+//! every post-deadline tick spent above the cap into the run summary's
+//! `grid_violations`.
 
 use crate::noise::NoiseSource;
 use crate::units::{Seconds, Watts};

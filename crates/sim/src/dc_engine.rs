@@ -9,10 +9,11 @@
 //! `base.seed + r` — rack 0 *is* the template, which is what makes the
 //! single-rack equivalence gate possible (see below). Each rack is a
 //! full [`RackSim`](crate::engine::RackSim) + [`SprintConPolicy`] +
-//! [`Recorder`] shard with its
-//! own thread-scoped telemetry collector, exactly mirroring
-//! `experiment::run_instrumented` so a shard's [`RunOutput`] digests
-//! identically to a standalone run.
+//! [`Recorder`] shard, so a shard's [`RunOutput`] digests identically
+//! to a standalone run. A traced run ([`ExecConfig::with_telemetry`])
+//! also gives every shard its own telemetry collector, as
+//! `experiment::run_instrumented` does for a standalone run; an
+//! untraced one steps its racks with none.
 //!
 //! ## Determinism contract
 //!
@@ -29,9 +30,10 @@
 //! 2. **parallel epoch stepping**: shards advance one epoch with no
 //!    shared state — cross-rack information flows *only* through the
 //!    market round at the boundary — through one [`par_map`] fork-join
-//!    per epoch (each worker steps a contiguous slice of racks). Every
-//!    shard installs its own collector for the duration of its step, so
-//!    metrics cannot bleed between racks whichever thread steps them;
+//!    per epoch (each worker steps a contiguous slice of racks). On a
+//!    traced run every shard installs its own collector for the
+//!    duration of its step, so metrics cannot bleed between racks
+//!    whichever thread steps them;
 //! 3. a **sequential tree replay**: the per-rack breaker powers of the
 //!    epoch are folded rack-ascending into contiguous per-PDU tick
 //!    lanes, then the [`Datacenter`] PDU/feeder thermal breakers are
@@ -61,10 +63,6 @@
 //! **bit-identical** per-rack and floor digests (the digest byte stream
 //! is folded sample-by-sample in push order either way). The replay
 //! consumes each epoch lane and clears it; `samples()` stays empty.
-//!
-//! Market rounds are telemetry-free by construction (the run digest
-//! includes telemetry counters, so a bid must not perturb a rack's
-//! digest).
 
 use crate::exec::{digest_run_tail, par_map, run_digest, DigestBuilder, ExecConfig};
 use crate::experiment::RunOutput;
@@ -77,7 +75,7 @@ use powersim::grid::GridInjector;
 use powersim::units::{Seconds, Watts};
 use sprintcon::{allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace};
 use std::sync::Arc;
-use telemetry::{Collector, NullSink};
+use telemetry::{Collector, MetricsSnapshot};
 
 /// A datacenter experiment: one rack template fanned across a power
 /// tree. Rack `r` runs `base` with seed `base.seed + r` (wrapping), so
@@ -193,9 +191,10 @@ pub struct MarketRound {
 #[derive(Debug)]
 pub struct DcRunOutput {
     /// Per-rack results, rack order — each shaped exactly like a
-    /// standalone `run_policy` output (recording, §VII summary,
-    /// telemetry snapshot). Under [`DcRecordMode::Streaming`] the
-    /// recorders' `samples()` are empty (aggregates and events remain).
+    /// standalone run's output (recording, §VII summary, telemetry
+    /// snapshot, empty unless the run was traced). Under
+    /// [`DcRecordMode::Streaming`] the recorders' `samples()` are empty
+    /// (aggregates and events remain).
     pub racks: Vec<RunOutput>,
     /// Per-rack [`run_digest`]s, rack order — bit-identical between
     /// record modes, so streaming runs stay spot-checkable against
@@ -231,13 +230,13 @@ impl DcRunOutput {
     }
 }
 
-/// One rack's full stack: plant, controller, recording, and the
-/// thread-scoped collector its telemetry lands in.
+/// One rack's full stack: plant, controller, recording, and on a traced
+/// run the thread-scoped collector its telemetry lands in.
 struct RackShard {
     sim: crate::engine::RackSim,
     policy: SprintConPolicy,
     rec: Recorder,
-    collector: Arc<Collector>,
+    collector: Option<Arc<Collector>>,
 }
 
 /// What the drive loop aggregates; [`DatacenterSim::finalize`] folds it
@@ -279,10 +278,6 @@ impl DatacenterSim {
     }
 
     /// Build every rack shard and the shared tree from the scenario.
-    ///
-    /// Shards are assembled inside their own collector scope, mirroring
-    /// `experiment::run_instrumented`, so construction-time telemetry
-    /// (if any) lands in the same place as a standalone run's.
     pub fn from_scenario_with(
         scenario: &DcScenario,
         record_mode: DcRecordMode,
@@ -293,20 +288,15 @@ impl DatacenterSim {
         let steps = (scenario.base.duration.0 / scenario.base.dt.0).round() as usize;
         let mut shards = Vec::with_capacity(num_racks);
         for r in 0..num_racks {
-            let sc = scenario.rack_scenario(r);
-            let collector = Arc::new(Collector::new(Box::new(NullSink)));
-            let (sim, policy) = telemetry::with_collector(Arc::clone(&collector), || {
-                (sc.build(), SprintConPolicy::paper_default())
-            });
             let rec = match record_mode {
                 DcRecordMode::Full => Recorder::with_capacity(steps),
                 DcRecordMode::Streaming => Recorder::streaming(),
             };
             shards.push(RackShard {
-                sim,
-                policy,
+                sim: scenario.rack_scenario(r).build(),
+                policy: SprintConPolicy::paper_default(),
                 rec,
-                collector,
+                collector: None,
             });
         }
 
@@ -437,21 +427,28 @@ impl DatacenterSim {
         }
     }
 
-    /// Advance one shard `ticks` control periods under its collector.
+    /// Advance one shard `ticks` control periods, under its collector on
+    /// a traced run.
     ///
     /// The collector is (re-)installed around every epoch step — a
     /// worker steps several racks, so per-rack telemetry isolation comes
     /// from the install, not thread identity.
     fn step_shard(shard: &mut RackShard, ticks: usize) {
-        let collector = Arc::clone(&shard.collector);
-        let sim = &mut shard.sim;
-        let policy = &mut shard.policy;
-        let rec = &mut shard.rec;
-        telemetry::with_collector(collector, || {
+        let RackShard {
+            sim,
+            policy,
+            rec,
+            collector,
+        } = shard;
+        let mut step = || {
             for _ in 0..ticks {
                 sim.step(policy, rec);
             }
-        });
+        };
+        match collector {
+            Some(c) => telemetry::with_collector(Arc::clone(c), step),
+            None => step(),
+        }
     }
 
     /// Vectorized tree replay of one epoch: fold every rack's recorded
@@ -566,21 +563,21 @@ impl DatacenterSim {
         agg
     }
 
-    /// Finalize each shard exactly like `run_instrumented`: summary
-    /// inside the collector scope, then flush and snapshot. Streaming
-    /// shards finish their fold and hand back the incrementally built
-    /// digest; full shards digest their retained trajectory — both land
-    /// on the same byte stream.
+    /// Finalize each shard like `run_instrumented`: summary, then the
+    /// collector's snapshot on a traced run. Streaming shards finish
+    /// their fold and hand back the incrementally built digest; full
+    /// shards digest their retained trajectory — both land on the same
+    /// byte stream.
     fn finalize(self, agg: DriveAgg) -> DcRunOutput {
         let mut racks = Vec::with_capacity(self.shards.len());
         let mut rack_digests = Vec::with_capacity(self.shards.len());
         for mut shard in self.shards {
             shard.rec.finish_stream();
-            let summary = telemetry::with_collector(Arc::clone(&shard.collector), || {
-                RunSummary::from_run("SprintCon", &shard.sim, &shard.rec)
+            let summary = RunSummary::from_run("SprintCon", &shard.sim, &shard.rec);
+            let metrics = shard.collector.map_or_else(MetricsSnapshot::default, |c| {
+                c.flush();
+                c.snapshot()
             });
-            shard.collector.flush();
-            let metrics = shard.collector.snapshot();
             let stream_digest = shard.rec.stream_digest().map(|mut h| {
                 digest_run_tail(&mut h, shard.rec.events(), &summary, &metrics);
                 h.finish()
@@ -631,8 +628,14 @@ impl DatacenterSim {
     /// Run the whole campaign: market rounds at every allocator
     /// boundary, epoch stepping between them on `exec`'s workers (one
     /// [`par_map`] fork-join per epoch), and the vectorized tree replay
-    /// behind each epoch. Consumes the sim (a run is one-shot).
+    /// behind each epoch; per-rack collectors only if `exec` asks for
+    /// telemetry. Consumes the sim (a run is one-shot).
     pub fn run(mut self, exec: ExecConfig) -> DcRunOutput {
+        if exec.telemetry() {
+            for shard in &mut self.shards {
+                shard.collector = Some(Arc::new(Collector::null()));
+            }
+        }
         let agg = self.drive(exec.resolved_jobs());
         self.finalize(agg)
     }

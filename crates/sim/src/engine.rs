@@ -170,6 +170,8 @@ pub struct RackSim {
     ups_max_discharge_nominal: Watts,
     /// Was any crash fault active last tick (power-state resync edge)?
     crash_was_active: bool,
+    /// Post-deadline periods above an active curtailment cap.
+    grid_violations: u64,
     /// Feed integration scheme (from the scenario).
     substepping: Substepping,
     /// Step the plant through the scalar per-core reference path instead
@@ -271,6 +273,7 @@ impl RackSim {
             grid,
             ups_max_discharge_nominal,
             crash_was_active: false,
+            grid_violations: 0,
             substepping: scenario.substepping,
             reference_stepping: false,
             scratch_inter_freqs: Vec::with_capacity(n),
@@ -290,6 +293,13 @@ impl RackSim {
 
     pub fn powered(&self) -> &[bool] {
         &self.powered
+    }
+
+    /// Control periods so far that drew more than an active
+    /// curtailment's cap through the breaker after its response
+    /// deadline (see [`RunSummary::grid_violations`](crate::RunSummary)).
+    pub(crate) fn grid_violations(&self) -> u64 {
+        self.grid_violations
     }
 
     /// The feed integration scheme in effect.
@@ -620,8 +630,8 @@ impl RackSim {
         // latched response deadline has passed, every period still above
         // the cap is a violation.
         if let (Some(cap), Some(deadline)) = (ag.curtail_cap, ag.curtail_deadline) {
-            if self.now.0 >= deadline.0 && outcome.cb_power.0 > cap.0 && telemetry::enabled() {
-                telemetry::counter_add("grid.compliance_violations", 1);
+            if self.now.0 >= deadline.0 && outcome.cb_power.0 > cap.0 {
+                self.grid_violations += 1;
             }
         }
 
@@ -668,8 +678,8 @@ impl RackSim {
         self.last_fan = fan_power;
         // Queue depth / tail quantiles reach the policy with the same
         // one-period staleness as the power measurement, and reach the
-        // recorder as plain sample data — deliberately telemetry-free
-        // so the closed-loop digest contract is untouched.
+        // recorder as plain sample data (absent on the closed loop, so
+        // closed-loop digests hash no queue bytes).
         let queue = self.tier.queue();
         self.last_queue = queue;
         if let Some(tail) = self.tier.tail_summary() {

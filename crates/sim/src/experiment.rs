@@ -1,19 +1,20 @@
 //! Experiment harness: the §VII policies and the single-run body.
 //!
 //! [`run_policy`] runs one policy over one scenario with paper defaults;
-//! [`crate::exec::Campaign`] runs many, with per-run overrides and in
-//! parallel. Both go through one internal body that installs a per-run
-//! [`telemetry::Collector`] (thread-scoped, so parallel campaigns cannot
-//! bleed metrics into each other), runs the simulation, and returns a
-//! [`RunOutput`] carrying the recording, the §VII summary, and the run's
-//! metric snapshot.
+//! [`crate::exec::Campaign`] runs many, with per-run overrides, in
+//! parallel, and with telemetry when its [`crate::ExecConfig`] asks for
+//! it. Both go through one internal body that runs the simulation and
+//! returns a [`RunOutput`] carrying the recording, the §VII summary, and
+//! the run's metric snapshot: empty unless the run was traced, in which
+//! case the body installed a per-run, thread-scoped
+//! [`telemetry::Collector`] around it.
 
 use crate::metrics::RunSummary;
 use crate::policy::{Policy, SgctSimPolicy, SprintConPolicy};
 use crate::recorder::Recorder;
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use telemetry::{Collector, MetricsSnapshot, NullSink};
+use telemetry::{Collector, MetricsSnapshot};
 
 /// The four policies of §VII, in the paper's presentation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,36 +100,51 @@ pub struct RunOutput {
     /// The §VII summary row.
     pub summary: RunSummary,
     /// Telemetry captured during the run (control-loop counters, solver
-    /// iteration histograms, plant gauges). Deterministically name-sorted.
+    /// iteration histograms, plant gauges), deterministically
+    /// name-sorted. Empty unless the run was traced
+    /// ([`crate::ExecConfig::with_telemetry`]).
     pub metrics: MetricsSnapshot,
 }
 
+/// Run `f` under a fresh thread-scoped collector when `on`, and return
+/// its result with the collector's snapshot (empty when not).
+fn traced<R>(on: bool, f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
+    if !on {
+        return (f(), MetricsSnapshot::default());
+    }
+    let collector = Arc::new(Collector::null());
+    let out = telemetry::with_collector(Arc::clone(&collector), f);
+    collector.flush();
+    (out, collector.snapshot())
+}
+
 /// The single run body behind [`run_policy`] and every campaign entry:
-/// build, install a per-run collector, run, summarize, snapshot.
+/// build, run, summarize, under a per-run collector when `telemetry`.
 pub(crate) fn run_instrumented(
     scenario: &Scenario,
     kind: PolicyKind,
     overrides: &PolicyOverrides,
+    telemetry: bool,
 ) -> RunOutput {
-    let collector = Arc::new(Collector::new(Box::new(NullSink)));
-    telemetry::with_collector(Arc::clone(&collector), || {
+    let ((recorder, summary), metrics) = traced(telemetry, || {
         let mut sim = scenario.build();
         let mut policy = kind.build_with(overrides);
         let recorder = sim.run(policy.as_mut(), scenario.duration);
         let summary = RunSummary::from_run(kind.name(), &sim, &recorder);
-        collector.flush();
-        RunOutput {
-            recorder,
-            summary,
-            metrics: collector.snapshot(),
-        }
-    })
+        (recorder, summary)
+    });
+    RunOutput {
+        recorder,
+        summary,
+        metrics,
+    }
 }
 
-/// Run one policy over one scenario end to end with paper defaults. A
-/// [`crate::exec::Campaign`] runs with overrides or in parallel.
+/// Run one policy over one scenario end to end with paper defaults and
+/// no telemetry. A [`crate::exec::Campaign`] runs with overrides, in
+/// parallel or traced.
 pub fn run_policy(scenario: &Scenario, kind: PolicyKind) -> RunOutput {
-    run_instrumented(scenario, kind, &PolicyOverrides::default())
+    run_instrumented(scenario, kind, &PolicyOverrides::default(), false)
 }
 
 /// Fold the per-run metric snapshots of `runs` into one aggregate, in
@@ -157,10 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn run_policy_attaches_control_loop_metrics() {
+    fn traced_runs_attach_control_loop_metrics() {
         let mut sc = Scenario::paper_default(11);
         sc.duration = Seconds(30.0);
-        let out = run_policy(&sc, PolicyKind::SprintCon);
+        assert!(run_policy(&sc, PolicyKind::SprintCon).metrics.is_empty());
+        let out = Campaign::new()
+            .add(sc, PolicyKind::SprintCon)
+            .run_with(ExecConfig::sequential().with_telemetry())
+            .remove(0)
+            .output;
         // One MPC/QP solve per control period.
         assert_eq!(out.metrics.counter("qp_solve_total"), 30);
         assert_eq!(out.metrics.histogram("mpc_solve_iters").unwrap().count, 30);
@@ -222,7 +243,10 @@ mod tests {
             c.add(sc.clone(), PolicyKind::SprintCon);
         }
         let outputs = |exec: ExecConfig| -> Vec<RunOutput> {
-            c.run_with(exec).into_iter().map(|r| r.output).collect()
+            c.run_with(exec.with_telemetry())
+                .into_iter()
+                .map(|r| r.output)
+                .collect()
         };
         let runs_a = outputs(ExecConfig::jobs(3));
         let runs_b = outputs(ExecConfig::jobs(2));

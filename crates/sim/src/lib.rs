@@ -18,12 +18,13 @@
 //! * [`metrics`] — run summaries (avg frequencies, DoD, deadlines, …).
 //! * [`mode`] — the shared [`mode::ModeLabel`] vocabulary for policy modes.
 //! * [`experiment`] — the §VII policy kinds and [`run_policy`], the
-//!   single-run entry point (with a per-run telemetry snapshot).
+//!   untraced single-run entry point.
 //! * [`exec`] — the parallel execution layer: [`exec::par_map`], the
 //!   one order-preserving scoped map behind all parallel work, and
 //!   [`exec::Campaign`], which fans scenario × policy runs through it
 //!   with deterministic, input-ordered, sequential-bit-identical
-//!   results.
+//!   results, and [`exec::ExecConfig`], whose one switch turns per-run
+//!   telemetry on.
 //! * [`ascii_plot`] — terminal charts for the examples and figure bins.
 
 #![forbid(unsafe_code)]

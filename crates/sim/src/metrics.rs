@@ -36,6 +36,9 @@ pub struct RunSummary {
     pub service_ratio: f64,
     /// Energy through the breaker, Wh.
     pub cb_energy_wh: f64,
+    /// Control periods that drew more than an active grid curtailment's
+    /// cap through the breaker after its response deadline.
+    pub grid_violations: u64,
     /// Request-latency tail summary (open-loop runs only; `None` on
     /// the closed-loop path, where it contributes nothing to digests).
     pub open_loop: Option<TailSummary>,
@@ -77,6 +80,7 @@ impl RunSummary {
             normalized_time_use,
             service_ratio: sim.tier.service_ratio(),
             cb_energy_wh: rec.cb_energy_wh(),
+            grid_violations: sim.grid_violations(),
             open_loop: rec.tail(),
         }
     }

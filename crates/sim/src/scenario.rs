@@ -59,6 +59,9 @@ pub enum ScenarioError {
     NonPositiveDt(f64),
     /// `duration` must be positive and finite.
     NonPositiveDuration(f64),
+    /// `duration` rounds to zero control periods of `dt`, so the run
+    /// would do nothing.
+    DurationBelowOnePeriod { duration: Seconds, dt: Seconds },
     /// The batch deadline must be positive and finite.
     InvalidDeadline(f64),
     /// The batch deadline cannot exceed the run duration.
@@ -111,6 +114,10 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::NonPositiveDuration(d) => {
                 write!(f, "run duration must be positive and finite, got {d}")
             }
+            ScenarioError::DurationBelowOnePeriod { duration, dt } => write!(
+                f,
+                "run duration {duration} rounds to zero control periods of {dt}"
+            ),
             ScenarioError::InvalidDeadline(d) => {
                 write!(f, "batch deadline must be positive and finite, got {d}")
             }
@@ -234,6 +241,13 @@ impl Scenario {
         }
         if !(self.duration.0 > 0.0 && self.duration.0.is_finite()) {
             return Err(ScenarioError::NonPositiveDuration(self.duration.0));
+        }
+        // The engines run `(duration / dt).round()` periods.
+        if (self.duration.0 / self.dt.0).round() < 1.0 {
+            return Err(ScenarioError::DurationBelowOnePeriod {
+                duration: self.duration,
+                dt: self.dt,
+            });
         }
         if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
             return Err(ScenarioError::InvalidDeadline(self.deadline.0));
@@ -612,6 +626,25 @@ mod tests {
         assert!(matches!(err, ScenarioError::NonPositiveDuration(_)));
         // Errors render a human-readable message.
         assert!(err.to_string().contains("duration"));
+    }
+
+    #[test]
+    fn durations_below_half_a_period_are_rejected() {
+        let mut sc = Scenario::paper_default(1);
+        sc.duration = Seconds(0.4);
+        let err = sc.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::DurationBelowOnePeriod {
+                duration: Seconds(0.4),
+                dt: Seconds(1.0),
+            }
+        );
+        assert!(err.to_string().contains("zero control periods"), "{err}");
+        // 0.6 s rounds to one period, and runs it.
+        sc.duration = Seconds(0.6);
+        let out = crate::run_policy(&sc, crate::PolicyKind::SprintCon);
+        assert_eq!(out.recorder.len(), 1);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   how the CLI turns tracing on for a whole invocation.
 //!
 //! The scoped collector shadows the global one. When neither is installed,
-//! the fast path is a thread-local read plus one relaxed atomic load, so
-//! instrumented code is effectively free (verified by the
-//! `controllers.rs` criterion bench).
+//! the fast path is a thread-local read plus one relaxed atomic load. An
+//! installed collector is not free: its spans read the clock and every
+//! by-name update takes a read-locked hash lookup, about a tenth of a
+//! SprintCon rack tick in all (see the crate docs for the measurement),
+//! so the simulator installs one only for traced runs.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::{NullSink, Record, Sink, Value};

@@ -19,11 +19,14 @@
 //! Instrumentation is *free-function* style — `telemetry::counter_add(...)`
 //! from anywhere — and routes to whichever [`Collector`] is installed:
 //! a thread-scoped one ([`with_collector`], used by the experiment harness
-//! to isolate per-run metrics inside parallel sweeps) or a process-global
-//! one ([`set_global`], used by the CLI). With neither installed every call
-//! is a cheap early-out; the criterion bench in
-//! `crates/bench/benches/controllers.rs` checks the instrumented
-//! server-controller hot path stays within noise of un-instrumented code.
+//! to isolate per-run metrics inside traced parallel sweeps) or a
+//! process-global one ([`set_global`], used by the CLI). With neither
+//! installed every call is a cheap early-out (a thread-local read and one
+//! relaxed atomic load). An installed collector is not free: its spans
+//! and by-name metric updates cost about 0.8 µs of a 7.4 µs SprintCon
+//! rack tick, measured on a 2-vCPU Xeon VM as 135–136k rack-ticks/s with
+//! a `NullSink` collector per run against 152–153k without. That is why
+//! the simulator's runs are untraced unless asked.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -414,7 +414,7 @@ pub struct OpenLoopLoad {
 }
 
 /// One tick's aggregate queue observation — what the supervisor and the
-/// recorder see (telemetry-free: plain data, no counters).
+/// recorder see (plain data, no counters).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueObservation {
     /// Mean queue depth per server after the tick, requests.

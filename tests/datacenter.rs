@@ -55,7 +55,7 @@ fn sharded_run_is_bit_identical_to_sequential_including_faults() {
             par.digest, seq.digest,
             "jobs={jobs}: datacenter digest diverged from sequential"
         );
-        // The digest covers per-rack samples/events/summary/metrics plus
+        // The digest covers per-rack samples/events/summary plus
         // the market rounds; spot-check raw bit equality on one rack's
         // trajectory as well so a digest bug cannot mask a divergence.
         for (a, b) in par.racks[3]

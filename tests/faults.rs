@@ -3,9 +3,13 @@
 //! fault class to its degraded-mode telemetry, and the headline
 //! acceptance scenario (monitor dropout at 10% intensity).
 
+mod golden;
+
+// Traced runs: these tests read the degraded-mode counters.
+use golden::run_traced;
 use powersim::faults::{FaultKind, FaultPlan, StochasticFault};
 use powersim::units::{Seconds, Watts};
-use simkit::{run_policy, PolicyKind, Recorder, Scenario};
+use simkit::{PolicyKind, Recorder, Scenario};
 
 fn assert_bitwise_equal(a: &Recorder, b: &Recorder) {
     assert_eq!(a.samples().len(), b.samples().len());
@@ -63,8 +67,8 @@ fn fault_replay_is_bit_identical() {
         .faults(busy_plan())
         .build()
         .expect("valid scenario");
-    let a = run_policy(&scenario, PolicyKind::SprintCon);
-    let b = run_policy(&scenario, PolicyKind::SprintCon);
+    let a = run_traced(&scenario, PolicyKind::SprintCon);
+    let b = run_traced(&scenario, PolicyKind::SprintCon);
     assert_bitwise_equal(&a.recorder, &b.recorder);
     // The faults were actually live, not vacuously absent.
     assert!(a.metrics.counter("degraded.measurement_hold") > 0);
@@ -91,8 +95,8 @@ fn disabled_faults_cause_zero_drift() {
         .build()
         .expect("valid scenario");
     for kind in [PolicyKind::SprintCon, PolicyKind::Sgct] {
-        let a = run_policy(&base, kind);
-        let b = run_policy(&far_future, kind);
+        let a = run_traced(&base, kind);
+        let b = run_traced(&far_future, kind);
         assert_bitwise_equal(&a.recorder, &b.recorder);
         assert_eq!(a.metrics.counter("degraded.measurement_hold"), 0);
         assert_eq!(a.metrics.counter("server_ctrl_pid_fallback"), 0);
@@ -147,7 +151,7 @@ fn each_fault_class_hits_its_degraded_mode_counter() {
             .faults(FaultPlan::none().with_event(Seconds(60.0), Seconds(90.0), *kind))
             .build()
             .expect("valid scenario");
-        let out = run_policy(&scenario, PolicyKind::SprintCon);
+        let out = run_traced(&scenario, PolicyKind::SprintCon);
         assert!(
             out.metrics.counter(counter) > 0,
             "{}: expected counter {counter} to fire\ncounters: {:?}",
@@ -174,7 +178,7 @@ fn ten_percent_dropout_sprintcon_never_trips_uncontrolled_does() {
         .build()
         .expect("valid scenario");
 
-    let sprintcon = run_policy(&scenario, PolicyKind::SprintCon);
+    let sprintcon = run_traced(&scenario, PolicyKind::SprintCon);
     assert_eq!(
         sprintcon.summary.trips, 0,
         "SprintCon must not trip under 10% monitor dropout"
@@ -183,7 +187,7 @@ fn ten_percent_dropout_sprintcon_never_trips_uncontrolled_does() {
     // The degradation ladder was exercised, not bypassed.
     assert!(sprintcon.metrics.counter("degraded.measurement_hold") > 0);
 
-    let uncontrolled = run_policy(&scenario, PolicyKind::Sgct);
+    let uncontrolled = run_traced(&scenario, PolicyKind::Sgct);
     assert!(
         uncontrolled.summary.trips >= 1,
         "uncontrolled sprinting should trip the breaker"

@@ -4,8 +4,9 @@
 //!
 //! * An **empty plan is bit-transparent**: wiring `GridPlan::none()`
 //!   explicitly through the scenario builder reproduces every committed
-//!   golden digest — the grid injector draws no RNG and perturbs no
-//!   telemetry on the inactive path.
+//!   golden digest — the grid injector draws no RNG on the inactive
+//!   path. (That it emits no telemetry either is pinned in
+//!   `tests/telemetry.rs`.)
 //! * **Active plans are deterministic**: campaigns mixing grid events
 //!   with fault injection are bit-identical across worker counts.
 //! * **Curtailment is complied with**: under SprintCon, grid-side draw
@@ -16,7 +17,7 @@
 
 mod golden;
 
-use golden::{busy_grid_plan, golden_fault_plan};
+use golden::{busy_grid_plan, golden_fault_plan, run_traced};
 use powersim::units::{Seconds, Watts};
 use simkit::exec::run_digest;
 use simkit::experiment::{run_policy, PolicyKind};
@@ -93,7 +94,7 @@ fn sprintcon_complies_with_curtailment_before_the_deadline() {
         ))
         .build()
         .expect("curtailment scenario is valid");
-    let out = run_policy(&sc, PolicyKind::SprintCon);
+    let out = run_traced(&sc, PolicyKind::SprintCon);
     let mut post_deadline = 0;
     for s in out.recorder.samples() {
         assert!(!s.tripped, "t={}: breaker tripped during curtailment", s.t);
@@ -112,9 +113,8 @@ fn sprintcon_complies_with_curtailment_before_the_deadline() {
     assert!(post_deadline > 80, "window under-sampled: {post_deadline}");
     assert_eq!(out.metrics.counter("grid.curtail_events"), 1);
     assert_eq!(
-        out.metrics.counter("grid.compliance_violations"),
-        0,
-        "engine-side compliance counter must agree"
+        out.summary.grid_violations, 0,
+        "engine-side compliance count must agree"
     );
     // The supervisor spent the event in its grid-curtail mode.
     assert!(
@@ -135,7 +135,9 @@ fn grid_events_and_faults_compose_deterministically() {
         .faults(golden_fault_plan())
         .build()
         .expect("grid+fault scenario is valid");
-    let a = run_policy(&sc, PolicyKind::SprintCon);
+    // One traced and one untraced replay: the digest must not see the
+    // collector either.
+    let a = run_traced(&sc, PolicyKind::SprintCon);
     let b = run_policy(&sc, PolicyKind::SprintCon);
     assert_eq!(run_digest(&a), run_digest(&b), "replay diverged");
     for s in a.recorder.samples() {

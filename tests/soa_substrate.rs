@@ -46,24 +46,19 @@ fn golden_digests_unchanged() {
 }
 
 /// Run `kind` over `sc` through either the batched slab pass or the
-/// scalar per-core reference path, reproducing the instrumented run body
-/// (`run_policy`) so the digests cover the telemetry snapshot too.
+/// scalar per-core reference path, reproducing the run body of
+/// `run_policy`.
 fn digest_with_stepping(sc: &Scenario, kind: PolicyKind, reference: bool) -> u64 {
-    let collector = Arc::new(Collector::new(Box::new(NullSink)));
-    let out = with_collector(Arc::clone(&collector), || {
-        let mut sim = sc.build();
-        sim.set_reference_stepping(reference);
-        let mut policy = kind.build();
-        let recorder = sim.run(policy.as_mut(), sc.duration);
-        let summary = RunSummary::from_run(kind.name(), &sim, &recorder);
-        collector.flush();
-        RunOutput {
-            recorder,
-            summary,
-            metrics: collector.snapshot(),
-        }
-    });
-    run_digest(&out)
+    let mut sim = sc.build();
+    sim.set_reference_stepping(reference);
+    let mut policy = kind.build();
+    let recorder = sim.run(policy.as_mut(), sc.duration);
+    let summary = RunSummary::from_run(kind.name(), &sim, &recorder);
+    run_digest(&RunOutput {
+        recorder,
+        summary,
+        metrics: Default::default(),
+    })
 }
 
 proptest! {
@@ -71,7 +66,7 @@ proptest! {
 
     /// For arbitrary scenarios, policies, and fault plans, the batched
     /// SoA power pass and the scalar per-core reference path produce
-    /// bit-identical run digests (samples, events, summary, telemetry).
+    /// bit-identical run digests (samples, events, summary).
     #[test]
     fn batched_pass_matches_scalar_reference(
         seed in 0u64..10_000,
