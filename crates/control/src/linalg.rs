@@ -80,11 +80,6 @@ impl Mat {
         t
     }
 
-    /// Iterate over the rows as contiguous slices (row-major layout).
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
-    }
-
     /// Matrix–vector product.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, x.len(), "matvec shape mismatch");

@@ -63,11 +63,24 @@ fn steps_fed(lp: usize, lc: usize, b: usize) -> usize {
 
 /// Eq. (7) reference trajectory: the power wanted `steps` periods ahead,
 /// approaching `target` exponentially from the measured feedback `p_fb`
-/// with time constant `tau_r`. Free function so the hot-path assembly
-/// (which holds field borrows) and [`MpcController::reference`] share one
-/// definition.
+/// with time constant `tau_r`: `target − decay·(target − p_fb)` with
+/// `decay = e^(−steps·Ts/τ_r)`. The controller computes the decays of
+/// its `Lp` steps once, at construction, and its hot-path assembly
+/// (which holds field borrows) feeds them to the same private helper
+/// this function uses, so every path evaluates the same floating-point
+/// operations.
 pub fn reference_at(target: f64, p_fb: f64, steps: usize, period: f64, tau_r: f64) -> f64 {
-    let decay = (-(steps as f64) * period / tau_r).exp();
+    reference_from_decay(target, p_fb, reference_decay(steps, period, tau_r))
+}
+
+/// The Eq. (7) decay `e^(−steps·Ts/τ_r)`: the share of the gap between
+/// feedback and set point still open `steps` periods ahead.
+fn reference_decay(steps: usize, period: f64, tau_r: f64) -> f64 {
+    (-(steps as f64) * period / tau_r).exp()
+}
+
+/// Eq. (7) from a precomputed decay: `target − decay·(target − p_fb)`.
+fn reference_from_decay(target: f64, p_fb: f64, decay: f64) -> f64 {
     target - decay * (target - p_fb)
 }
 
@@ -117,7 +130,11 @@ impl MpcConfig {
 /// The MPC power controller over `N` actuated channels (batch cores).
 #[derive(Debug, Clone)]
 pub struct MpcController {
-    pub cfg: MpcConfig,
+    /// Private so that `decays` cannot go stale.
+    cfg: MpcConfig,
+    /// Eq. (7) decay for each prediction step `1..=Lp` (index `step − 1`),
+    /// computed once from `cfg`.
+    decays: Vec<f64>,
     /// Per-channel power gains `kⱼ` (watts per unit normalized
     /// frequency), from the linear model of Eq. (2)/(3).
     gains: Vec<f64>,
@@ -145,7 +162,7 @@ pub struct MpcController {
 
 /// Scratch for the structured backend: the per-block coupling scalars
 /// plus the diagonal/linear terms and solution over the full `n·Lc`
-/// decision vector, and the solver's `2n` kernel scratch. Sized once at
+/// decision vector, and the solver's `4n` kernel scratch. Sized once at
 /// construction; the hot path rebuilds them in place.
 #[derive(Debug, Clone, Default)]
 struct StructuredBuffers {
@@ -157,8 +174,8 @@ struct StructuredBuffers {
     g: Vec<f64>,
     /// Solution vector, length `n·Lc`.
     x: Vec<f64>,
-    /// Root-find kernel scratch (curvatures and slope shares), length
-    /// `2n`, shared by the blocks.
+    /// Root-find kernel scratch (curvatures and slope shares of the two
+    /// blocks a lockstep pair solves at once), length `4n`.
     kernel: Vec<f64>,
     /// Per-block coupling-scalar roots `u_b = kᵀy_b` carried across
     /// control periods as warm-start hints (NaN = cold). The solver's
@@ -214,6 +231,9 @@ impl MpcController {
         let qp = QpProblem::new(Mat::zeros(dim, dim), vec![0.0; dim], lo, hi);
         MpcController {
             cfg,
+            decays: (1..=cfg.lp)
+                .map(|step| reference_decay(step, cfg.period, cfg.tau_r))
+                .collect(),
             gains,
             fmax,
             r: vec![1.0; n],
@@ -226,7 +246,7 @@ impl MpcController {
                 d: vec![0.0; dim],
                 g: vec![0.0; dim],
                 x: vec![0.0; dim],
-                kernel: vec![0.0; 2 * n],
+                kernel: vec![0.0; 4 * n],
                 warm_u: vec![f64::NAN; cfg.lc],
             },
         }
@@ -234,6 +254,11 @@ impl MpcController {
 
     pub fn backend(&self) -> MpcBackend {
         self.backend
+    }
+
+    /// The static configuration the controller was built with.
+    pub fn cfg(&self) -> &MpcConfig {
+        &self.cfg
     }
 
     /// Switch solvers in place (state is per-period, so this is safe at
@@ -251,13 +276,6 @@ impl MpcController {
         assert_eq!(r.len(), self.gains.len());
         assert!(r.iter().all(|v| v.is_finite() && *v >= 0.0));
         self.r.copy_from_slice(r);
-    }
-
-    /// Update the model gains (e.g. from the RLS estimator).
-    pub fn set_gains(&mut self, gains: &[f64]) {
-        assert_eq!(gains.len(), self.gains.len());
-        assert!(gains.iter().all(|&k| k > 0.0));
-        self.gains.copy_from_slice(gains);
     }
 
     pub fn gains(&self) -> &[f64] {
@@ -330,9 +348,9 @@ impl MpcController {
         for b in 0..lc {
             sb.c[b] = 2.0 * q * steps_fed(lp, lc, b) as f64;
         }
-        for step in 1..=lp {
+        for (step, &decay) in (1..=lp).zip(&self.decays) {
             let b = step.min(lc) - 1;
-            let reference = reference_at(target, p_fb, step, self.cfg.period, self.cfg.tau_r);
+            let reference = reference_from_decay(target, p_fb, decay);
             let bn = reference - p_fb + kf;
             for j in 0..n {
                 sb.g[b * n + j] += -2.0 * q * bn * self.gains[j];
@@ -400,9 +418,9 @@ impl MpcController {
         // Tracking terms: q·(kᵀ y_b − b_n)² with
         // b_n = p_r(n) − p_fb + kᵀ f_now.
         let kf: f64 = self.gains.iter().zip(f_now).map(|(k, f)| k * f).sum();
-        for step in 1..=lp {
+        for (step, &decay) in (1..=lp).zip(&self.decays) {
             let b = step.min(lc) - 1; // control block feeding this step
-            let reference = reference_at(target, p_fb, step, self.cfg.period, self.cfg.tau_r);
+            let reference = reference_from_decay(target, p_fb, decay);
             let bn = reference - p_fb + kf;
             let q = self.cfg.q;
             for j in 0..n {

@@ -435,11 +435,6 @@ impl PowerLoadAllocator {
         self.fb_bias = (1.0 - alpha) * self.fb_bias + alpha * sample;
     }
 
-    /// Current bias estimate (diagnostics, tests).
-    pub fn feedback_bias(&self) -> f64 {
-        self.fb_bias
-    }
-
     /// Advance time; runs the slow (30 s) re-allocation when due, and
     /// re-evaluates `P_batch` against the current CB phase every call so
     /// the budget steps with the overload schedule (Fig. 7a).
@@ -513,10 +508,6 @@ impl PowerLoadAllocator {
 
     pub fn p_batch_bounds(&self) -> (Watts, Watts) {
         (self.p_batch_min, self.p_batch_max)
-    }
-
-    pub fn schedule_kind(&self) -> ScheduleKind {
-        self.scheduler.kind
     }
 }
 

@@ -2,7 +2,7 @@
 //! tracking the allocator's `P_batch` using the Eq. (6) feedback estimate.
 
 use crate::config::SprintConConfig;
-use powersim::cpu::FreqScale;
+use powersim::cpu::SnapLadder;
 use powersim::server::{InteractivePowerModel, LinearServerModel};
 use powersim::units::{NormFreq, Seconds, Utilization, Watts};
 use sprint_control::mpc::{MpcController, MpcDecision};
@@ -21,8 +21,13 @@ pub struct ServerPowerController {
     batch_models: Vec<LinearServerModel>,
     batch_cores_per_server: usize,
     num_servers: usize,
-    /// The DVFS ladder the commands will be snapped to.
-    freq_scale: FreqScale,
+    /// The DVFS ladder the commands are snapped to, tabulated once.
+    /// Commands are snapped by error diffusion: each core's rounding
+    /// error is carried to the next core, so the *aggregate* frequency
+    /// (and hence the rack's batch power) stays within one P-state step
+    /// of the optimum instead of limit-cycling in 64-core quantization
+    /// jumps.
+    ladder: SnapLadder,
     /// Classical fallback loop: takes over when the QP would see a
     /// non-finite input (degradation-ladder rung 3).
     fallback_pid: Pid,
@@ -75,30 +80,11 @@ impl ServerPowerController {
             batch_models,
             batch_cores_per_server: m,
             num_servers: cfg.num_servers,
-            freq_scale: cfg.server.freq_scale,
+            ladder: SnapLadder::new(cfg.server.freq_scale),
             fallback_pid,
             last_finite_p_fb: 0.0,
             fallback_was_active: false,
             weight_scratch: Vec::with_capacity(n),
-        }
-    }
-
-    /// Snap the continuous MPC commands to the DVFS ladder with
-    /// error-diffusion rounding: each core's rounding error is carried to
-    /// the next core, so the *aggregate* frequency (and hence the rack's
-    /// batch power) stays within one P-state step of the optimum instead
-    /// of limit-cycling in 64-core quantization jumps.
-    fn quantize_with_diffusion(&self, freqs: &mut [f64]) {
-        let step = self.freq_scale.step;
-        if step <= 0.0 {
-            return;
-        }
-        let mut carry = 0.0;
-        for f in freqs.iter_mut() {
-            let wanted = *f + carry;
-            let snapped = self.freq_scale.quantize(NormFreq(wanted)).0;
-            carry = wanted - snapped;
-            *f = snapped;
         }
     }
 
@@ -140,7 +126,7 @@ impl ServerPowerController {
                 .map(|(s, bm)| {
                     let slice = &batch_freqs[s * m..(s + 1) * m];
                     let mean = slice.iter().sum::<f64>() / m as f64;
-                    bm.predict(powersim::units::NormFreq(mean)).0
+                    bm.predict(NormFreq(mean)).0
                 })
                 .sum(),
         )
@@ -193,7 +179,7 @@ impl ServerPowerController {
         let p_fb = self.feedback_power(p_total, utils);
         self.last_finite_p_fb = p_fb.0;
         let mut decision = self.mpc.compute(p_fb.0, p_batch_target.0, current_freqs);
-        self.quantize_with_diffusion(&mut decision.freqs);
+        self.ladder.diffuse(&mut decision.freqs);
         decision
     }
 
@@ -210,7 +196,7 @@ impl ServerPowerController {
         };
         let f = self.fallback_pid.step(target, self.last_finite_p_fb);
         let mut freqs = vec![f; self.num_channels()];
-        self.quantize_with_diffusion(&mut freqs);
+        self.ladder.diffuse(&mut freqs);
         let predicted_power = self.model_predicted_batch_power(&freqs).0;
         // Open-loop estimate: assume the plant lands where the model
         // says, so consecutive blind periods don't integrate on a frozen
@@ -242,7 +228,6 @@ mod tests {
     use super::*;
     use powersim::cpu::CoreRole;
     use powersim::rack::Rack;
-    use powersim::units::NormFreq;
     use workloads::progress_model::ProgressModel;
 
     fn cfg() -> SprintConConfig {

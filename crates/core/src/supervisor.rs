@@ -158,9 +158,6 @@ pub struct SprintCon {
     /// market (`rated + grant`); `None` — the single-rack default —
     /// leaves every target untouched. See [`Self::apply_feeder_grant`].
     feeder_cap: Option<Watts>,
-    /// Most recent open-loop queue measurement (store-only, like the
-    /// market methods).
-    last_queue: Option<QueueMeasurement>,
     /// Grid signals observed at the top of the current period; the
     /// default (no signals) leaves every code path bit-identical.
     active_grid: ActiveGrid,
@@ -186,7 +183,6 @@ impl SprintCon {
             stale_for: Seconds::ZERO,
             sensor_degraded: false,
             feeder_cap: None,
-            last_queue: None,
             active_grid: ActiveGrid::default(),
         })
     }
@@ -208,14 +204,6 @@ impl SprintCon {
     /// Access the server controller (model queries, tests, benches).
     pub fn server_controller(&self) -> &ServerPowerController {
         &self.server_ctrl
-    }
-
-    /// The most recent open-loop queue measurement handed to
-    /// [`Self::step`], if any — the tail-latency signal ablation
-    /// harnesses read alongside the mode. Store-only, like the market
-    /// methods below.
-    pub fn queue_measurement(&self) -> Option<QueueMeasurement> {
-        self.last_queue
     }
 
     // --- datacenter headroom market (two-level §IV-C generalization) ---
@@ -461,7 +449,6 @@ impl SprintCon {
         );
         assert_eq!(inputs.jobs.len(), self.server_ctrl.num_channels());
         self.now += dt;
-        self.last_queue = inputs.queue;
         self.active_grid = inputs.grid;
 
         // Price spikes raise the sprint-entry bar: the breaker must be

@@ -27,6 +27,9 @@ pub enum CoreRole {
 ///
 /// Frequencies are normalized to the peak; `step` is the granularity in
 /// normalized units (e.g. 0.05 ≙ 100 MHz steps on a 2 GHz part).
+/// [`Self::quantize`] snaps one request; [`SnapLadder`] tabulates the
+/// ladder once so that a controller can snap a whole command vector by
+/// error diffusion without a division or a rounding per core.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreqScale {
     pub min: NormFreq,
@@ -151,6 +154,162 @@ impl CoreState {
     }
 }
 
+/// Ladders with more P-states than this get no threshold table; their
+/// [`SnapLadder::diffuse`] snaps every lane through
+/// [`FreqScale::quantize`].
+const MAX_TABLE_STATES: usize = 1 << 12;
+
+/// A [`FreqScale`] tabulated for error-diffusion snapping: the same
+/// P-states as [`FreqScale::quantize`], found by comparisons instead of
+/// a division and a rounding.
+///
+/// `quantize` clamps, subtracts, divides, rounds, multiply-adds and
+/// takes a `min`. Each step is a correctly rounded, monotone operation,
+/// so the ladder index `k` it lands on is a non-decreasing step function
+/// of the input, and index `k ≥ 1` is reached from exactly one float
+/// threshold `T_k` on. The table holds each `T_k`, found by bisection
+/// over float bit patterns against `quantize` itself and checked on both
+/// sides, and each P-state `P_k = (min + k·step).min(max)` computed as
+/// `quantize` computes it. Looking an input up in the table therefore
+/// returns `quantize`'s result bit for bit.
+///
+/// Ladders whose P-states do not strictly increase, with non-finite
+/// parameters or with 4096 steps or more between `min` and `max` get no
+/// table: every lane then takes the `quantize` fallback of
+/// [`Self::diffuse`].
+#[derive(Debug, Clone)]
+pub struct SnapLadder {
+    scale: FreqScale,
+    /// `T_k` for `k = −1..=K+2` at index `k + 1`, padded with `−∞` for
+    /// `k ≤ 0` and `+∞` for `k > K`, so that every hint `n ∈ 0..=K` has
+    /// the window `T_{n−1}..=T_{n+2}`. Four NaNs (which fail every
+    /// comparison) for a ladder without a table.
+    thresholds: Vec<f64>,
+    /// `P_k` for `k = −1..=K+1` at index `k + 1`; the NaN padding is
+    /// never selected.
+    states: Vec<f64>,
+    /// The top ladder index `K`.
+    top: usize,
+    /// `1/step`, for the per-lane index hint.
+    inv_step: f64,
+}
+
+/// Map a non-NaN float to an integer with the same order (`−0.0` sits
+/// just below `+0.0`), so bisection can walk adjacent floats.
+fn order_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+impl SnapLadder {
+    /// Tabulate `scale`. A continuous scale (`step ≤ 0`) needs no table.
+    pub fn new(scale: FreqScale) -> Self {
+        let (min, max, step) = (scale.min.0, scale.max.0, scale.step);
+        let mut ladder = SnapLadder {
+            scale,
+            thresholds: vec![f64::NAN; 4],
+            states: vec![f64::NAN; 3],
+            top: 0,
+            inv_step: 1.0 / step,
+        };
+        let tabulable = step > 0.0
+            && min.is_finite()
+            && max.is_finite()
+            && step.is_finite()
+            && min <= max
+            && (max - min) / step < MAX_TABLE_STATES as f64;
+        if !tabulable {
+            return ladder;
+        }
+        let states: Vec<f64> = scale.states().into_iter().map(|p| p.0).collect();
+        if states.windows(2).any(|p| p[0] >= p[1]) {
+            return ladder;
+        }
+        let top = states.len() - 1;
+        let mut thresholds = Vec::with_capacity(top + 4);
+        thresholds.extend([f64::NEG_INFINITY; 2]);
+        let mut lo = order_key(min);
+        for &p_k in &states[1..] {
+            // quantize(w) ≥ P_k ⟺ the index of w is at least k, because
+            // quantize is monotone and the P-states strictly increase.
+            let reaches = |key: u64| scale.quantize(NormFreq(from_order_key(key))).0 >= p_k;
+            let mut hi = order_key(max);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if reaches(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            assert!(
+                reaches(hi) && !reaches(hi - 1),
+                "DVFS snap threshold is not tight"
+            );
+            thresholds.push(from_order_key(hi));
+        }
+        thresholds.extend([f64::INFINITY; 2]);
+        ladder.states = std::iter::once(f64::NAN)
+            .chain(states)
+            .chain(std::iter::once(f64::NAN))
+            .collect();
+        ladder.thresholds = thresholds;
+        ladder.top = top;
+        ladder
+    }
+
+    /// Snap `freqs` onto the ladder by error diffusion, in place: each
+    /// lane's rounding error is carried into the next lane, exactly as
+    ///
+    /// ```text
+    /// w = f + carry;  f ← quantize(w);  carry = w − f
+    /// ```
+    ///
+    /// bit for bit, including NaN and infinite lanes. Each lane's own
+    /// index is a hint computed from `f` alone, off the carry chain; on
+    /// the chain `w` is compared against at most two thresholds to pick
+    /// index n−1, n or n+1 of the hint. Anything else (NaN, a carry wider
+    /// than one step, a ladder without a table) falls back to
+    /// `quantize(w)`. A continuous ladder leaves `freqs` unchanged.
+    /// Allocates nothing.
+    pub fn diffuse(&self, freqs: &mut [f64]) {
+        if self.scale.step <= 0.0 {
+            return;
+        }
+        let (min, inv_step, top) = (self.scale.min.0, self.inv_step, self.top);
+        let mut carry = 0.0;
+        for f in freqs.iter_mut() {
+            // The hint only steers the lookup; the window check below
+            // proves the index, so a hint off by one costs a fallback.
+            let n = (((*f - min) * inv_step + 0.5) as usize).min(top);
+            let t = &self.thresholds[n..n + 4];
+            let p = &self.states[n..n + 3];
+            let w = *f + carry;
+            let snapped = if t[0] <= w && w < t[3] {
+                let lower = if w >= t[1] { p[1] } else { p[0] };
+                if w >= t[2] {
+                    p[2]
+                } else {
+                    lower
+                }
+            } else {
+                self.scale.quantize(NormFreq(w)).0
+            };
+            carry = w - snapped;
+            *f = snapped;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +340,139 @@ mod tests {
     fn continuous_scale_does_not_quantize() {
         let s = FreqScale::continuous();
         assert_eq!(s.quantize(NormFreq(0.512345)), NormFreq(0.512345));
+    }
+
+    fn ladder(min: f64, max: f64, step: f64) -> FreqScale {
+        FreqScale {
+            min: NormFreq(min),
+            max: NormFreq(max),
+            step,
+            peak_mhz: 2000.0,
+        }
+    }
+
+    /// The paper ladder, a step that does not divide `max − min`, a tiny
+    /// step with more than 1000 states, a single state, a ladder through
+    /// zero, a continuous one and one too fine to tabulate.
+    fn fixed_ladders() -> Vec<FreqScale> {
+        vec![
+            FreqScale::paper_default(),
+            ladder(0.2, 1.0, 0.3),
+            ladder(0.2, 1.0, 0.0007),
+            ladder(0.4, 0.4, 0.05),
+            ladder(-0.0, 0.75, 0.1),
+            ladder(-0.35, 0.6, 0.125),
+            FreqScale::continuous(),
+            ladder(0.2, 1.0, 1e-5),
+        ]
+    }
+
+    /// The loop [`SnapLadder::diffuse`] replaced: the bit-identity oracle.
+    fn chained_quantize(scale: &FreqScale, freqs: &mut [f64]) {
+        if scale.step <= 0.0 {
+            return;
+        }
+        let mut carry = 0.0;
+        for f in freqs.iter_mut() {
+            let w = *f + carry;
+            let snapped = scale.quantize(NormFreq(w)).0;
+            carry = w - snapped;
+            *f = snapped;
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn snap_thresholds_are_tight() {
+        for scale in fixed_ladders() {
+            let snap = SnapLadder::new(scale);
+            let (t, p) = (&snap.thresholds, &snap.states);
+            let top = snap.top;
+            // The oracle's index of w: the P-state quantize lands on.
+            let index = |w: f64| {
+                let q = scale.quantize(NormFreq(w)).0;
+                (0..=top)
+                    .find(|&k| p[k + 1].to_bits() == q.to_bits())
+                    .expect("quantize lands on a tabulated P-state")
+            };
+            for k in 1..=top {
+                let t_k = t[k + 1];
+                assert!(
+                    index(t_k) >= k,
+                    "{scale:?}: T_{k} = {t_k} is below index {k}"
+                );
+                assert!(
+                    index(t_k.next_down()) < k,
+                    "{scale:?}: T_{k} = {t_k} is not tight"
+                );
+            }
+        }
+        let sizes: Vec<usize> = fixed_ladders()
+            .into_iter()
+            .map(|scale| SnapLadder::new(scale).top)
+            .collect();
+        assert_eq!(sizes[..4], [16, 3, 1143, 0]);
+        // The continuous ladder and the over-fine one keep no table.
+        assert!(SnapLadder::new(ladder(0.2, 1.0, 1e-5)).thresholds[0].is_nan());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `diffuse` is chained `quantize` bit for bit, on fixed and
+        /// random ladders, for 0–70 lanes drawn inside and outside
+        /// `[min, max]`, on P-states and midpoints, within a few ulps of
+        /// every threshold, and NaN, ±∞ and ±0.
+        #[test]
+        fn diffuse_is_bitwise_chained_quantize(
+            seed in 0u64..1_000_000_000,
+            min in -0.5f64..0.8,
+            width in 0.0f64..1.5,
+            states in 1u64..40,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut r = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let mut scales = fixed_ladders();
+            scales.push(ladder(min, min + width, width / (states as f64 - 0.5 * r())));
+            for scale in scales {
+                let snap = SnapLadder::new(scale);
+                let (lo, hi) = (scale.min.0, scale.max.0);
+                let thresholds = &snap.thresholds[2..snap.top + 2];
+                for n in 0..=70 {
+                    let want: Vec<f64> = (0..n)
+                        .map(|_| match (r() * 12.0) as usize {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            3 => if r() < 0.5 { 0.0 } else { -0.0 },
+                            4 => lo - (hi - lo + 0.1) * r(),
+                            5 => hi + (hi - lo + 0.1) * r(),
+                            6 => scale.quantize(NormFreq(lo + (hi - lo) * r())).0,
+                            7 => lo + scale.step * ((r() * 40.0) as usize as f64 + 0.5),
+                            8 | 9 if !thresholds.is_empty() => {
+                                let t = thresholds[(r() * thresholds.len() as f64) as usize];
+                                let ulps = (r() * 7.0) as i64 - 3;
+                                f64::from_bits((t.to_bits() as i64 + ulps) as u64)
+                            }
+                            _ => lo + (hi - lo) * r(),
+                        })
+                        .collect();
+                    let mut got = want.clone();
+                    let mut oracle = want.clone();
+                    snap.diffuse(&mut got);
+                    chained_quantize(&scale, &mut oracle);
+                    proptest::prop_assert!(bits(&got) == bits(&oracle), "{scale:?} n={n}: {want:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod units;
 pub mod ups;
 
 pub use breaker::{BreakerSpec, CircuitBreaker};
-pub use cpu::{CoreRole, FreqScale};
+pub use cpu::{CoreRole, FreqScale, SnapLadder};
 pub use datacenter::{Datacenter, DatacenterOutcome, DatacenterTopology, PduSpec, TopologyError};
 pub use faults::{ActiveFaults, FaultEvent, FaultInjector, FaultKind, FaultPlan, StochasticFault};
 pub use grid::{

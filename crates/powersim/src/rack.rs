@@ -269,15 +269,22 @@ impl RoleViewMut<'_> {
         self.scale.quantize(f)
     }
 
-    /// Set one lane's frequency through the DVFS ladder.
+    /// Set one lane's frequency through the DVFS ladder. A non-finite
+    /// request holds the lane, as in [`RoleViewMut::set_freqs`].
     pub fn set_freq(&mut self, lane: usize, f: NormFreq) {
-        self.freqs[lane] = self.scale.quantize(f).0;
+        let dst = &mut self.freqs[lane];
+        if f.0.is_finite() {
+            *dst = self.scale.quantize(f).0;
+        }
     }
 
-    /// Pin every lane of the role to `f` (quantized once).
+    /// Pin every lane of the role to `f` (quantized once). A non-finite
+    /// request holds every lane, as in [`RoleViewMut::set_freqs`].
     pub fn fill_freq(&mut self, f: NormFreq) {
-        let q = self.scale.quantize(f).0;
-        self.freqs.fill(q);
+        if f.0.is_finite() {
+            let q = self.scale.quantize(f).0;
+            self.freqs.fill(q);
+        }
     }
 
     /// Write one frequency per lane through the DVFS ladder in a single
@@ -441,9 +448,15 @@ impl Rack {
 
     // -- per-core accessors (lane math; hot paths use the views) -------
 
+    /// Set one core's frequency through the DVFS ladder. A non-finite
+    /// request holds the core's current frequency, as every other DVFS
+    /// setter does (real firmware rejects garbage rather than
+    /// programming it).
     pub fn set_freq(&mut self, id: CoreId, f: NormFreq) {
         let lane = self.lane(id);
-        self.state.freq[lane] = self.spec.freq_scale.quantize(f).0;
+        if f.0.is_finite() {
+            self.state.freq[lane] = self.spec.freq_scale.quantize(f).0;
+        }
     }
 
     /// Write a frequency lane without the DVFS ladder snap — ideal
@@ -1021,6 +1034,28 @@ mod tests {
         let id = CoreId { server: 1, core: 1 }; // lane 5 = 1*4 + 1
         assert!((rack.freq(id).0 - 0.50).abs() < 1e-12);
         assert!((rack.util(id).0 - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dvfs_setters_hold_lanes_on_non_finite_requests() {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rack = paper_rack();
+        rack.set_role_freq(CoreRole::Batch, NormFreq(0.4));
+        let id = rack.cores_with_role(CoreRole::Batch)[3];
+        for f in bad {
+            rack.set_freq(id, NormFreq(f));
+            rack.set_role_freq(CoreRole::Batch, NormFreq(f));
+            let mut bv = rack.role_mut(CoreRole::Batch);
+            bv.set_freq(0, NormFreq(f));
+            bv.fill_freq(NormFreq(f));
+            let n = bv.len();
+            bv.set_freqs(&vec![f; n]);
+            let held = rack.role(CoreRole::Batch).freqs.iter().all(|&v| v == 0.4);
+            assert!(held, "a request of {f} moved a batch lane");
+        }
+        // Finite requests still snap through the ladder.
+        rack.set_freq(id, NormFreq(0.93));
+        assert_eq!(rack.freq(id), NormFreq(0.95));
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl Recorder {
         }
     }
 
-    /// Whether this recorder folds instead of retaining samples.
-    pub fn is_streaming(&self) -> bool {
-        self.stream.is_some()
-    }
-
     /// Streaming mode: the contiguous `cb_power` lane of the current
     /// epoch (everything pushed since the last
     /// [`Recorder::clear_epoch_lane`]). `None` under full retention.

@@ -77,12 +77,6 @@ pub fn gauge_track_min(name: &str, v: f64) {
     with_active(|c| c.metrics.gauge(name).track_min(v));
 }
 
-/// Keep the running maximum of gauge `name`.
-#[inline]
-pub fn gauge_track_max(name: &str, v: f64) {
-    with_active(|c| c.metrics.gauge(name).track_max(v));
-}
-
 /// Observe `v` into histogram `name` (exponential buckets by default).
 #[inline]
 pub fn histogram_observe(name: &str, v: f64) {

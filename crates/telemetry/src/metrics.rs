@@ -448,26 +448,6 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Human-readable multi-line rendering (counters and gauges only by
-    /// default; histograms are summarized as count/mean).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("{k} = {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("{k} = {v:.6}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "{k} = {{count: {}, mean: {:.3}}}\n",
-                h.count,
-                h.mean()
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]

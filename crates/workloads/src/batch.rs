@@ -93,12 +93,6 @@ impl BatchJob {
         (self.total_work - self.done_work).max(0.0)
     }
 
-    /// Predicted remaining execution time if the core runs at normalized
-    /// frequency `f` from now on.
-    pub fn remaining_time_at(&self, f: f64) -> Seconds {
-        Seconds(self.remaining_work() * self.model.time_scale(f))
-    }
-
     /// The execution *rate* (in peak-core units) needed from `now` to
     /// finish exactly at the deadline; `None` once the deadline has
     /// passed with work outstanding (no finite rate suffices) or the job

@@ -15,6 +15,12 @@
 //! Unlike the real crate there is no shrinking and no persisted failure
 //! seeds: cases are generated from a deterministic per-test RNG (seeded from
 //! the test name), so every failure reproduces exactly on re-run.
+//!
+//! `PROPTEST_CASES` also differs from upstream. Upstream reads it into
+//! the *default* configuration only, so a block that sets
+//! `with_cases(N)` ignores it. Here it is a floor on every block's case
+//! count (see [`ProptestConfig::cases_to_run`]), so one variable deepens
+//! every property suite at once; it never lowers a count.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -28,6 +34,19 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
+
+    /// The number of cases a block runs: the configured count, raised to
+    /// `PROPTEST_CASES` when that variable holds a larger number.
+    pub fn cases_to_run(&self) -> u32 {
+        cases_with_floor(self.cases, std::env::var("PROPTEST_CASES").ok().as_deref())
+    }
+}
+
+/// `configured`, raised to the case count in `floor` if it parses and is
+/// larger.
+fn cases_with_floor(configured: u32, floor: Option<&str>) -> u32 {
+    let floor = floor.and_then(|v| v.trim().parse::<u32>().ok());
+    configured.max(floor.unwrap_or(0))
 }
 
 impl Default for ProptestConfig {
@@ -305,15 +324,16 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
+            let cases = config.cases_to_run();
             let mut rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
-            for case in 0..config.cases {
+            for case in 0..cases {
                 $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)+
                 let result: ::core::result::Result<(), $crate::TestCaseError> =
                     (move || { $body ::core::result::Result::Ok(()) })();
                 if let ::core::result::Result::Err(e) = result {
                     panic!(
                         "proptest `{}` failed on case {}/{}: {}",
-                        stringify!($name), case + 1, config.cases, e
+                        stringify!($name), case + 1, cases, e
                     );
                 }
             }
@@ -334,6 +354,14 @@ mod tests {
         let (va, vb, vc) = (a.next_u64(), b.next_u64(), c.next_u64());
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn proptest_cases_is_a_floor() {
+        assert_eq!(crate::cases_with_floor(24, None), 24);
+        assert_eq!(crate::cases_with_floor(24, Some("64")), 64);
+        assert_eq!(crate::cases_with_floor(256, Some("64")), 256);
+        assert_eq!(crate::cases_with_floor(24, Some("many")), 24);
     }
 
     #[test]
