@@ -2,8 +2,7 @@
 //!
 //! One binary per paper artifact (see DESIGN.md §4's experiment index);
 //! each prints the series/rows as aligned text and writes CSV under
-//! `target/figures/`. The criterion benches in `benches/` measure the
-//! hot paths (QP/MPC solves, simulation ticks, end-to-end runs).
+//! `target/figures/`.
 
 #![forbid(unsafe_code)]
 
