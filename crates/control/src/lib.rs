@@ -19,12 +19,10 @@
 //!   settling-time estimates
 //!   (the §V-C allocator/controller timing contract).
 //! * [`stability`] — closed-loop pole analysis under model error (§V-C).
-//! * [`estimator`] — recursive least squares for online gain adaptation.
 //! * [`kalman`] — scalar Kalman smoothing for noisy power measurements.
 
 #![forbid(unsafe_code)]
 
-pub mod estimator;
 pub mod kalman;
 pub mod linalg;
 pub mod mpc;
@@ -34,7 +32,6 @@ pub mod qp_structured;
 pub mod reference;
 pub mod stability;
 
-pub use estimator::{GainEstimator, Rls};
 pub use kalman::Kalman1d;
 pub use linalg::Mat;
 pub use mpc::{MpcBackend, MpcConfig, MpcController, MpcDecision};

@@ -3,13 +3,13 @@
 //! The MPC and stability machinery needs matrices of a few hundred
 //! elements at most (decision dimension = batch cores × control horizon).
 //! No offline linalg crate is available, so this module provides exactly
-//! what the rest of the crate uses: row-major dense matrices, the usual
-//! products, Cholesky factorization for SPD solves, and Frobenius norms.
-//! Everything is `f64`, allocation-explicit, and panics on shape errors —
-//! shape bugs are programmer errors, not runtime conditions.
+//! what the rest of the crate uses: row-major dense matrices, the
+//! matrix–vector products of the dense QP and the stability analysis,
+//! and Cholesky factorization for SPD solves. Everything is `f64`,
+//! allocation-explicit, and panics on shape errors — shape bugs are
+//! programmer errors, not runtime conditions.
 
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, Index, IndexMut};
 
 /// Row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,55 +90,19 @@ impl Mat {
         y
     }
 
-    /// `self.transpose().matvec(x)` without materializing the transpose.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, x.len(), "matvec_t shape mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (xi, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
-            for (yj, rj) in y.iter_mut().zip(row) {
-                *yj += rj * xi;
-            }
-        }
-        y
-    }
-
     /// Write-into matrix–vector product over the unrolled
     /// [`dot_unrolled`] kernel: no allocation, four independent
     /// accumulators per row so the compiler can keep the dot product in
     /// SIMD lanes. Numerically equivalent to [`Mat::matvec`] but *not*
     /// bit-identical (the accumulation order differs) — use it on
     /// tolerance-compared paths (the `DenseFista` oracle), never on
-    /// digest-frozen ones (the estimator pipeline stays on `matvec`).
+    /// digest-frozen ones.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(self.cols, x.len(), "matvec shape mismatch");
         assert_eq!(self.rows, y.len(), "matvec output shape mismatch");
         for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
             *yi = dot_unrolled(row, x);
         }
-    }
-
-    /// Write-into transposed product over the unrolled [`axpy_unrolled`]
-    /// kernel; the transpose analogue of [`Mat::matvec_into`] with the
-    /// same tolerance-only equivalence caveat versus [`Mat::matvec_t`].
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(self.rows, x.len(), "matvec_t shape mismatch");
-        assert_eq!(self.cols, y.len(), "matvec_t output shape mismatch");
-        y.fill(0.0);
-        for (xi, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
-            axpy_unrolled(*xi, row, y);
-        }
-    }
-
-    pub fn scale(&self, s: f64) -> Mat {
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
@@ -239,26 +203,6 @@ impl IndexMut<(usize, usize)> for Mat {
     }
 }
 
-impl Mul<&Mat> for &Mat {
-    type Output = Mat;
-    fn mul(self, rhs: &Mat) -> Mat {
-        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        let mut out = Mat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
-    }
-}
-
 impl Add<&Mat> for &Mat {
     type Output = Mat;
     fn add(self, rhs: &Mat) -> Mat {
@@ -276,38 +220,6 @@ impl Add<&Mat> for &Mat {
                 .map(|(a, b)| a + b)
                 .collect(),
         }
-    }
-}
-
-impl Sub<&Mat> for &Mat {
-    type Output = Mat;
-    fn sub(self, rhs: &Mat) -> Mat {
-        assert!(
-            self.rows == rhs.rows && self.cols == rhs.cols,
-            "shape mismatch"
-        );
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-}
-
-impl fmt::Display for Mat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                write!(f, "{:>10.4} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
     }
 }
 
@@ -339,38 +251,6 @@ pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// `y ← y + alpha·x` with a 4-wide unrolled body — the vectorizable
-/// sibling of [`axpy`] (bit-identical here, since axpy has no cross-lane
-/// accumulation; the unroll only removes bounds checks and serializing
-/// loop overhead).
-pub fn axpy_unrolled(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy shape mismatch");
-    let mut qx = x.chunks_exact(4);
-    let mut qy = y.chunks_exact_mut(4);
-    for (cx, cy) in (&mut qx).zip(&mut qy) {
-        cy[0] += alpha * cx[0];
-        cy[1] += alpha * cx[1];
-        cy[2] += alpha * cx[2];
-        cy[3] += alpha * cx[3];
-    }
-    for (xi, yi) in qx.remainder().iter().zip(qy.into_remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y ← y + alpha·x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy shape mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
 /// Infinity norm.
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -392,37 +272,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_is_neutral() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Mat::identity(2);
-        assert_eq!(&a * &i, a);
-        assert_eq!(&i * &a, a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Mat::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
-        let c = &a * &b;
-        assert_eq!(c, Mat::from_rows(&[vec![58.0, 64.0], vec![139.0, 154.0]]));
-    }
-
-    #[test]
-    fn matvec_and_transpose_agree() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let x = vec![1.0, -1.0];
-        assert_eq!(a.matvec(&x), vec![-1.0, -1.0, -1.0]);
-        let y = vec![1.0, 0.0, 2.0];
-        assert_eq!(a.matvec_t(&y), a.transpose().matvec(&y));
-    }
-
-    #[test]
-    fn add_sub_scale() {
+    fn add_is_elementwise() {
         let a = Mat::from_rows(&[vec![1.0, 2.0]]);
         let b = Mat::from_rows(&[vec![3.0, 5.0]]);
         assert_eq!(&a + &b, Mat::from_rows(&[vec![4.0, 7.0]]));
-        assert_eq!(&b - &a, Mat::from_rows(&[vec![2.0, 3.0]]));
-        assert_eq!(a.scale(3.0), Mat::from_rows(&[vec![3.0, 6.0]]));
     }
 
     #[test]
@@ -433,8 +286,12 @@ mod tests {
             vec![0.6, 1.5, 2.8],
         ]);
         let l = a.cholesky().expect("SPD");
-        let back = &l * &l.transpose();
-        assert!((&back - &a).frobenius_norm() < 1e-10);
+        for i in 0..3 {
+            for j in 0..3 {
+                let llt: f64 = (0..3).map(|k| l[(i, k)] * l[(j, k)]).sum();
+                assert!((llt - a[(i, j)]).abs() < 1e-10, "({i}, {j}): {llt}");
+            }
+        }
     }
 
     #[test]
@@ -479,10 +336,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
     }
 
@@ -499,7 +352,6 @@ mod tests {
                 }
             }
             let x: Vec<f64> = (0..n).map(|j| ((j as f64) * 1.3).cos() * 2.0).collect();
-            let xt: Vec<f64> = (0..m).map(|i| ((i as f64) * 0.4).sin() - 0.5).collect();
 
             let naive = a.matvec(&x);
             let mut fast = vec![0.0; m];
@@ -508,23 +360,9 @@ mod tests {
                 assert!((u - v).abs() <= 1e-12 * (1.0 + u.abs()), "{u} vs {v}");
             }
 
-            let naive_t = a.matvec_t(&xt);
-            let mut fast_t = vec![0.0; n];
-            a.matvec_t_into(&xt, &mut fast_t);
-            for (u, v) in naive_t.iter().zip(&fast_t) {
-                assert!((u - v).abs() <= 1e-12 * (1.0 + u.abs()), "{u} vs {v}");
-            }
-
             assert!(
                 (dot_unrolled(&x, &x) - dot(&x, &x)).abs() <= 1e-12 * (1.0 + dot(&x, &x).abs())
             );
-            let mut y1: Vec<f64> = (0..n).map(|j| j as f64 * 0.1).collect();
-            let mut y2 = y1.clone();
-            axpy(1.7, &x, &mut y1);
-            axpy_unrolled(1.7, &x, &mut y2);
-            for (u, v) in y1.iter().zip(&y2) {
-                assert_eq!(u.to_bits(), v.to_bits(), "axpy unroll must be exact");
-            }
         }
     }
 
@@ -533,13 +371,5 @@ mod tests {
         let mut x = vec![-2.0, 0.5, 3.0];
         project_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
         assert_eq!(x, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn shape_mismatch_panics() {
-        let a = Mat::zeros(2, 3);
-        let b = Mat::zeros(2, 3);
-        let _ = &a * &b;
     }
 }

@@ -261,12 +261,6 @@ impl MpcController {
         &self.cfg
     }
 
-    /// Switch solvers in place (state is per-period, so this is safe at
-    /// any period boundary).
-    pub fn set_backend(&mut self, backend: MpcBackend) {
-        self.backend = backend;
-    }
-
     pub fn num_channels(&self) -> usize {
         self.gains.len()
     }
@@ -708,18 +702,6 @@ mod tests {
         assert!(d1.qp.kkt_residual < 1e-6);
         for (a, b) in d0.freqs.iter().zip(&d1.freqs) {
             assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn set_backend_switches_in_place() {
-        let mut ctrl = controller(3);
-        let a = ctrl.compute(30.0, 60.0, &[0.5; 3]);
-        ctrl.set_backend(MpcBackend::DenseFista);
-        assert_eq!(ctrl.backend(), MpcBackend::DenseFista);
-        let b = ctrl.compute(30.0, 60.0, &[0.5; 3]);
-        for (x, y) in a.freqs.iter().zip(&b.freqs) {
-            assert!((x - y).abs() < 1e-6);
         }
     }
 

@@ -252,11 +252,6 @@ impl SprintConConfig {
         self.num_servers * self.batch_cores_per_server()
     }
 
-    /// Total interactive cores on the rack.
-    pub fn total_interactive_cores(&self) -> usize {
-        self.num_servers * self.interactive_cores_per_server
-    }
-
     /// Rated breaker power.
     pub fn rated(&self) -> Watts {
         self.breaker.rated
@@ -373,7 +368,7 @@ mod tests {
         let c = SprintConConfig::paper_default();
         c.validate().expect("paper default must validate");
         assert_eq!(c.total_batch_cores(), 64);
-        assert_eq!(c.total_interactive_cores(), 64);
+        assert_eq!(c.num_servers * c.interactive_cores_per_server, 64);
         assert_eq!(c.rated(), Watts(3200.0));
         assert_eq!(c.overloaded(), Watts(4000.0));
     }

@@ -55,7 +55,6 @@
 
 pub mod allocator;
 pub mod bidding;
-pub mod chip_quota;
 pub mod config;
 pub mod server_controller;
 pub mod supervisor;
@@ -67,7 +66,6 @@ pub use bidding::{
     allocate_power_bids, BidAllocation, HeadroomAllocation, HeadroomBid, MarketOutcome,
     MarketWorkspace, PowerBid,
 };
-pub use chip_quota::{divide_quota, QuotaPolicy};
 pub use config::{ConfigError, SprintConConfig};
 pub use powersim::grid::ActiveGrid;
 pub use server_controller::ServerPowerController;

@@ -51,11 +51,6 @@ impl NoiseSource {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Standard normal via Box–Muller.
     pub fn gaussian(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
@@ -141,15 +136,6 @@ mod tests {
         for _ in 0..10_000 {
             let u = n.uniform();
             assert!((0.0..1.0).contains(&u));
-        }
-    }
-
-    #[test]
-    fn uniform_in_range() {
-        let mut n = NoiseSource::new(9);
-        for _ in 0..1000 {
-            let u = n.uniform_in(-3.0, 5.0);
-            assert!((-3.0..5.0).contains(&u));
         }
     }
 

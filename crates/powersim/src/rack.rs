@@ -216,10 +216,6 @@ impl<'a> RoleView<'a> {
         server * self.per_server..(server + 1) * self.per_server
     }
 
-    pub fn server_freqs(&self, server: usize) -> &'a [f64] {
-        &self.freqs[self.server_range(server)]
-    }
-
     pub fn server_utils(&self, server: usize) -> &'a [f64] {
         &self.utils[self.server_range(server)]
     }
@@ -517,12 +513,6 @@ impl Rack {
         self.role_mut(role).fill_freq(f);
     }
 
-    /// Rack-wide mean frequency over cores of `role` (unweighted over
-    /// cores), or `None` if there are none.
-    pub fn mean_role_freq(&self, role: CoreRole) -> Option<NormFreq> {
-        self.role(role).mean_freq()
-    }
-
     /// Rack-wide mean utilization over cores of `role`.
     pub fn mean_role_util(&self, role: CoreRole) -> Option<Utilization> {
         self.role(role).mean_util()
@@ -596,17 +586,24 @@ impl Rack {
 
     /// True (plant-model) total power of the rack, before fan/noise.
     ///
-    /// One batched pass over the SoA slabs; bit-identical to the scalar
-    /// per-core reference ([`Rack::power_reference`]).
+    /// One batched pass over the SoA slabs: walks both role blocks in
+    /// per-server rows, preserving the exact per-server
+    /// interactive-then-batch FP summation order of the AoS substrate,
+    /// so it is bit-identical to the scalar per-core reference
+    /// ([`Rack::power_reference`]).
     pub fn power(&self) -> Watts {
-        Watts(self.fold_server_powers(None, |_, _| {}))
-    }
-
-    /// Total power with unpowered servers (crash faults, brownouts)
-    /// contributing nothing — the same filtered summation order as the
-    /// pre-rework per-server path.
-    pub fn power_masked(&self, powered: &[bool]) -> Watts {
-        Watts(self.fold_server_powers(Some(powered), |_, _| {}))
+        let ipc = self.interactive_per_server;
+        let bpc = self.batch_cores_per_server();
+        let ni = self.num_servers * ipc;
+        let (fi, fb) = self.state.freq.split_at(ni);
+        let (ui, ub) = self.state.util.split_at(ni);
+        let mut total = 0.0;
+        for s in 0..self.num_servers {
+            let (rfi, rui) = (&fi[s * ipc..(s + 1) * ipc], &ui[s * ipc..(s + 1) * ipc]);
+            let (rfb, rub) = (&fb[s * bpc..(s + 1) * bpc], &ub[s * bpc..(s + 1) * bpc]);
+            total += server_power(&self.spec, [(rfi, rui), (rfb, rub)]);
+        }
+        Watts(total)
     }
 
     /// Batched power pass that also refreshes the per-server `power`
@@ -747,34 +744,6 @@ impl Rack {
         &self.state.power
     }
 
-    /// Shared batched kernel: walks both role blocks with `chunks_exact`
-    /// per-server rows, preserving the exact per-server
-    /// interactive-then-batch FP summation order of the AoS substrate.
-    fn fold_server_powers(
-        &self,
-        powered: Option<&[bool]>,
-        mut record: impl FnMut(usize, f64),
-    ) -> f64 {
-        let ipc = self.interactive_per_server;
-        let bpc = self.batch_cores_per_server();
-        let ni = self.num_servers * ipc;
-        let (fi, fb) = self.state.freq.split_at(ni);
-        let (ui, ub) = self.state.util.split_at(ni);
-        let mut total = 0.0;
-        for s in 0..self.num_servers {
-            if powered.is_some_and(|p| !p[s]) {
-                record(s, 0.0);
-                continue;
-            }
-            let (rfi, rui) = (&fi[s * ipc..(s + 1) * ipc], &ui[s * ipc..(s + 1) * ipc]);
-            let (rfb, rub) = (&fb[s * bpc..(s + 1) * bpc], &ub[s * bpc..(s + 1) * bpc]);
-            let p = server_power(&self.spec, [(rfi, rui), (rfb, rub)]);
-            record(s, p);
-            total += p;
-        }
-        total
-    }
-
     /// Scalar per-core reference power — the executable spec of the
     /// pre-rework AoS summation order. Property tests assert
     /// [`Rack::power`] is bit-identical to this; it is not a hot path.
@@ -783,7 +752,7 @@ impl Rack {
     }
 
     /// [`Rack::power_reference`] with unpowered servers skipped — the
-    /// scalar mirror of [`Rack::power_masked`].
+    /// scalar mirror of [`Rack::update_server_powers`] under a mask.
     pub fn power_reference_masked(&self, powered: &[bool]) -> Watts {
         let mut total = Watts::ZERO;
         for (s, &on) in powered.iter().enumerate().take(self.num_servers) {
@@ -834,11 +803,6 @@ impl Rack {
     /// lives in the `temp_c` slab).
     pub fn thermal(&self) -> &ThermalModel {
         &self.thermal
-    }
-
-    /// Per-server die temperatures, °C.
-    pub fn die_temps(&self) -> &[f64] {
-        &self.state.temp_c
     }
 
     /// Advance every server's die temperature by `dt` at the last
@@ -1006,7 +970,7 @@ mod tests {
     fn rack_means() {
         let mut rack = paper_rack();
         rack.set_role_freq(CoreRole::Batch, NormFreq(0.4));
-        assert!((rack.mean_role_freq(CoreRole::Batch).unwrap().0 - 0.4).abs() < 1e-12);
+        assert!((rack.role(CoreRole::Batch).mean_freq().unwrap().0 - 0.4).abs() < 1e-12);
         for id in rack.cores_with_role(CoreRole::Interactive) {
             rack.set_util(id, Utilization(0.55));
         }
@@ -1024,7 +988,7 @@ mod tests {
         let bv = rack.role(CoreRole::Batch);
         assert_eq!(bv.per_server(), 4);
         assert!(bv.freqs.iter().all(|&f| (f - 0.4).abs() < 1e-12));
-        assert_eq!(bv.server_freqs(3).len(), 4);
+        assert_eq!(bv.freqs[bv.server_range(3)].len(), 4);
         // Mutable view writes land in the right lanes.
         {
             let mut iv = rack.role_mut(CoreRole::Interactive);
@@ -1148,7 +1112,7 @@ mod tests {
         // steady state; after 600 s (τ = 27 s) we are essentially there.
         let t = rack.max_die_temp();
         assert!((t - (25.0 + 0.45 * 300.0)).abs() < 1.0, "t={t}");
-        assert!(rack.die_temps().iter().all(|&x| (x - t).abs() < 1e-9));
+        assert!(rack.state.temp_c.iter().all(|&x| (x - t).abs() < 1e-9));
     }
 
     #[test]

@@ -812,6 +812,11 @@ mod tests {
         }
         // The uncurtailed topology budget is still reported alongside.
         assert_eq!(out.feeder_budget, Watts(1600.0));
+        // A binding curtailment shards bit-identically.
+        for jobs in [2, 4] {
+            let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).unwrap();
+            assert_eq!(out.digest, par.digest, "jobs={jobs} diverged");
+        }
     }
 
     #[test]

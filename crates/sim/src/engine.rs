@@ -36,7 +36,7 @@ use powersim::fan::FanModel;
 use powersim::faults::{ActiveFaults, FaultInjector};
 use powersim::grid::GridInjector;
 use powersim::rack::{PowerMonitor, Rack};
-use powersim::topology::{FeedOutcome, PowerFeed};
+use powersim::topology::PowerFeed;
 use powersim::units::{NormFreq, Seconds, Watts};
 use powersim::ups::UpsBattery;
 use workloads::batch::BatchJob;
@@ -49,23 +49,6 @@ use workloads::trace::Trace;
 /// Busy batch cores register near-full utilization on the performance
 /// counters (stall cycles count as busy for OS-level accounting).
 const BATCH_BUSY_UTIL: f64 = 0.95;
-
-/// How the fast electrical dynamics (breaker thermal element, UPS duty
-/// cycling) are integrated within one control period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Substepping {
-    /// One feed step per control period — the reference integration the
-    /// committed golden digests were captured against.
-    #[default]
-    Exact,
-    /// While an electrical transient is active (breaker open, above-rated
-    /// load, or nonzero trip heat), integrate the feed with `substeps`
-    /// sub-periods per control period; otherwise take the single exact
-    /// step. Quiescent runs are bit-identical to [`Substepping::Exact`];
-    /// transients are resolved more finely and gated by tolerance tests
-    /// rather than the digest.
-    Multirate { substeps: u32 },
-}
 
 /// The interactive tier behind the typed [`WorkloadSource`]: the
 /// closed-loop utilization model or the open-loop request queue.
@@ -172,8 +155,6 @@ pub struct RackSim {
     crash_was_active: bool,
     /// Post-deadline periods above an active curtailment cap.
     grid_violations: u64,
-    /// Feed integration scheme (from the scenario).
-    substepping: Substepping,
     /// Step the plant through the scalar per-core reference path instead
     /// of the batched slab pass (digest-equivalence tests only).
     reference_stepping: bool,
@@ -274,7 +255,6 @@ impl RackSim {
             ups_max_discharge_nominal,
             crash_was_active: false,
             grid_violations: 0,
-            substepping: scenario.substepping,
             reference_stepping: false,
             scratch_inter_freqs: Vec::with_capacity(n),
             scratch_loads: Vec::with_capacity(n),
@@ -300,11 +280,6 @@ impl RackSim {
     /// deadline (see [`RunSummary::grid_violations`](crate::RunSummary)).
     pub(crate) fn grid_violations(&self) -> u64 {
         self.grid_violations
-    }
-
-    /// The feed integration scheme in effect.
-    pub fn substepping(&self) -> Substepping {
-        self.substepping
     }
 
     /// Route plant power through the scalar per-core reference pass
@@ -425,56 +400,6 @@ impl RackSim {
             }
         }
         self.crash_was_active = crash_now;
-    }
-
-    /// Is a fast electrical transient active (multirate trigger)?
-    fn electrical_transient(&self, p_true: Watts) -> bool {
-        !self.feed.breaker.is_closed()
-            || p_true.0 > self.feed.breaker.spec.rated.0
-            || self.feed.breaker.trip_margin() > 0.0
-    }
-
-    /// Integrate the feed over one control period under the configured
-    /// substepping scheme.
-    fn step_feed(&mut self, p_true: Watts, ups_target: Watts, dt: Seconds) -> FeedOutcome {
-        let substeps = match self.substepping {
-            Substepping::Exact => 1,
-            Substepping::Multirate { substeps } => {
-                if self.electrical_transient(p_true) {
-                    substeps.max(1)
-                } else {
-                    1
-                }
-            }
-        };
-        if substeps == 1 {
-            return self.feed.step(p_true, ups_target, dt);
-        }
-        telemetry::counter_add("multirate.fast_periods", 1);
-        let sub = Seconds(dt.0 / substeps as f64);
-        let mut cb = 0.0;
-        let mut ups = 0.0;
-        let mut served = 0.0;
-        let mut shortfall = 0.0;
-        let mut tripped = false;
-        for _ in 0..substeps {
-            let o = self.feed.step(p_true, ups_target, sub);
-            cb += o.cb_power.0;
-            ups += o.ups_power.0;
-            served += o.served.0;
-            shortfall += o.shortfall.0;
-            tripped |= o.tripped;
-        }
-        // Powers are period averages (energy-consistent); a trip in any
-        // substep is a trip for the period.
-        let k = substeps as f64;
-        FeedOutcome {
-            cb_power: Watts(cb / k),
-            ups_power: Watts(ups / k),
-            served: Watts(served / k),
-            shortfall: Watts(shortfall / k),
-            tripped,
-        }
     }
 
     /// Advance one control period under `policy`, appending to `rec`.
@@ -623,7 +548,7 @@ impl RackSim {
         } else {
             Watts::ZERO
         };
-        let outcome = self.step_feed(p_true, ups_target, dt);
+        let outcome = self.feed.step(p_true, ups_target, dt);
 
         // Curtailment compliance is judged on grid-side draw (breaker
         // power — UPS bridging is legitimate demand response): once the
@@ -877,32 +802,5 @@ mod tests {
         let t = s.rack.max_die_temp();
         assert!(t > ambient + 30.0, "t={t}");
         assert!(t < s.rack.thermal().steady_temp(320.0), "t={t}");
-    }
-
-    #[test]
-    fn multirate_is_bit_identical_when_quiescent() {
-        // A run that never goes above rated and never trips: the
-        // multirate trigger stays cold, so every feed step is the single
-        // exact step and whole trajectories match bitwise. Frequencies
-        // are kept modest — interactive at peak pushes the startup
-        // demand spike past the 3200 W rating, which would (correctly)
-        // arm the transient trigger.
-        let mut sc = Scenario::paper_default(42);
-        sc.duration = Seconds(120.0);
-        let mut exact = sc.build();
-        sc.substepping = Substepping::Multirate { substeps: 8 };
-        let mut multi = sc.build();
-        assert_eq!(multi.substepping(), Substepping::Multirate { substeps: 8 });
-        let mut p1 = FixedPolicy::new(NormFreq(0.4), 0.2, Watts::ZERO);
-        let mut p2 = FixedPolicy::new(NormFreq(0.4), 0.2, Watts::ZERO);
-        let ra = exact.run(&mut p1, Seconds(120.0));
-        let rb = multi.run(&mut p2, Seconds(120.0));
-        let peak = ra.samples().iter().fold(0.0f64, |m, s| m.max(s.p_total.0));
-        assert!(peak < 3200.0, "not quiescent: peak {peak} W above rated");
-        for (a, b) in ra.samples().iter().zip(rb.samples()) {
-            assert_eq!(a.p_total.0.to_bits(), b.p_total.0.to_bits());
-            assert_eq!(a.cb_power.0.to_bits(), b.cb_power.0.to_bits());
-            assert_eq!(a.ups_soc.to_bits(), b.ups_soc.to_bits());
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! [`ScenarioError`] instead of panicking mid-run. The canonical §VI-A
 //! setup stays a one-liner: [`Scenario::paper_default`].
 
-use crate::engine::{RackSim, Substepping};
+use crate::engine::RackSim;
 use powersim::breaker::BreakerSpec;
 use powersim::faults::FaultPlan;
 use powersim::grid::{GridPlan, GridPlanError};
@@ -85,8 +85,6 @@ pub enum ScenarioError {
     InvalidJobScale(f64),
     /// Monitor noise parameters must be finite and non-negative.
     InvalidMonitorNoise { rel: f64, abs: f64 },
-    /// Multirate substepping needs at least one substep per period.
-    InvalidSubstepCount(u32),
     /// The workload source failed its own validation.
     Workload(WorkloadError),
     /// The grid-event plan failed its own validation.
@@ -145,9 +143,6 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "monitor noise sigmas must be finite and non-negative, got rel={rel} abs={abs}"
             ),
-            ScenarioError::InvalidSubstepCount(k) => {
-                write!(f, "multirate substepping needs >= 1 substep, got {k}")
-            }
             ScenarioError::Workload(e) => write!(f, "workload source: {e}"),
             ScenarioError::Grid(e) => write!(f, "grid plan: {e}"),
         }
@@ -195,10 +190,6 @@ pub struct Scenario {
     /// Batch jobs restart on completion (continuous processing), vs
     /// one-shot jobs with deadlines.
     pub repeat_jobs: bool,
-    /// Electrical substepping scheme for the breaker/UPS feed (see
-    /// [`Substepping`]); [`Substepping::Exact`] reproduces the committed
-    /// golden digests bit-for-bit.
-    pub substepping: Substepping,
 }
 
 impl Scenario {
@@ -278,9 +269,6 @@ impl Scenario {
         if !(rel.is_finite() && abs.is_finite() && rel >= 0.0 && abs >= 0.0) {
             return Err(ScenarioError::InvalidMonitorNoise { rel, abs });
         }
-        if let Substepping::Multirate { substeps: 0 } = self.substepping {
-            return Err(ScenarioError::InvalidSubstepCount(0));
-        }
         self.workload.validate()?;
         self.grid.validate()?;
         Ok(())
@@ -359,7 +347,6 @@ impl ScenarioBuilder {
                 // §VI-A: "the batch workloads are processed repeatedly and
                 // continuously ... until the workload is run for 15 minutes".
                 repeat_jobs: true,
-                substepping: Substepping::Exact,
             },
         }
     }
@@ -420,11 +407,6 @@ impl ScenarioBuilder {
         self
     }
 
-    pub fn disturbances(mut self, disturbances: Disturbances) -> Self {
-        self.inner.disturbances = disturbances;
-        self
-    }
-
     /// Set just the monitor-noise sigmas, keeping the fault plan.
     pub fn monitor_noise(mut self, rel_sigma: f64, abs_sigma: f64) -> Self {
         self.inner.disturbances.monitor_rel_sigma = rel_sigma;
@@ -446,13 +428,6 @@ impl ScenarioBuilder {
 
     pub fn repeat_jobs(mut self, repeat: bool) -> Self {
         self.inner.repeat_jobs = repeat;
-        self
-    }
-
-    /// Electrical substepping scheme for the feed (default
-    /// [`Substepping::Exact`]).
-    pub fn substepping(mut self, substepping: Substepping) -> Self {
-        self.inner.substepping = substepping;
         self
     }
 

@@ -51,12 +51,6 @@ impl ProgressModel {
         1.0 / (self.memory_bound + (1.0 - self.memory_bound) / f)
     }
 
-    /// Execution-time multiplier at frequency `f` relative to peak:
-    /// `time(f) = 1 / rate(f)`.
-    pub fn time_scale(&self, f: f64) -> f64 {
-        1.0 / self.rate(f)
-    }
-
     /// Speedup of running at `to` instead of `from`.
     pub fn speedup(&self, from: f64, to: f64) -> f64 {
         self.rate(to) / self.rate(from)
@@ -149,12 +143,6 @@ mod tests {
         // No misses → fully compute bound.
         let c = ProgressModel::from_counters(0.8, 0.0, 200.0);
         assert_eq!(c.memory_bound, 0.0);
-    }
-
-    #[test]
-    fn time_scale_reciprocal() {
-        let m = ProgressModel::new(0.25);
-        assert!((m.time_scale(0.5) * m.rate(0.5) - 1.0).abs() < 1e-12);
     }
 
     #[test]

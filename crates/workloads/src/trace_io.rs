@@ -145,6 +145,15 @@ impl<R: BufRead> Iterator for TraceReader<R> {
                     return Some(Err(TraceIoError::Parse(lineno, format!("{e}: {body:?}"))));
                 }
             };
+            // `str::parse` accepts `nan`, `inf` and `infinity`; a trace
+            // carrying one would poison the period or the demand level.
+            if nums.iter().any(|v| !v.is_finite()) {
+                self.done = true;
+                return Some(Err(TraceIoError::Parse(
+                    lineno,
+                    format!("non-finite field: {body:?}"),
+                )));
+            }
             let value = match (self.two_col, nums.len()) {
                 (None, 1) => {
                     self.two_col = Some(false);
@@ -213,8 +222,9 @@ impl<R: BufRead> Iterator for TraceReader<R> {
 ///   (±1% of the period).
 ///
 /// A non-numeric first line is treated as a header and skipped. Blank
-/// lines and `#` comments are ignored. This is the materializing
-/// wrapper over [`TraceReader`].
+/// lines and `#` comments are ignored. A field that parses but is not
+/// finite (`nan`, `inf`) is a parse error, like a malformed row. This
+/// is the materializing wrapper over [`TraceReader`].
 pub fn read_trace<R: BufRead>(reader: R, default_dt: Seconds) -> Result<Trace, TraceIoError> {
     let mut r = TraceReader::new(reader, default_dt);
     let mut values = Vec::new();
@@ -285,10 +295,18 @@ mod tests {
 
     #[test]
     fn garbage_mid_file_is_an_error_with_line_number() {
-        let err = read_trace(Cursor::new("1.0\npotato\n"), dt1()).unwrap_err();
-        match err {
-            TraceIoError::Parse(line, _) => assert_eq!(line, 2),
-            other => panic!("wrong error {other:?}"),
+        // A malformed row, then rows whose fields parse but are not
+        // finite: a NaN timestamp, a NaN value and an infinite value.
+        for (src, bad_line) in [
+            ("1.0\npotato\n", 2),
+            ("t_s,value\n0,0.5\nnan,0.5\n2,0.4\n", 3),
+            ("value\n0.5\nnan\n0.4\n0.6\n", 3),
+            ("value\n0.5\ninf\n0.4\n0.6\n", 3),
+        ] {
+            match read_trace(Cursor::new(src), dt1()) {
+                Err(TraceIoError::Parse(line, _)) => assert_eq!(line, bad_line, "{src:?}"),
+                other => panic!("{src:?}: wrong result {other:?}"),
+            }
         }
     }
 

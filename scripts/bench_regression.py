@@ -48,11 +48,6 @@ WHITELIST = {
     "BENCH_grid.json": [
         "seed",
         "secs",
-        "determinism",
-        "compliance.cap_w",
-        "compliance.peak_cb_post_deadline_w",
-        "compliance.violations",
-        "compliance.trips",
         "separation.sprintcon_p99_s",
         "separation.sgct_p99_s",
     ],

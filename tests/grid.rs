@@ -11,7 +11,9 @@
 //!   with fault injection are bit-identical across worker counts.
 //! * **Curtailment is complied with**: under SprintCon, grid-side draw
 //!   (breaker power) is at or under the curtailed cap before the
-//!   response deadline and stays there, with zero breaker trips.
+//!   response deadline and stays there, with zero breaker trips; the
+//!   run's digest is pinned, so the trajectory under the cap cannot
+//!   drift unnoticed either.
 //! * **Grid events compose with faults**: concurrent fault and grid
 //!   plans produce finite, replayable trajectories.
 
@@ -78,6 +80,9 @@ fn active_grid_campaigns_are_bit_identical_across_workers() {
     }
 }
 
+/// `run_digest` of the curtailed seed-42 SprintCon run below.
+const CURTAILED_RUN_DIGEST: u64 = 0xd7218191151aeb47;
+
 #[test]
 fn sprintcon_complies_with_curtailment_before_the_deadline() {
     // Curtail to 3 kW at t=60 with a 30 s response deadline: from t=90
@@ -95,6 +100,12 @@ fn sprintcon_complies_with_curtailment_before_the_deadline() {
         .build()
         .expect("curtailment scenario is valid");
     let out = run_traced(&sc, PolicyKind::SprintCon);
+    let digest = run_digest(&out);
+    assert_eq!(
+        digest, CURTAILED_RUN_DIGEST,
+        "digest 0x{digest:016x} != pinned 0x{CURTAILED_RUN_DIGEST:016x}: \
+         the curtailed trajectory changed"
+    );
     let mut post_deadline = 0;
     for s in out.recorder.samples() {
         assert!(!s.tripped, "t={}: breaker tripped during curtailment", s.t);
