@@ -139,25 +139,25 @@ pub struct MpcController {
     /// frequency), from the linear model of Eq. (2)/(3).
     gains: Vec<f64>,
     /// Per-channel frequency ceiling (Eq. (9)); the floor lives only in
-    /// the prebuilt QP box bounds.
+    /// the box bounds `lo`.
     fmax: Vec<f64>,
     /// Per-channel penalty weights `Rⱼ` (progress balancing, §V-B).
     r: Vec<f64>,
     /// Floor applied to `Rⱼ` to keep the Hessian positive definite.
     pub r_floor: f64,
-    /// Preallocated QP instance: `H`/`g` are rebuilt in place every
-    /// control period, `lo`/`hi` are the box bounds replicated per block
-    /// and never change. Reusing it removes the per-period `Mat::zeros`
-    /// (512 KiB at 128 channels × 2 blocks) and bound-vector churn. The
-    /// structured backend only reads its `lo`/`hi`.
-    qp: QpProblem,
-    /// Preallocated FISTA iteration buffers, reused across periods
-    /// (dense backend only).
-    ws: QpWorkspace,
-    /// Which solver `compute` runs.
-    backend: MpcBackend,
+    /// Box bounds of Eq. (9) replicated per control block (length
+    /// `n·Lc`), built once and never changed.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
     /// Preallocated structured-assembly buffers, reused across periods.
     sb: StructuredBuffers,
+    /// The dense backend's state, present exactly when the controller
+    /// runs [`MpcBackend::DenseFista`]: a QP instance whose `H`/`g` are
+    /// rebuilt in place every control period (the Hessian alone is
+    /// 128 KiB at 64 channels × 2 blocks) and the FISTA iteration
+    /// buffers. A structured controller never builds a Hessian, so it
+    /// holds neither.
+    dense: Option<(QpProblem, QpWorkspace)>,
 }
 
 /// Scratch for the structured backend: the per-block coupling scalars
@@ -228,7 +228,10 @@ impl MpcController {
             lo.extend_from_slice(&fmin);
             hi.extend_from_slice(&fmax);
         }
-        let qp = QpProblem::new(Mat::zeros(dim, dim), vec![0.0; dim], lo, hi);
+        let dense = (backend == MpcBackend::DenseFista).then(|| {
+            let qp = QpProblem::new(Mat::zeros(dim, dim), vec![0.0; dim], lo.clone(), hi.clone());
+            (qp, QpWorkspace::new(dim))
+        });
         MpcController {
             cfg,
             decays: (1..=cfg.lp)
@@ -238,9 +241,8 @@ impl MpcController {
             fmax,
             r: vec![1.0; n],
             r_floor: 0.05,
-            qp,
-            ws: QpWorkspace::new(dim),
-            backend,
+            lo,
+            hi,
             sb: StructuredBuffers {
                 c: vec![0.0; cfg.lc],
                 d: vec![0.0; dim],
@@ -249,11 +251,18 @@ impl MpcController {
                 kernel: vec![0.0; 4 * n],
                 warm_u: vec![f64::NAN; cfg.lc],
             },
+            dense,
         }
     }
 
+    /// The solver `compute` runs: dense exactly when the controller holds
+    /// the dense state.
     pub fn backend(&self) -> MpcBackend {
-        self.backend
+        if self.dense.is_some() {
+            MpcBackend::DenseFista
+        } else {
+            MpcBackend::Structured
+        }
     }
 
     /// The static configuration the controller was built with.
@@ -297,9 +306,9 @@ impl MpcController {
         let _timer = telemetry::span("mpc_compute");
         let n = self.num_channels();
         assert_eq!(f_now.len(), n);
-        let qp = match self.backend {
-            MpcBackend::Structured => self.solve_structured(p_fb, target, f_now),
-            MpcBackend::DenseFista => self.solve_dense(p_fb, target, f_now),
+        let qp = match self.solve_dense(p_fb, target, f_now) {
+            Some(sol) => sol,
+            None => self.solve_structured(p_fb, target, f_now),
         };
         telemetry::histogram_observe("mpc_solve_iters", qp.iterations as f64);
         if !qp.converged {
@@ -369,8 +378,8 @@ impl MpcController {
             &self.gains,
             &sb.d,
             &sb.g,
-            &self.qp.lo,
-            &self.qp.hi,
+            &self.lo,
+            &self.hi,
             &mut sb.x,
             &mut sb.kernel,
             1e-7,
@@ -390,16 +399,18 @@ impl MpcController {
     /// Dense reference path: materialize the Eq. (8) Hessian in the
     /// preallocated [`QpProblem`] and run FISTA in the controller's
     /// [`QpWorkspace`]. Kept for cross-validation against the structured
-    /// backend (and for degenerate penalty configurations).
-    fn solve_dense(&mut self, p_fb: f64, target: f64, f_now: &[f64]) -> QpSolution {
+    /// backend (and for degenerate penalty configurations). `None` on a
+    /// structured controller, which holds no dense state.
+    fn solve_dense(&mut self, p_fb: f64, target: f64, f_now: &[f64]) -> Option<QpSolution> {
         let n = self.num_channels();
         let (lp, lc) = (self.cfg.lp, self.cfg.lc);
+        let (qp, ws) = self.dense.as_mut()?;
 
         // Only the lc diagonal n×n blocks of H are ever touched (tracking
         // couples channels within a block, never across blocks), so only
         // those entries need re-zeroing.
-        let h = &mut self.qp.h;
-        let g = &mut self.qp.g;
+        let h = &mut qp.h;
+        let g = &mut qp.g;
         g.fill(0.0);
         for b in 0..lc {
             for j in 0..n {
@@ -441,7 +452,7 @@ impl MpcController {
             }
         }
 
-        self.qp.solve_with(&mut self.ws, 1e-7, 2_000)
+        Some(qp.solve_with(ws, 1e-7, 2_000))
     }
 }
 

@@ -49,7 +49,8 @@ pub struct SprintConConfig {
     /// Hessian (O(n) per period); the dense FISTA path is the
     /// cross-validation reference.
     pub mpc_backend: MpcBackend,
-    /// Assumed batch-core utilization when fitting the linear model.
+    /// Assumed batch-core utilization when fitting the linear model, in
+    /// (0, 1].
     pub assumed_batch_util: f64,
 
     // --- power load allocator (§IV-B) ---
@@ -106,10 +107,18 @@ pub struct SprintConConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     NoServers,
+    /// Interactive cores must leave at least one batch core per server.
     TooManyInteractiveCores {
         interactive: usize,
         cores: usize,
     },
+    /// The DVFS ladder must span a finite range: `min < max`.
+    InvalidFreqScale {
+        min: f64,
+        max: f64,
+    },
+    /// The batch model's calibration utilization must lie in (0, 1].
+    InvalidAssumedBatchUtil(f64),
     /// "overload degree must exceed 1".
     NonOverloadDegree(f64),
     NonPositiveScheduleDurations,
@@ -146,8 +155,17 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoServers => write!(f, "at least one server is required"),
             ConfigError::TooManyInteractiveCores { interactive, cores } => write!(
                 f,
-                "{interactive} interactive cores do not fit a {cores}-core server"
+                "{interactive} interactive cores leave no batch core on a {cores}-core server"
             ),
+            ConfigError::InvalidFreqScale { min, max } => {
+                write!(
+                    f,
+                    "frequency ladder must satisfy min < max, both finite, got {min}..{max}"
+                )
+            }
+            ConfigError::InvalidAssumedBatchUtil(u) => {
+                write!(f, "assumed batch utilization must be in (0, 1], got {u}")
+            }
             ConfigError::NonOverloadDegree(d) => {
                 write!(f, "overload degree must exceed 1, got {d}")
             }
@@ -268,11 +286,23 @@ impl SprintConConfig {
         if self.num_servers == 0 {
             return Err(ConfigError::NoServers);
         }
-        if self.interactive_cores_per_server > self.server.num_cores {
+        if self.interactive_cores_per_server >= self.server.num_cores {
             return Err(ConfigError::TooManyInteractiveCores {
                 interactive: self.interactive_cores_per_server,
                 cores: self.server.num_cores,
             });
+        }
+        let ladder = self.server.freq_scale;
+        if !(ladder.min.0 < ladder.max.0 && ladder.min.0.is_finite() && ladder.max.0.is_finite()) {
+            return Err(ConfigError::InvalidFreqScale {
+                min: ladder.min.0,
+                max: ladder.max.0,
+            });
+        }
+        if !(self.assumed_batch_util > 0.0 && self.assumed_batch_util <= 1.0) {
+            return Err(ConfigError::InvalidAssumedBatchUtil(
+                self.assumed_batch_util,
+            ));
         }
         if self.overload_degree <= 1.0 {
             return Err(ConfigError::NonOverloadDegree(self.overload_degree));

@@ -14,10 +14,12 @@ use workloads::batch::BatchJob;
 #[derive(Debug, Clone)]
 pub struct ServerPowerController {
     mpc: MpcController,
-    /// Per-server interactive power models (Eq. (5)).
+    /// Per-server interactive power models (Eq. (5)): one fit per rack,
+    /// copied to each server.
     inter_models: Vec<InteractivePowerModel>,
     /// Per-server linear batch models (Eq. (2)) — shared with the
-    /// allocator for budget/floor computations.
+    /// allocator for budget/floor computations. One fit per rack, copied
+    /// to each server.
     batch_models: Vec<LinearServerModel>,
     batch_cores_per_server: usize,
     num_servers: usize,
@@ -43,16 +45,17 @@ pub struct ServerPowerController {
 
 impl ServerPowerController {
     /// Calibrate the linear models against the server spec and build the
-    /// per-core MPC (channel `s·m + j` = core `j` of server `s`).
+    /// per-core MPC (channel `s·m + j` = core `j` of server `s`). Every
+    /// server of the rack shares one `ServerSpec` and each fit is a pure
+    /// function of it, so each model is fitted once and copied.
     pub fn new(cfg: &SprintConConfig) -> Self {
         let m = cfg.batch_cores_per_server();
         assert!(m > 0, "controller needs batch cores to actuate");
-        let batch_models: Vec<LinearServerModel> = (0..cfg.num_servers)
-            .map(|_| LinearServerModel::fit(&cfg.server, m, Utilization(cfg.assumed_batch_util)))
-            .collect();
-        let inter_models: Vec<InteractivePowerModel> = (0..cfg.num_servers)
-            .map(|_| InteractivePowerModel::fit(&cfg.server, cfg.interactive_cores_per_server))
-            .collect();
+        let batch_model =
+            LinearServerModel::fit(&cfg.server, m, Utilization(cfg.assumed_batch_util));
+        let inter_model = InteractivePowerModel::fit(&cfg.server, cfg.interactive_cores_per_server);
+        let batch_models = vec![batch_model; cfg.num_servers];
+        let inter_models = vec![inter_model; cfg.num_servers];
         let n = cfg.num_servers * m;
         // Per-core gain: the server's K spread across its batch cores.
         let gains: Vec<f64> = batch_models

@@ -677,6 +677,51 @@ mod tests {
     }
 
     #[test]
+    fn try_new_rejects_configs_the_controller_cannot_build() {
+        // Each of these passes every other check, and would panic while
+        // the server controller fits its models or builds its MPC and PID.
+        let mut no_batch = cfg();
+        no_batch.interactive_cores_per_server = no_batch.server.num_cores;
+        let err = SprintCon::try_new(no_batch).err();
+        assert!(matches!(
+            err,
+            Some(ConfigError::TooManyInteractiveCores {
+                interactive: 8,
+                cores: 8
+            })
+        ));
+        assert!(err.unwrap().to_string().contains("no batch core"));
+        for (min, max) in [
+            (0.6, 0.6),
+            (1.0, 0.2),
+            (f64::NAN, 1.0),
+            (0.2, f64::INFINITY),
+        ] {
+            let mut c = cfg();
+            c.server.freq_scale.min = NormFreq(min);
+            c.server.freq_scale.max = NormFreq(max);
+            assert!(
+                matches!(
+                    SprintCon::try_new(c).err(),
+                    Some(ConfigError::InvalidFreqScale { .. })
+                ),
+                "{min}..{max}"
+            );
+        }
+        for util in [0.0, f64::NAN, -0.5, 1.5] {
+            let mut c = cfg();
+            c.assumed_batch_util = util;
+            assert!(
+                matches!(
+                    SprintCon::try_new(c).err(),
+                    Some(ConfigError::InvalidAssumedBatchUtil(_))
+                ),
+                "{util}"
+            );
+        }
+    }
+
+    #[test]
     fn nominal_step_sprints_at_peak_interactive() {
         let mut sc = SprintCon::new(cfg());
         let out = step_once(&mut sc, 0.1, true, 1.0);
