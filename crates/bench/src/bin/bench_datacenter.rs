@@ -1,41 +1,30 @@
-//! Datacenter-engine benchmark: proves the PR-level scaling and
-//! determinism claims for the feeder → PDU → rack hierarchy and emits
-//! them as `BENCH_datacenter.json`.
+//! Datacenter-engine benchmark: times the feeder → PDU → rack floor at
+//! scale and emits `BENCH_datacenter.json`.
 //!
 //! 1. **Scale** — wall-clock and `rack_ticks_per_sec` of a 1000-rack ×
 //!    60 simulated-second campaign (one full SprintCon stack per rack,
 //!    two-level headroom market at every allocator boundary) on one
-//!    worker per core, in streaming retention by default. The CI gate
-//!    requires this under 5 minutes. Peak resident memory is sampled
-//!    from `/proc/self/status` `VmHWM` and an optional `--max-rss-mb`
-//!    ceiling turns it into a hard gate (the nightly 10k-rack job uses
-//!    this to prove streaming memory stays O(racks)).
-//! 2. **Determinism** — the FNV datacenter digest (per-rack run
-//!    digests, market grants, tree outcomes) must be bit-identical
-//!    between sequential and parallel execution, including under an
-//!    active fault plan.
-//! 3. **Record-mode equivalence** — a streaming-retention run must
-//!    reproduce the full-retention digest and per-rack digests bit for
-//!    bit while actually discarding its per-period samples.
-//! 4. **Single-rack equivalence** — a 1-PDU × 1-rack tree with an ample
-//!    edge rating must reproduce the standalone single-rack engine's
-//!    run digest exactly (grants are bit-transparent ceilings).
-//! 5. **Conservation** — at every supervisor boundary, Σ rack grants ≤
-//!    feeder headroom and each PDU's member grants ≤ its cap.
+//!    worker per core. The CI gate requires this under 5 minutes. Peak
+//!    resident memory is sampled from `/proc/self/status` `VmHWM` and an
+//!    optional `--max-rss-mb` ceiling turns it into a hard gate (the
+//!    nightly 10k-rack job uses this to prove floor memory stays
+//!    O(racks)).
+//! 2. **Conservation** — at every supervisor boundary of the scale run,
+//!    Σ rack grants ≤ feeder headroom and each PDU's member grants ≤ its
+//!    cap.
+//!
+//! The floor's other contracts are tests, each run once:
+//! `tests/datacenter.rs` holds worker-count determinism (including a
+//! faulty 24-rack one-PDU floor) and equivalence to standalone runs.
 //!
 //! Flags: `--racks N` floor size (default 1000), `--secs N` simulated
-//! seconds (default 60), `--mode full|streaming` scale-run retention
-//! (default streaming), `--max-rss-mb N` optional peak-RSS ceiling,
+//! seconds (default 60), `--max-rss-mb N` optional peak-RSS ceiling,
 //! `--out PATH` (default `BENCH_datacenter.json`), `--check` CI gate
 //! mode (exit 1 on any gate failure).
 
 use powersim::datacenter::DatacenterTopology;
-use powersim::faults::FaultPlan;
 use powersim::units::{Seconds, Watts};
-use simkit::{
-    run_datacenter, run_datacenter_with, run_digest, run_policy, DcRecordMode, DcRunOutput,
-    DcScenario, ExecConfig, PolicyKind, Scenario,
-};
+use simkit::{run_datacenter, DcRunOutput, DcScenario, ExecConfig, Scenario};
 use std::time::Instant;
 
 struct Args {
@@ -43,7 +32,6 @@ struct Args {
     secs: f64,
     out: String,
     check_only: bool,
-    mode: DcRecordMode,
     max_rss_mb: Option<f64>,
 }
 
@@ -53,7 +41,6 @@ fn parse_args() -> Args {
         secs: 60.0,
         out: "BENCH_datacenter.json".to_string(),
         check_only: false,
-        mode: DcRecordMode::Streaming,
         max_rss_mb: None,
     };
     let mut it = std::env::args().skip(1);
@@ -68,14 +55,6 @@ fn parse_args() -> Args {
                 let v = it.next().expect("--secs needs a value");
                 args.secs = v.parse().expect("--secs expects seconds");
             }
-            "--mode" => {
-                let v = it.next().expect("--mode needs full|streaming");
-                args.mode = match v.as_str() {
-                    "full" => DcRecordMode::Full,
-                    "streaming" => DcRecordMode::Streaming,
-                    other => panic!("--mode expects full|streaming, got {other}"),
-                };
-            }
             "--max-rss-mb" => {
                 let v = it.next().expect("--max-rss-mb needs a value");
                 args.max_rss_mb = Some(v.parse().expect("--max-rss-mb expects megabytes"));
@@ -84,8 +63,8 @@ fn parse_args() -> Args {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_datacenter [--racks N] [--secs N] [--mode full|streaming] \
-                     [--max-rss-mb N] [--out PATH] [--check]"
+                    "usage: bench_datacenter [--racks N] [--secs N] [--max-rss-mb N] \
+                     [--out PATH] [--check]"
                 );
                 std::process::exit(2);
             }
@@ -134,19 +113,6 @@ fn floor_topology(racks: usize) -> DatacenterTopology {
     topo
 }
 
-fn base_scenario(seed: u64, secs: f64, faults: bool) -> Scenario {
-    let mut sc = if faults {
-        Scenario::builder(seed)
-            .faults(FaultPlan::monitor_dropout(0.3, Seconds(8.0)))
-            .build()
-            .expect("fault scenario is valid")
-    } else {
-        Scenario::paper_default(seed)
-    };
-    sc.duration = Seconds(secs);
-    sc
-}
-
 /// Σ grants ≤ budget at every boundary, feeder- and PDU-level.
 fn conserves(out: &DcRunOutput) -> bool {
     out.rounds.iter().all(|round| {
@@ -167,130 +133,26 @@ fn conserves(out: &DcRunOutput) -> bool {
     })
 }
 
-/// Gate 2+5: sequential vs parallel digest on a faulty mid-size floor.
-fn determinism_gate() -> Result<(), String> {
-    let dc = DcScenario::new(base_scenario(7, 90.0, true), floor_topology(24))
-        .map_err(|e| e.to_string())?;
-    let seq = run_datacenter(&dc, ExecConfig::sequential()).map_err(|e| e.to_string())?;
-    if !conserves(&seq) {
-        return Err("market overspent a tree-edge budget".into());
-    }
-    for jobs in [2usize, 4, 0] {
-        let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).map_err(|e| e.to_string())?;
-        if par.digest != seq.digest {
-            return Err(format!(
-                "jobs={jobs}: digest 0x{:016x} != sequential 0x{:016x}",
-                par.digest, seq.digest
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Gate 3: streaming retention must be a pure memory optimization —
-/// same digest, same per-rack digests, and actually empty sample logs.
-fn record_mode_gate() -> Result<(), String> {
-    let dc = DcScenario::new(base_scenario(7, 90.0, true), floor_topology(24))
-        .map_err(|e| e.to_string())?;
-    let full = run_datacenter_with(&dc, ExecConfig::sequential(), DcRecordMode::Full)
-        .map_err(|e| e.to_string())?;
-    let stream = run_datacenter_with(&dc, ExecConfig::jobs(2), DcRecordMode::Streaming)
-        .map_err(|e| e.to_string())?;
-    if stream.digest != full.digest {
-        return Err(format!(
-            "streaming digest 0x{:016x} != full 0x{:016x}",
-            stream.digest, full.digest
-        ));
-    }
-    if stream.rack_digests != full.rack_digests {
-        return Err("per-rack digests diverged between record modes".into());
-    }
-    if let Some(r) = stream
-        .racks
-        .iter()
-        .position(|r| !r.recorder.samples().is_empty())
-    {
-        return Err(format!("streaming run retained samples for rack {r}"));
-    }
-    Ok(())
-}
-
-/// Gate 4: single-rack datacenter == standalone engine, bit for bit.
-fn equivalence_gate() -> Result<(), String> {
-    let base = base_scenario(42, 90.0, false);
-    let topo = DatacenterTopology::single_rack(Watts(4000.0)).map_err(|e| e.to_string())?;
-    let dc = DcScenario::new(base.clone(), topo).map_err(|e| e.to_string())?;
-    let out = run_datacenter(&dc, ExecConfig::sequential()).map_err(|e| e.to_string())?;
-    let standalone = run_policy(&base, PolicyKind::SprintCon);
-    let (a, b) = (run_digest(&out.racks[0]), run_digest(&standalone));
-    if a != b {
-        return Err(format!(
-            "single-rack datacenter digest 0x{a:016x} != standalone 0x{b:016x}"
-        ));
-    }
-    Ok(())
-}
-
-/// Gate 1: the full-size campaign on one worker per core, timed.
+/// The full-size campaign on one worker per core, timed.
 /// Returns (wall seconds, control ticks per rack, output).
-fn scale_run(
-    racks: usize,
-    secs: f64,
-    mode: DcRecordMode,
-) -> Result<(f64, u64, DcRunOutput), String> {
-    let base = base_scenario(2019, secs, false);
+fn scale_run(racks: usize, secs: f64) -> Result<(f64, u64, DcRunOutput), String> {
+    let mut base = Scenario::paper_default(2019);
+    base.duration = Seconds(secs);
     let ticks = (base.duration.0 / base.dt.0).round() as u64;
     let dc = DcScenario::new(base, floor_topology(racks)).map_err(|e| e.to_string())?;
     let t0 = Instant::now();
-    let out = run_datacenter_with(&dc, ExecConfig::parallel(), mode).map_err(|e| e.to_string())?;
+    let out = run_datacenter(&dc, ExecConfig::parallel()).map_err(|e| e.to_string())?;
     Ok((t0.elapsed().as_secs_f64(), ticks, out))
-}
-
-fn mode_name(mode: DcRecordMode) -> &'static str {
-    match mode {
-        DcRecordMode::Full => "full",
-        DcRecordMode::Streaming => "streaming",
-    }
 }
 
 fn main() {
     let args = parse_args();
     let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "bench_datacenter: {cpus}-core host, {} racks x {}s, {} retention",
-        args.racks,
-        args.secs,
-        mode_name(args.mode)
+        "scale run: {} racks x {}s on {cpus} worker(s)...",
+        args.racks, args.secs
     );
-
-    println!("determinism gate (24 faulty racks, seq vs 2/4/all workers)...");
-    if let Err(e) = determinism_gate() {
-        eprintln!("DETERMINISM VIOLATION: {e}");
-        std::process::exit(1);
-    }
-    println!("  ok: datacenter digest bit-identical across worker counts");
-
-    println!("record-mode gate (streaming vs full retention)...");
-    if let Err(e) = record_mode_gate() {
-        eprintln!("RECORD-MODE VIOLATION: {e}");
-        std::process::exit(1);
-    }
-    println!("  ok: streaming reproduces the full-retention digests sample-free");
-
-    println!("single-rack equivalence gate...");
-    if let Err(e) = equivalence_gate() {
-        eprintln!("EQUIVALENCE VIOLATION: {e}");
-        std::process::exit(1);
-    }
-    println!("  ok: 1-rack tree reproduces the standalone engine digest");
-
-    println!(
-        "scale run: {} racks x {}s on {cpus} worker(s), {} retention...",
-        args.racks,
-        args.secs,
-        mode_name(args.mode)
-    );
-    let (wall, ticks_per_rack, out) = match scale_run(args.racks, args.secs, args.mode) {
+    let (wall, ticks_per_rack, out) = match scale_run(args.racks, args.secs) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("SCALE RUN FAILED: {e}");
@@ -339,15 +201,13 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"racks\": {},\n  \"secs\": {},\n  \"cpus\": {},\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"racks\": {},\n  \"secs\": {},\n  \"cpus\": {},\n  \
          \"wall_secs\": {:.3},\n  \"rack_ticks_per_sec\": {:.0},\n  \"peak_rss_kb\": {},\n  \
          \"digest\": \"0x{:016x}\",\n  \"market_rounds\": {},\n  \"peak_feeder_w\": {:.1},\n  \
-         \"feeder_trip_periods\": {},\n  \"conserved\": {},\n  \"determinism\": \"pass\",\n  \
-         \"record_mode_digest_match\": \"pass\",\n  \"single_rack_equivalence\": \"pass\"\n}}\n",
+         \"feeder_trip_periods\": {},\n  \"conserved\": {}\n}}\n",
         args.racks,
         args.secs,
         cpus,
-        mode_name(args.mode),
         wall,
         rack_ticks_per_sec,
         rss_kb,

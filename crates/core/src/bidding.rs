@@ -1,117 +1,21 @@
-//! Power bidding (§IV-C): when the energy storage is running out,
-//! `P_cb` becomes the power target for *all* workloads and "different
-//! workloads can bid for power as in \[2\]".
+//! Headroom markets for the datacenter floor.
 //!
-//! This module implements that allocation primitive: each core submits a
-//! bid (demand × priority); the budget is spent greedily down the bid
-//! ranking using the linear per-core power model, with the marginal core
-//! receiving the fractional frequency that exhausts the budget. It is
-//! the model-based, single-owner analogue of the baselines' cooperative
-//! threshold — used by the supervisor's conservation modes and available
-//! to downstream users as a standalone API.
+//! §IV-C says that when the energy storage runs out, `P_cb` becomes the
+//! power target for *all* workloads and "different workloads can bid for
+//! power as in \[2\]". Within a rack, the supervisor's `UpsConserve` mode
+//! does that by throttling: batch cores drop to the DVFS floor and the
+//! interactive cores are scaled until the rack fits `P_cb`.
 //!
-//! The datacenter generalization reuses the same auction shape one and
-//! two levels up: racks bid watts of *overload headroom* against the
-//! shared PDU and feeder edges ([`HeadroomBid`] /
-//! [`allocate_headroom`] / [`allocate_headroom_two_level`]), with the
-//! §IV-C core auction staying the leaf. Both levels keep the leaf's
-//! determinism contract — greedy by value, ties broken by id, the
-//! marginal bidder granted the exact fraction that exhausts the budget
-//! — so a market round is a pure function of its inputs and safe to run
-//! at supervisor boundaries between parallel rack shards.
+//! This module runs the auction one and two levels up: racks bid watts
+//! of *overload headroom* against the shared PDU and feeder edges
+//! ([`HeadroomBid`] / [`allocate_headroom`] /
+//! [`allocate_headroom_two_level`]). Each level is greedy by value, ties
+//! broken by id, with the marginal bidder granted the exact fraction that
+//! exhausts the budget, so a market round is a pure function of its
+//! inputs and safe to run at supervisor boundaries between parallel rack
+//! shards.
 
 use powersim::units::Watts;
-
-/// One core's bid for power.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerBid {
-    /// Caller-chosen core identifier (returned in the allocation).
-    pub core: usize,
-    /// Demand signal in `[0, 1]` — typically measured utilization.
-    pub demand: f64,
-    /// Workload-class priority multiplier (e.g. interactive > batch).
-    pub priority: f64,
-    /// Watts per unit normalized frequency for this core (model `k`).
-    pub watts_per_freq: f64,
-}
-
-impl PowerBid {
-    /// The bid value the auction ranks by.
-    pub fn value(&self) -> f64 {
-        self.demand.max(0.0) * self.priority.max(0.0)
-    }
-}
-
-/// Result of one auction round.
-#[derive(Debug, Clone)]
-pub struct BidAllocation {
-    /// `(core, frequency)` pairs in the input order.
-    pub freqs: Vec<(usize, f64)>,
-    /// Power the model predicts this allocation draws above the floor.
-    pub spent: Watts,
-    /// Cores granted more than the floor frequency.
-    pub granted: usize,
-}
-
-/// Allocate `budget` watts of *dynamic* power (above the all-cores-at-
-/// `f_floor` baseline) across the bidders.
-///
-/// Cores are ranked by bid value (ties broken by core id for
-/// determinism); each winner is raised from `f_floor` toward `f_peak`,
-/// costing `watts_per_freq × Δf`, until the budget runs out; the
-/// marginal core gets the exact fractional frequency that spends the
-/// remainder.
-pub fn allocate_power_bids(
-    bids: &[PowerBid],
-    budget: Watts,
-    f_floor: f64,
-    f_peak: f64,
-) -> BidAllocation {
-    assert!(
-        (0.0..=1.0).contains(&f_floor) && f_floor <= f_peak && f_peak <= 1.0,
-        "invalid frequency range"
-    );
-    assert!(
-        bids.iter().all(|b| b.watts_per_freq > 0.0),
-        "power slopes must be positive"
-    );
-    let mut order: Vec<usize> = (0..bids.len()).collect();
-    order.sort_by(|&a, &b| {
-        bids[b]
-            .value()
-            .total_cmp(&bids[a].value())
-            .then(bids[a].core.cmp(&bids[b].core))
-    });
-    let mut freqs: Vec<(usize, f64)> = bids.iter().map(|b| (b.core, f_floor)).collect();
-    let mut remaining = budget.0.max(0.0);
-    let mut granted = 0;
-    for &i in &order {
-        if remaining <= 0.0 {
-            break;
-        }
-        let full_cost = bids[i].watts_per_freq * (f_peak - f_floor);
-        if full_cost <= remaining {
-            freqs[i].1 = f_peak;
-            remaining -= full_cost;
-            if f_peak > f_floor {
-                granted += 1;
-            }
-        } else {
-            let df = remaining / bids[i].watts_per_freq;
-            freqs[i].1 = (f_floor + df).min(f_peak);
-            remaining = 0.0;
-            if df > 0.0 {
-                granted += 1;
-            }
-            break;
-        }
-    }
-    BidAllocation {
-        spent: Watts(budget.0.max(0.0) - remaining),
-        freqs,
-        granted,
-    }
-}
 
 /// One participant's bid for shared overload headroom (a rack bidding at
 /// its PDU, or a PDU bidding at the feeder).
@@ -147,8 +51,7 @@ pub struct HeadroomAllocation {
 /// Auction `budget` watts of shared headroom across the bidders: greedy
 /// full grants down the value ranking (ties broken by `id`), with the
 /// marginal bidder receiving the exact fraction that exhausts the
-/// budget. Mirrors [`allocate_power_bids`] with watts as the currency
-/// instead of frequency.
+/// budget.
 pub fn allocate_headroom(bids: &[HeadroomBid], budget: Watts) -> HeadroomAllocation {
     let mut order = Vec::new();
     let mut grants = Vec::new();
@@ -374,113 +277,6 @@ pub fn allocate_headroom_two_level_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bids(n: usize) -> Vec<PowerBid> {
-        (0..n)
-            .map(|i| PowerBid {
-                core: i,
-                demand: 0.5 + 0.05 * (i as f64),
-                priority: 1.0,
-                watts_per_freq: 15.0,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn zero_budget_leaves_everyone_at_floor() {
-        let a = allocate_power_bids(&bids(4), Watts(0.0), 0.2, 1.0);
-        assert!(a.freqs.iter().all(|&(_, f)| f == 0.2));
-        assert_eq!(a.granted, 0);
-        assert_eq!(a.spent, Watts(0.0));
-    }
-
-    #[test]
-    fn ample_budget_grants_everyone_peak() {
-        let a = allocate_power_bids(&bids(4), Watts(1e6), 0.2, 1.0);
-        assert!(a.freqs.iter().all(|&(_, f)| f == 1.0));
-        assert_eq!(a.granted, 4);
-        // Spent exactly 4 × 15 × 0.8.
-        assert!((a.spent.0 - 48.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn highest_bids_win_first() {
-        // Budget covers one full grant plus half of another.
-        let a = allocate_power_bids(&bids(4), Watts(18.0), 0.2, 1.0);
-        // Core 3 has the biggest demand → full peak.
-        assert_eq!(a.freqs[3], (3, 1.0));
-        // Core 2 gets the fractional remainder: 18 − 12 = 6 W → Δf 0.4.
-        assert!((a.freqs[2].1 - 0.6).abs() < 1e-9);
-        assert_eq!(a.freqs[1].1, 0.2);
-        assert_eq!(a.freqs[0].1, 0.2);
-        assert_eq!(a.granted, 2);
-        assert!((a.spent.0 - 18.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn priority_multiplier_overrides_demand() {
-        let mut b = bids(2);
-        b[0].demand = 0.4;
-        b[0].priority = 3.0; // interactive-style boost: bid 1.2
-        b[1].demand = 0.9;
-        b[1].priority = 1.0; // bid 0.9
-        let a = allocate_power_bids(&b, Watts(12.0), 0.2, 1.0);
-        assert_eq!(a.freqs[0].1, 1.0, "prioritized core wins");
-        assert_eq!(a.freqs[1].1, 0.2);
-    }
-
-    #[test]
-    fn ties_break_deterministically_by_core_id() {
-        let b: Vec<PowerBid> = (0..3)
-            .map(|i| PowerBid {
-                core: i,
-                demand: 0.5,
-                priority: 1.0,
-                watts_per_freq: 15.0,
-            })
-            .collect();
-        let a = allocate_power_bids(&b, Watts(12.0), 0.2, 1.0);
-        assert_eq!(a.freqs[0].1, 1.0);
-        assert_eq!(a.freqs[1].1, 0.2);
-    }
-
-    #[test]
-    fn budget_is_never_exceeded() {
-        for budget in [0.0, 5.0, 17.3, 36.0, 100.0] {
-            let a = allocate_power_bids(&bids(5), Watts(budget), 0.2, 1.0);
-            let cost: f64 = a.freqs.iter().map(|&(_, f)| 15.0 * (f - 0.2)).sum();
-            assert!(cost <= budget + 1e-9, "budget {budget}: cost {cost}");
-            assert!((cost - a.spent.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn heterogeneous_slopes_charge_correctly() {
-        let b = vec![
-            PowerBid {
-                core: 0,
-                demand: 1.0,
-                priority: 1.0,
-                watts_per_freq: 30.0,
-            },
-            PowerBid {
-                core: 1,
-                demand: 0.9,
-                priority: 1.0,
-                watts_per_freq: 10.0,
-            },
-        ];
-        // 24 W: core 0 (bid 1.0) costs 24 to fully sprint → exactly fits.
-        let a = allocate_power_bids(&b, Watts(24.0), 0.2, 1.0);
-        assert_eq!(a.freqs[0].1, 1.0);
-        assert_eq!(a.freqs[1].1, 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid frequency range")]
-    fn rejects_bad_range() {
-        allocate_power_bids(&bids(1), Watts(1.0), 0.9, 0.5);
-    }
 
     fn hbid(id: usize, request: f64, priority: f64) -> HeadroomBid {
         HeadroomBid {

@@ -63,8 +63,7 @@ pub mod ups_controller;
 pub use allocator::{AllocatorTargets, CbScheduler, PowerLoadAllocator, ScheduleKind};
 pub use bidding::{
     allocate_headroom, allocate_headroom_two_level, allocate_headroom_two_level_with,
-    allocate_power_bids, BidAllocation, HeadroomAllocation, HeadroomBid, MarketOutcome,
-    MarketWorkspace, PowerBid,
+    HeadroomAllocation, HeadroomBid, MarketOutcome, MarketWorkspace,
 };
 pub use config::{ConfigError, SprintConConfig};
 pub use powersim::grid::ActiveGrid;

@@ -110,17 +110,6 @@ impl ThermalModel {
         let t = self.tau().0 * ((target - self.temp_c) / (target - self.throttle_c)).ln();
         Some(Seconds(t))
     }
-
-    /// How long a cool-down at `p_rest` takes to bring the die back to
-    /// within `margin_c` of its rest steady state.
-    pub fn cooldown_time(&self, p_rest: f64, margin_c: f64) -> Seconds {
-        assert!(margin_c > 0.0);
-        let rest = self.steady_temp(p_rest);
-        if self.temp_c <= rest + margin_c {
-            return Seconds::ZERO;
-        }
-        Seconds(self.tau().0 * ((self.temp_c - rest) / margin_c).ln())
-    }
 }
 
 /// Derive the steady periodic-sprint duty cycle for a chip: sprint at
@@ -220,17 +209,6 @@ mod tests {
         m.step(50.0, Seconds(1e6)); // cook it to steady state (clamped by test only)
         assert!(m.throttled());
         assert_eq!(m.sprint_budget(50.0), Some(Seconds::ZERO));
-    }
-
-    #[test]
-    fn cooldown_time_is_consistent() {
-        let mut m = ThermalModel::sprint_testbed();
-        m.step(50.0, Seconds(8.0)); // heat up
-        let t_cool = m.cooldown_time(2.0, 1.0);
-        let mut sim = m;
-        sim.step(2.0, t_cool);
-        let rest = sim.steady_temp(2.0);
-        assert!((sim.temperature_c() - rest) <= 1.0 + 1e-9);
     }
 
     #[test]

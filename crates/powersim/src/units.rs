@@ -64,17 +64,6 @@ impl Watts {
 impl WattHours {
     pub const ZERO: WattHours = WattHours(0.0);
 
-    /// How long this much energy lasts when drained at `power`.
-    ///
-    /// Returns `Seconds(f64::INFINITY)` for non-positive drain.
-    pub fn duration_at(self, power: Watts) -> Seconds {
-        if power.0 <= 0.0 {
-            Seconds(f64::INFINITY)
-        } else {
-            Seconds(self.0 / power.0 * SECONDS_PER_HOUR)
-        }
-    }
-
     pub fn max(self, other: WattHours) -> WattHours {
         WattHours(self.0.max(other.0))
     }
@@ -112,11 +101,6 @@ impl NormFreq {
 
     pub fn clamp(self, lo: NormFreq, hi: NormFreq) -> NormFreq {
         NormFreq(self.0.clamp(lo.0, hi.0))
-    }
-
-    /// Convert to megahertz given the platform peak.
-    pub fn to_mhz(self, peak_mhz: f64) -> f64 {
-        self.0 * peak_mhz
     }
 }
 
@@ -249,23 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_duration_round_trip() {
-        let e = WattHours(400.0);
-        let t = e.duration_at(Watts(4800.0));
-        // 400 Wh at 4.8 kW is exactly 5 minutes (the paper's UPS sizing).
-        assert!((t.as_minutes() - 5.0).abs() < 1e-12);
-        // Draining at that power for that long consumes exactly the capacity.
-        let back = Watts(4800.0).over(t);
-        assert!((back.0 - e.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duration_at_zero_power_is_infinite() {
-        assert!(WattHours(1.0).duration_at(Watts(0.0)).0.is_infinite());
-        assert!(WattHours(1.0).duration_at(Watts(-5.0)).0.is_infinite());
-    }
-
-    #[test]
     fn linear_ops() {
         assert_eq!(Watts(3.0) + Watts(4.0), Watts(7.0));
         assert_eq!(Watts(3.0) - Watts(4.0), Watts(-1.0));
@@ -295,12 +262,6 @@ mod tests {
         );
         assert_eq!(Utilization(1.7).saturate(), Utilization::FULL);
         assert_eq!(Utilization(-0.3).saturate(), Utilization::IDLE);
-    }
-
-    #[test]
-    fn norm_freq_to_mhz() {
-        assert!((NormFreq(0.2).to_mhz(2000.0) - 400.0).abs() < 1e-12);
-        assert!((NormFreq(1.0).to_mhz(2000.0) - 2000.0).abs() < 1e-12);
     }
 
     #[test]

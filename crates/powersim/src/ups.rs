@@ -79,15 +79,6 @@ impl UpsBattery {
         self.soc.0 <= 1e-9
     }
 
-    /// Remaining runtime if discharged at `power` (delivered watts).
-    pub fn runtime_at(&self, power: Watts) -> Seconds {
-        if power.0 <= 0.0 {
-            return Seconds(f64::INFINITY);
-        }
-        let cell_power = Watts(power.0 / self.spec.discharge_efficiency);
-        self.soc.duration_at(cell_power)
-    }
-
     /// Discharge: deliver up to `requested` for `dt`; returns the power
     /// actually delivered, limited by the inverter rating and remaining
     /// energy. Updates SoC, throughput, and max-DoD bookkeeping.
@@ -176,15 +167,6 @@ mod tests {
 
     fn battery() -> UpsBattery {
         UpsBattery::full(UpsSpec::paper_default())
-    }
-
-    #[test]
-    fn paper_sizing_five_minutes_at_full_rack_power() {
-        let b = battery();
-        // Without efficiency losses, 400 Wh @ 4.8 kW is 5 min; with 95%
-        // discharge efficiency, slightly less.
-        let t = b.runtime_at(Watts(4800.0));
-        assert!((t.as_minutes() - 4.75).abs() < 0.01, "runtime={t}");
     }
 
     #[test]

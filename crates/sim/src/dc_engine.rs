@@ -46,25 +46,22 @@
 //! worker counts, which [`DcRunOutput::digest`] (an FNV fold of the
 //! per-rack [`run_digest`]s, the market grants, and the aggregate
 //! breaker outcomes) makes checkable in one comparison.
-//! `bench_datacenter --check` and `tests/datacenter.rs` enforce both
-//! that gate and single-rack equivalence: under a
-//! [`DatacenterTopology::single_rack`] tree with an ample edge rating,
-//! every grant is bit-transparent (`min(p_cb, rated + grant)` returns
-//! `p_cb` exactly), so rack 0's digest equals the plain
-//! `run_policy(.., PolicyKind::SprintCon)` digest bit for bit.
+//! `tests/datacenter.rs` enforces both that contract and equivalence to
+//! standalone runs: under an ample tree, where every edge can carry
+//! every rack's full overload swing, every grant is bit-transparent
+//! (`min(p_cb, rated + grant)` returns `p_cb` exactly), so every rack's
+//! digest equals the plain `run_policy(.., PolicyKind::SprintCon)`
+//! digest of its own scenario bit for bit.
 //!
 //! ## Memory model (DESIGN.md §5i)
 //!
-//! [`DcRecordMode`] picks the recording retention. `Full` keeps every
-//! rack's whole-run [`Sample`](crate::recorder::Sample) trajectory —
-//! O(racks × ticks) resident, full post-hoc analysis. `Streaming` keeps
-//! only one epoch of contiguous `cb_power` lane per rack plus folded
-//! aggregates and a running digest — O(racks) resident — and produces
-//! **bit-identical** per-rack and floor digests (the digest byte stream
-//! is folded sample-by-sample in push order either way). The replay
-//! consumes each epoch lane and clears it; `samples()` stays empty.
+//! Every rack records into a streaming [`Recorder`]: one epoch of
+//! contiguous `cb_power` lane, the folded summary aggregates and a
+//! running sample digest, O(racks) resident in all. The replay consumes
+//! each epoch lane and clears it; `samples()` stays empty, and
+//! [`run_digest`] of a rack's output starts from its recorder's fold.
 
-use crate::exec::{digest_run_tail, par_map, run_digest, DigestBuilder, ExecConfig};
+use crate::exec::{par_map, run_digest, DigestBuilder, ExecConfig};
 use crate::experiment::RunOutput;
 use crate::metrics::RunSummary;
 use crate::policy::SprintConPolicy;
@@ -107,19 +104,15 @@ impl DcScenario {
     }
 }
 
-/// Recording retention for a datacenter run — the memory/observability
-/// trade at floor scale (see the module docs and DESIGN.md §5i).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Recording retention for a datacenter run. Streaming is the only
+/// mode (see the module docs); the type and
+/// [`DatacenterSim::from_scenario_with`] remain because the benchmark's
+/// floor workload names them, and go with that call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DcRecordMode {
-    /// Every rack keeps its whole-run sample trajectory:
-    /// O(racks × ticks) resident, full post-hoc analysis, the historical
-    /// behavior and the default.
-    #[default]
-    Full,
     /// Every rack keeps one epoch of `cb_power` lane plus folded
-    /// aggregates and a running digest: O(racks) resident, bit-identical
-    /// digests and summaries, empty `samples()`. The mode that makes a
-    /// 10k-rack floor routine.
+    /// aggregates and a running digest: O(racks) resident, empty
+    /// `samples()`.
     Streaming,
 }
 
@@ -190,18 +183,14 @@ pub struct MarketRound {
 /// Everything a datacenter run produces.
 #[derive(Debug)]
 pub struct DcRunOutput {
-    /// Per-rack results, rack order — each shaped exactly like a
-    /// standalone run's output (recording, §VII summary, telemetry
-    /// snapshot, empty unless the run was traced). Under
-    /// [`DcRecordMode::Streaming`] the recorders' `samples()` are empty
-    /// (aggregates and events remain).
+    /// Per-rack results, rack order — each shaped like a standalone
+    /// run's output (recording, §VII summary, telemetry snapshot, empty
+    /// unless the run was traced), except that the streaming recorders
+    /// keep no `samples()` (aggregates and events remain).
     pub racks: Vec<RunOutput>,
-    /// Per-rack [`run_digest`]s, rack order — bit-identical between
-    /// record modes, so streaming runs stay spot-checkable against
-    /// standalone full runs.
+    /// `run_digest(&racks[r])`, rack order: what a standalone run of
+    /// the same trajectory digests to.
     pub rack_digests: Vec<u64>,
-    /// The recording retention this run used.
-    pub record_mode: DcRecordMode,
     /// The cleared market rounds, epoch order.
     pub rounds: Vec<MarketRound>,
     /// `pdu_of[r]` — which PDU rack `r` hangs off (conservation tests).
@@ -218,16 +207,8 @@ pub struct DcRunOutput {
     pub peak_feeder_load: Watts,
     /// Determinism digest of the whole run: per-rack [`run_digest`]s in
     /// rack order, the market rounds, and the aggregate tree outcomes.
-    /// Bit-identical across worker counts *and* record modes.
+    /// Bit-identical across worker counts.
     pub digest: u64,
-}
-
-impl DcRunOutput {
-    /// `Σ grants` of round `i` — conservation checks read this against
-    /// [`DcRunOutput::feeder_budget`].
-    pub fn round_total(&self, i: usize) -> Watts {
-        Watts(self.rounds[i].grants.iter().map(|g| g.0).sum())
-    }
 }
 
 /// One rack's full stack: plant, controller, recording, and on a traced
@@ -266,36 +247,20 @@ pub struct DatacenterSim {
     grid: GridInjector,
     /// Control periods per market epoch (`allocator_period / dt`).
     epoch_ticks: usize,
-    /// Recording retention (see [`DcRecordMode`]).
-    record_mode: DcRecordMode,
 }
 
 impl DatacenterSim {
-    /// Build every rack shard and the shared tree from the scenario,
-    /// with [`DcRecordMode::Full`] retention.
-    pub fn from_scenario(scenario: &DcScenario) -> Result<Self, DcError> {
-        Self::from_scenario_with(scenario, DcRecordMode::Full)
-    }
-
     /// Build every rack shard and the shared tree from the scenario.
-    pub fn from_scenario_with(
-        scenario: &DcScenario,
-        record_mode: DcRecordMode,
-    ) -> Result<Self, DcError> {
+    pub fn from_scenario(scenario: &DcScenario) -> Result<Self, DcError> {
         scenario.base.validate().map_err(DcError::Scenario)?;
         scenario.topo.validate().map_err(DcError::Topology)?;
         let num_racks = scenario.topo.num_racks();
-        let steps = (scenario.base.duration.0 / scenario.base.dt.0).round() as usize;
         let mut shards = Vec::with_capacity(num_racks);
         for r in 0..num_racks {
-            let rec = match record_mode {
-                DcRecordMode::Full => Recorder::with_capacity(steps),
-                DcRecordMode::Streaming => Recorder::streaming(),
-            };
             shards.push(RackShard {
                 sim: scenario.rack_scenario(r).build(),
                 policy: SprintConPolicy::paper_default(),
-                rec,
+                rec: Recorder::streaming(),
                 collector: None,
             });
         }
@@ -349,8 +314,12 @@ impl DatacenterSim {
             rated_total: Watts(rated_total),
             grid,
             epoch_ticks,
-            record_mode,
         })
+    }
+
+    /// [`DatacenterSim::from_scenario`]; `Streaming` is the only mode.
+    pub fn from_scenario_with(scenario: &DcScenario, _: DcRecordMode) -> Result<Self, DcError> {
+        Self::from_scenario(scenario)
     }
 
     pub fn num_racks(&self) -> usize {
@@ -365,11 +334,6 @@ impl DatacenterSim {
     /// Control periods per market epoch.
     pub fn epoch_ticks(&self) -> usize {
         self.epoch_ticks
-    }
-
-    /// The recording retention this sim was built with.
-    pub fn record_mode(&self) -> DcRecordMode {
-        self.record_mode
     }
 
     /// The feeder headroom budget in effect at `now`: the topology's
@@ -460,7 +424,6 @@ impl DatacenterSim {
     #[allow(clippy::too_many_arguments)]
     fn replay_epoch(
         &mut self,
-        done: usize,
         ticks: usize,
         dt: Seconds,
         lanes: &mut [f64],
@@ -476,25 +439,17 @@ impl DatacenterSim {
         for (p, pdu) in self.scenario.topo.pdus.iter().enumerate() {
             let lane = &mut lanes[p * ticks..(p + 1) * ticks];
             for shard in &mut self.shards[rack..rack + pdu.num_racks] {
-                if let Some(src) = shard.rec.epoch_lane() {
-                    assert_eq!(
-                        src.len(),
-                        ticks,
-                        "epoch lane must hold exactly one epoch of samples"
-                    );
-                    for (slot, &w) in lane.iter_mut().zip(src) {
-                        assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
-                        *slot += w;
-                    }
-                    shard.rec.clear_epoch_lane();
-                } else {
-                    let src = &shard.rec.samples()[done..done + ticks];
-                    for (slot, s) in lane.iter_mut().zip(src) {
-                        let w = s.cb_power.0;
-                        assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
-                        *slot += w;
-                    }
+                let src = shard.rec.epoch_lane().unwrap_or_default();
+                assert_eq!(
+                    src.len(),
+                    ticks,
+                    "epoch lane must hold exactly one epoch of samples"
+                );
+                for (slot, &w) in lane.iter_mut().zip(src) {
+                    assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
+                    *slot += w;
                 }
+                shard.rec.clear_epoch_lane();
             }
             rack += pdu.num_racks;
         }
@@ -548,7 +503,6 @@ impl DatacenterSim {
                 Self::step_shard(shard, ticks)
             });
             self.replay_epoch(
-                done,
                 ticks,
                 dt,
                 &mut lanes,
@@ -564,30 +518,22 @@ impl DatacenterSim {
     }
 
     /// Finalize each shard like `run_instrumented`: summary, then the
-    /// collector's snapshot on a traced run. Streaming shards finish
-    /// their fold and hand back the incrementally built digest; full
-    /// shards digest their retained trajectory — both land on the same
-    /// byte stream.
+    /// collector's snapshot on a traced run, then its [`run_digest`].
     fn finalize(self, agg: DriveAgg) -> DcRunOutput {
         let mut racks = Vec::with_capacity(self.shards.len());
         let mut rack_digests = Vec::with_capacity(self.shards.len());
-        for mut shard in self.shards {
-            shard.rec.finish_stream();
+        for shard in self.shards {
             let summary = RunSummary::from_run("SprintCon", &shard.sim, &shard.rec);
             let metrics = shard.collector.map_or_else(MetricsSnapshot::default, |c| {
                 c.flush();
                 c.snapshot()
-            });
-            let stream_digest = shard.rec.stream_digest().map(|mut h| {
-                digest_run_tail(&mut h, shard.rec.events(), &summary, &metrics);
-                h.finish()
             });
             let out = RunOutput {
                 recorder: shard.rec,
                 summary,
                 metrics,
             };
-            rack_digests.push(stream_digest.unwrap_or_else(|| run_digest(&out)));
+            rack_digests.push(run_digest(&out));
             racks.push(out);
         }
 
@@ -613,7 +559,6 @@ impl DatacenterSim {
         DcRunOutput {
             racks,
             rack_digests,
-            record_mode: self.record_mode,
             rounds: agg.rounds,
             pdu_of: self.pdu_of,
             pdu_caps: self.pdu_caps,
@@ -641,21 +586,9 @@ impl DatacenterSim {
     }
 }
 
-/// Build and run a datacenter campaign in one call
-/// ([`DcRecordMode::Full`] retention).
+/// Build and run a datacenter campaign in one call.
 pub fn run_datacenter(scenario: &DcScenario, exec: ExecConfig) -> Result<DcRunOutput, DcError> {
-    run_datacenter_with(scenario, exec, DcRecordMode::Full)
-}
-
-/// Build and run a datacenter campaign in one call, choosing the
-/// recording retention. [`DcRecordMode::Streaming`] is the floor-scale
-/// mode: O(racks) resident memory, bit-identical digests.
-pub fn run_datacenter_with(
-    scenario: &DcScenario,
-    exec: ExecConfig,
-    mode: DcRecordMode,
-) -> Result<DcRunOutput, DcError> {
-    Ok(DatacenterSim::from_scenario_with(scenario, mode)?.run(exec))
+    Ok(DatacenterSim::from_scenario(scenario)?.run(exec))
 }
 
 #[cfg(test)]
@@ -718,46 +651,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_mode_is_bit_identical_to_full_mode() {
-        let dc = DcScenario::new(quick_base(7), small_topo(5)).unwrap();
-        let full = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
-        assert_eq!(full.record_mode, DcRecordMode::Full);
-        for exec in [
-            ExecConfig::sequential(),
-            ExecConfig::jobs(2),
-            ExecConfig::jobs(4),
-        ] {
-            let st = run_datacenter_with(&dc, exec, DcRecordMode::Streaming).unwrap();
-            assert_eq!(st.record_mode, DcRecordMode::Streaming);
-            assert_eq!(full.digest, st.digest, "floor digest diverged");
-            assert_eq!(full.rack_digests, st.rack_digests, "rack digest diverged");
-            assert_eq!(full.pdu_trip_periods, st.pdu_trip_periods);
-            assert_eq!(full.feeder_trip_periods, st.feeder_trip_periods);
-            assert!(
-                st.racks.iter().all(|r| r.recorder.samples().is_empty()),
-                "streaming mode must not retain trajectories"
-            );
-        }
-    }
-
-    #[test]
-    fn full_mode_rack_digests_match_run_digest() {
-        let dc = DcScenario::new(quick_base(3), small_topo(4)).unwrap();
-        let out = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
-        for (rack, &d) in out.racks.iter().zip(&out.rack_digests) {
-            assert_eq!(d, run_digest(rack));
-        }
-    }
-
-    #[test]
     fn market_rounds_conserve_the_feeder_budget() {
         let dc = DcScenario::new(quick_base(3), small_topo(6)).unwrap();
         let out = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
         assert_eq!(out.rounds.len(), 3, "90 s / 30 s epochs");
         for (i, round) in out.rounds.iter().enumerate() {
-            let total = out.round_total(i);
+            let total: f64 = round.grants.iter().map(|g| g.0).sum();
             assert!(
-                total.0 <= out.feeder_budget.0 + 1e-9,
+                total <= out.feeder_budget.0 + 1e-9,
                 "round {i}: {total} > {}",
                 out.feeder_budget
             );

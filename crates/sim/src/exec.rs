@@ -300,22 +300,25 @@ impl Campaign {
 /// --check` and `tests/parallel.rs` enforce this.
 ///
 /// Composed from [`digest_sample`] (once per sample, in order) followed
-/// by [`digest_run_tail`] — the same decomposition the streaming
-/// datacenter recorder uses to fold samples incrementally without
-/// retaining them, which is what makes streaming digests bit-identical
-/// to full-retention digests by construction.
+/// by [`digest_run_tail`]. A streaming recorder keeps no samples but
+/// folds each one at push time, so the digest starts from that fold
+/// ([`Recorder::stream_digest`](crate::recorder::Recorder::stream_digest))
+/// and is the same as if the samples had been kept.
 pub fn run_digest(out: &RunOutput) -> u64 {
-    let mut h = DigestBuilder::new();
-    for s in out.recorder.samples() {
-        digest_sample(&mut h, s);
-    }
+    let mut h = out.recorder.stream_digest().unwrap_or_else(|| {
+        let mut h = DigestBuilder::new();
+        for s in out.recorder.samples() {
+            digest_sample(&mut h, s);
+        }
+        h
+    });
     digest_run_tail(&mut h, out.recorder.events(), &out.summary, &out.metrics);
     h.finish()
 }
 
-/// Fold one recorder [`Sample`](crate::recorder::Sample) into `h` — the per-sample section of
-/// [`run_digest`], exposed so a streaming recorder can hash samples at
-/// push time instead of retaining them.
+/// Fold one recorder [`Sample`](crate::recorder::Sample) into `h`: the
+/// per-sample section of [`run_digest`], which a streaming recorder
+/// applies at push time instead of keeping the sample.
 pub fn digest_sample(h: &mut DigestBuilder, s: &crate::recorder::Sample) {
     h.f64(s.t.0);
     h.f64(s.p_total.0);

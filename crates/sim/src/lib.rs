@@ -14,7 +14,7 @@
 //! * [`policy`] — the policy trait plus SprintCon/SGCT adapters.
 //! * [`scenario`] — the §VI-A setup builder (16 servers, 3.2 kW CB,
 //!   400 Wh UPS, Wikipedia-like burst, SPEC-like jobs).
-//! * [`recorder`] — per-period samples, CSV export, column extraction.
+//! * [`recorder`] — per-period samples, run aggregates, CSV export.
 //! * [`metrics`] — run summaries (avg frequencies, DoD, deadlines, …).
 //! * [`mode`] — the shared [`mode::ModeLabel`] vocabulary for policy modes.
 //! * [`experiment`] — the §VII policy kinds and [`run_policy`], the
@@ -43,8 +43,7 @@ pub mod recorder;
 pub mod scenario;
 
 pub use dc_engine::{
-    run_datacenter, run_datacenter_with, DatacenterSim, DcError, DcRecordMode, DcRunOutput,
-    DcScenario, MarketRound,
+    run_datacenter, DatacenterSim, DcError, DcRecordMode, DcRunOutput, DcScenario, MarketRound,
 };
 pub use engine::{RackSim, TierState};
 pub use exec::{run_digest, Campaign, CampaignEntry, CampaignResult, DigestBuilder, ExecConfig};

@@ -1,24 +1,25 @@
-//! Time-series recording of simulation runs, with CSV export and
-//! column-wise extraction for the figure harness.
+//! Time-series recording of simulation runs, with CSV export.
 //!
-//! Two retention modes share one API:
+//! Every recorder folds the run aggregates the §VII summary reads
+//! ([`Recorder::ups_energy_wh`] and friends) at push time, in push
+//! order, so each aggregate has one implementation and is exact after
+//! every push. The two kinds of recorder differ only in what else they
+//! keep:
 //!
-//! * **Full** (the default): every [`Sample`] is kept for the whole run
-//!   — what the figure harness, CSV export, and standalone [`run_digest`]
-//!   consume. Memory is O(ticks).
-//! * **Streaming** ([`Recorder::streaming`]): built for the datacenter
-//!   engine's 10k-rack floors, where whole-run retention at every rack
-//!   is the memory ceiling. Samples are *not* kept; instead each push
-//!   appends `cb_power` to a contiguous epoch lane (drained by the tree
-//!   replay at every allocator boundary) and folds the sample into an
-//!   incremental FNV digest plus the handful of running aggregates the
-//!   §VII summary reads ([`Recorder::ups_energy_wh`] & friends). The
-//!   folds replicate the full-retention accessors' accumulation order
-//!   exactly, so summaries — and therefore run digests — come out
-//!   **bit-identical** to a full-retention recorder of the same
-//!   trajectory (`bench_datacenter --check` and `tests/datacenter.rs`
-//!   enforce this). Events and the open-loop tail summary are kept in
-//!   both modes (both are bounded and both feed the digest tail).
+//! * [`Recorder::with_capacity`] (and `default()`) keeps every
+//!   [`Sample`]: what the figure harness, CSV export and the QoS report
+//!   read. Memory is O(ticks).
+//! * [`Recorder::streaming`] keeps no samples. It is the datacenter
+//!   engine's recorder, where whole-run retention at every rack would be
+//!   the memory ceiling of a 10k-rack floor. Each push appends
+//!   `cb_power` to a contiguous epoch lane, which the tree replay drains
+//!   at every allocator boundary, and folds the sample into the
+//!   per-sample section of [`run_digest`], which starts from that fold.
+//!   A streaming recorder therefore digests exactly like one that kept
+//!   the same trajectory.
+//!
+//! Both keep the events and the open-loop tail summary (both are
+//! bounded and both feed the digest tail).
 //!
 //! [`run_digest`]: crate::exec::run_digest
 
@@ -28,7 +29,6 @@ use powersim::units::{Seconds, Watts};
 use std::io::Write;
 use std::path::Path;
 use workloads::open_loop::{QueueObservation, TailSummary};
-use workloads::trace::Trace;
 
 /// One control period's worth of observations.
 #[derive(Debug, Clone)]
@@ -82,112 +82,85 @@ pub enum SimEvent {
     JobCompleted { core: usize },
 }
 
-/// Streaming-mode fold state: everything the summary and digest need
-/// from the samples, without the samples.
+/// The run aggregates every recorder folds at push time, in push order:
+/// the same left folds `Iterator::sum` and a counted mean make over the
+/// samples, so an aggregate reads the same whether or not the samples
+/// are kept.
 #[derive(Debug, Clone)]
-struct StreamFold {
-    /// Contiguous `cb_power` lane of the current epoch, in push order;
-    /// the datacenter tree replay consumes and clears it every epoch.
-    lane: Vec<f64>,
-    /// Incremental fold of every pushed sample, in push order — the
-    /// per-sample section of [`crate::exec::run_digest`], bit for bit.
-    digest: DigestBuilder,
-    /// First two timestamps seen: the same `dt` derivation full
-    /// retention uses (`t1 − t0`, fallback 1 s below two samples).
-    t0: Option<f64>,
-    t1: Option<f64>,
-    /// Samples pushed before `dt` is known (at most the first one);
-    /// folded into the aggregates as soon as the second push fixes `dt`.
-    pending: Vec<Sample>,
-    /// Samples folded into the aggregates so far.
-    folded: usize,
-    sum_freq_interactive: f64,
-    sum_freq_batch: f64,
+struct Aggregates {
+    len: usize,
+    /// Period between the first two samples; 1 s until the second push
+    /// fixes it (the fallback of a one-sample run).
+    dt: Seconds,
+    /// The first sample's time, UPS power and breaker power: the second
+    /// push refolds that sample's energy with the real `dt`.
+    first: (Seconds, Watts, Watts),
     ups_energy_wh: f64,
     cb_energy_wh: f64,
-    trip_count: usize,
+    sum_freq_interactive: f64,
+    sum_freq_batch: f64,
     first_shortfall: Option<Seconds>,
 }
 
-impl StreamFold {
-    fn new() -> Self {
-        StreamFold {
-            lane: Vec::new(),
-            digest: DigestBuilder::new(),
-            t0: None,
-            t1: None,
-            pending: Vec::new(),
-            folded: 0,
+impl Default for Aggregates {
+    fn default() -> Self {
+        Aggregates {
+            len: 0,
+            dt: Seconds(1.0),
+            first: (Seconds(0.0), Watts::ZERO, Watts::ZERO),
+            // −0.0, where `Iterator::sum::<f64>` starts: the additive
+            // identity, so an empty or all-−0.0 series keeps its sign.
+            ups_energy_wh: -0.0,
+            cb_energy_wh: -0.0,
             sum_freq_interactive: 0.0,
             sum_freq_batch: 0.0,
-            ups_energy_wh: 0.0,
-            cb_energy_wh: 0.0,
-            trip_count: 0,
             first_shortfall: None,
         }
     }
+}
 
-    fn dt(&self) -> Option<Seconds> {
-        match (self.t0, self.t1) {
-            (Some(a), Some(b)) => Some(Seconds(b - a)),
-            _ => None,
+impl Aggregates {
+    fn push(&mut self, s: &Sample) {
+        match self.len {
+            0 => self.first = (s.t, s.ups_power, s.cb_power),
+            1 => {
+                let (t0, ups, cb) = self.first;
+                self.dt = Seconds(s.t.0 - t0.0);
+                // Restart both sums at the real `dt`. Their first step,
+                // −0.0 + x, is x.
+                self.ups_energy_wh = ups.over(self.dt).0;
+                self.cb_energy_wh = cb.over(self.dt).0;
+            }
+            _ => {}
         }
-    }
-
-    /// Fold one sample into the running aggregates with the same
-    /// accumulation order as the full-retention accessors (`+=` from a
-    /// zero accumulator mirrors `Iterator::sum`'s left fold).
-    fn fold(&mut self, s: &Sample, dt: Seconds) {
-        self.folded += 1;
+        self.len += 1;
+        self.ups_energy_wh += s.ups_power.over(self.dt).0;
+        self.cb_energy_wh += s.cb_power.over(self.dt).0;
         self.sum_freq_interactive += s.mean_freq_interactive;
         self.sum_freq_batch += s.mean_freq_batch;
-        self.ups_energy_wh += s.ups_power.over(dt).0;
-        self.cb_energy_wh += s.cb_power.over(dt).0;
-        if s.tripped {
-            self.trip_count += 1;
-        }
         if self.first_shortfall.is_none() && s.shortfall.0 > 1.0 {
             self.first_shortfall = Some(s.t);
         }
     }
 
-    fn push(&mut self, s: Sample) {
-        self.lane.push(s.cb_power.0);
-        crate::exec::digest_sample(&mut self.digest, &s);
-        if self.t0.is_none() {
-            self.t0 = Some(s.t.0);
-        } else if self.t1.is_none() {
-            self.t1 = Some(s.t.0);
-        }
-        match self.dt() {
-            Some(dt) => {
-                // The second push fixes dt; flush the first sample (the
-                // only one that can be pending) before folding this one,
-                // preserving push order.
-                for i in 0..self.pending.len() {
-                    let p = self.pending[i].clone();
-                    self.fold(&p, dt);
-                }
-                self.pending.clear();
-                self.fold(&s, dt);
-            }
-            None => self.pending.push(s),
+    fn mean(&self, sum: f64) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            sum / self.len as f64
         }
     }
+}
 
-    /// Fold any still-pending samples with the sub-two-sample fallback
-    /// `dt` of 1 s — exactly what full retention's `dt()` would use.
-    fn flush_pending(&mut self) {
-        for i in 0..self.pending.len() {
-            let p = self.pending[i].clone();
-            self.fold(&p, Seconds(1.0));
-        }
-        self.pending.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.folded + self.pending.len()
-    }
+/// What a streaming recorder keeps instead of its samples.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    /// Contiguous `cb_power` lane of the current epoch, in push order;
+    /// the datacenter tree replay consumes and clears it every epoch.
+    lane: Vec<f64>,
+    /// Incremental fold of every pushed sample, in push order: the
+    /// per-sample section of [`crate::exec::run_digest`], bit for bit.
+    digest: DigestBuilder,
 }
 
 /// An append-only recording of one run.
@@ -198,65 +171,55 @@ pub struct Recorder {
     /// Whole-run request-latency tail summary (open-loop runs only);
     /// overwritten each tick with the cumulative sketch state.
     tail: Option<TailSummary>,
-    /// Streaming-mode fold state; `None` means full retention.
-    stream: Option<Box<StreamFold>>,
+    totals: Aggregates,
+    /// The streaming recorder's lane and digest; `None` keeps samples.
+    stream: Option<Box<Stream>>,
 }
 
 impl Recorder {
     pub fn with_capacity(n: usize) -> Self {
         Recorder {
             samples: Vec::with_capacity(n),
-            events: Vec::new(),
-            tail: None,
-            stream: None,
+            ..Recorder::default()
         }
     }
 
-    /// A streaming recorder: samples are folded, not retained — see the
-    /// module docs for the contract. [`Recorder::samples`] stays empty;
-    /// use [`Recorder::epoch_lane`] for the current epoch's breaker
-    /// powers and the aggregate accessors for everything the summary
-    /// reads.
+    /// A streaming recorder: samples are folded, not kept (see the
+    /// module docs). [`Recorder::samples`] stays empty; use
+    /// [`Recorder::epoch_lane`] for the current epoch's breaker powers.
     pub fn streaming() -> Self {
         Recorder {
-            samples: Vec::new(),
-            events: Vec::new(),
-            tail: None,
-            stream: Some(Box::new(StreamFold::new())),
+            stream: Some(Box::default()),
+            ..Recorder::default()
         }
     }
 
-    /// Streaming mode: the contiguous `cb_power` lane of the current
+    /// Streaming recorder: the contiguous `cb_power` lane of the current
     /// epoch (everything pushed since the last
-    /// [`Recorder::clear_epoch_lane`]). `None` under full retention.
+    /// [`Recorder::clear_epoch_lane`]). `None` if samples are kept.
     pub fn epoch_lane(&self) -> Option<&[f64]> {
         self.stream.as_ref().map(|st| st.lane.as_slice())
     }
 
-    /// Streaming mode: drop the current epoch lane (keeps its
-    /// allocation). No-op under full retention.
+    /// Streaming recorder: drop the current epoch lane (keeps its
+    /// allocation). No-op if samples are kept.
     pub fn clear_epoch_lane(&mut self) {
         if let Some(st) = &mut self.stream {
             st.lane.clear();
         }
     }
 
-    /// Streaming mode: a snapshot of the incremental per-sample digest
-    /// fold — the exact state [`crate::exec::run_digest`] would be in
-    /// after hashing every pushed sample. Finish it with
-    /// [`crate::exec::digest_run_tail`]. `None` under full retention.
+    /// Streaming recorder: a snapshot of the incremental per-sample
+    /// digest fold, the exact state [`crate::exec::run_digest`] starts
+    /// its tail from. `None` if samples are kept.
     pub fn stream_digest(&self) -> Option<DigestBuilder> {
         self.stream.as_ref().map(|st| st.digest.clone())
     }
 
-    /// Streaming mode: finalize the aggregate folds (flushes a
-    /// sub-two-sample run with the same fallback `dt` full retention
-    /// uses). Idempotent; no-op under full retention.
-    pub fn finish_stream(&mut self) {
-        if let Some(st) = &mut self.stream {
-            st.flush_pending();
-        }
-    }
+    /// Nothing is left to fold: every aggregate is exact after each
+    /// push. Kept because the benchmark's traced floor replay calls it;
+    /// it goes with that call.
+    pub fn finish_stream(&mut self) {}
 
     /// Record the run-level request tail summary (open-loop runs).
     pub fn set_tail(&mut self, tail: TailSummary) {
@@ -269,8 +232,12 @@ impl Recorder {
     }
 
     pub fn push(&mut self, s: Sample) {
+        self.totals.push(&s);
         match &mut self.stream {
-            Some(st) => st.push(s),
+            Some(st) => {
+                st.lane.push(s.cb_power.0);
+                crate::exec::digest_sample(&mut st.digest, &s);
+            }
             None => self.samples.push(s),
         }
     }
@@ -293,138 +260,43 @@ impl Recorder {
         self.events.iter().filter(move |(_, e)| pred(e))
     }
 
-    /// Samples pushed so far (both modes; streaming counts folded ones).
+    /// Samples pushed so far, kept or not.
     pub fn len(&self) -> usize {
-        match &self.stream {
-            Some(st) => st.len(),
-            None => self.samples.len(),
-        }
+        self.totals.len
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The retained samples. Empty in streaming mode (which is the
-    /// point) — consumers that need trajectories (CSV export, column
-    /// extraction, figure harness) require full retention.
+    /// The kept samples; empty for a streaming recorder.
     pub fn samples(&self) -> &[Sample] {
         &self.samples
     }
 
-    fn dt(&self) -> Seconds {
-        match &self.stream {
-            Some(st) => st.dt().unwrap_or(Seconds(1.0)),
-            None => {
-                if self.samples.len() >= 2 {
-                    Seconds(self.samples[1].t.0 - self.samples[0].t.0)
-                } else {
-                    Seconds(1.0)
-                }
-            }
-        }
-    }
-
-    /// Extract a column as a [`Trace`].
-    pub fn column(&self, f: impl Fn(&Sample) -> f64) -> Trace {
-        Trace::new(self.dt(), self.samples.iter().map(f).collect())
-    }
-
-    /// Streaming mode: aggregates over folded samples plus any samples
-    /// still pending a `dt` (a sub-two-sample run), folded on the fly
-    /// with the same 1 s fallback full retention would apply — so the
-    /// accessor is exact at any point, not just after
-    /// [`Recorder::finish_stream`].
-    fn stream_with_pending<T>(
-        st: &StreamFold,
-        base: T,
-        fold: impl Fn(T, &Sample, Seconds) -> T,
-    ) -> T {
-        let mut acc = base;
-        for s in &st.pending {
-            acc = fold(acc, s, Seconds(1.0));
-        }
-        acc
-    }
-
     /// Total energy delivered by the UPS over the run, Wh.
     pub fn ups_energy_wh(&self) -> f64 {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.ups_energy_wh, |acc, s, dt| {
-                acc + s.ups_power.over(dt).0
-            }),
-            None => {
-                let dt = self.dt();
-                self.samples.iter().map(|s| s.ups_power.over(dt).0).sum()
-            }
-        }
+        self.totals.ups_energy_wh
     }
 
     /// Total energy through the breaker, Wh.
     pub fn cb_energy_wh(&self) -> f64 {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.cb_energy_wh, |acc, s, dt| {
-                acc + s.cb_power.over(dt).0
-            }),
-            None => {
-                let dt = self.dt();
-                self.samples.iter().map(|s| s.cb_power.over(dt).0).sum()
-            }
-        }
-    }
-
-    /// Number of breaker trips.
-    pub fn trip_count(&self) -> usize {
-        match &self.stream {
-            Some(st) => {
-                Self::stream_with_pending(st, st.trip_count, |acc, s, _| acc + s.tripped as usize)
-            }
-            None => self.samples.iter().filter(|s| s.tripped).count(),
-        }
+        self.totals.cb_energy_wh
     }
 
     /// First time the rack browned out, if ever.
     pub fn first_shortfall(&self) -> Option<Seconds> {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.first_shortfall, |acc, s, _| {
-                if acc.is_none() && s.shortfall.0 > 1.0 {
-                    Some(s.t)
-                } else {
-                    acc
-                }
-            }),
-            None => self
-                .samples
-                .iter()
-                .find(|s| s.shortfall.0 > 1.0)
-                .map(|s| s.t),
-        }
+        self.totals.first_shortfall
     }
 
     /// Mean interactive frequency over the whole run (zeros included).
     pub fn avg_freq_interactive(&self) -> f64 {
-        match &self.stream {
-            Some(st) => {
-                let sum = Self::stream_with_pending(st, st.sum_freq_interactive, |a, s, _| {
-                    a + s.mean_freq_interactive
-                });
-                mean_of(sum, st.len())
-            }
-            None => mean(self.samples.iter().map(|s| s.mean_freq_interactive)),
-        }
+        self.totals.mean(self.totals.sum_freq_interactive)
     }
 
     /// Mean batch frequency over the whole run (zeros included).
     pub fn avg_freq_batch(&self) -> f64 {
-        match &self.stream {
-            Some(st) => {
-                let sum = Self::stream_with_pending(st, st.sum_freq_batch, |a, s, _| {
-                    a + s.mean_freq_batch
-                });
-                mean_of(sum, st.len())
-            }
-            None => mean(self.samples.iter().map(|s| s.mean_freq_batch)),
-        }
+        self.totals.mean(self.totals.sum_freq_batch)
     }
 
     /// Write the full recording as CSV.
@@ -471,19 +343,6 @@ impl Recorder {
     }
 }
 
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = it.fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
-    mean_of(sum, n)
-}
-
-fn mean_of(sum: f64, n: usize) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,29 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn column_extraction() {
+    fn averages_and_first_shortfall() {
         let mut r = Recorder::default();
-        for k in 0..10 {
-            r.push(sample(k as f64 * 2.0, 100.0, 3000.0));
-        }
-        let col = r.column(|s| s.ups_power.0);
-        assert_eq!(col.len(), 10);
-        assert_eq!(col.dt, Seconds(2.0));
-        assert_eq!(col.mean(), 100.0);
-    }
-
-    #[test]
-    fn averages_and_counters() {
-        let mut r = Recorder::default();
-        let mut s1 = sample(0.0, 0.0, 4000.0);
-        s1.tripped = true;
-        r.push(s1);
+        r.push(sample(0.0, 0.0, 4000.0));
         let mut s2 = sample(1.0, 0.0, 0.0);
         s2.mean_freq_interactive = 0.0;
         s2.mean_freq_batch = 0.0;
         s2.shortfall = Watts(500.0);
         r.push(s2);
-        assert_eq!(r.trip_count(), 1);
         assert_eq!(r.first_shortfall(), Some(Seconds(1.0)));
         assert!((r.avg_freq_interactive() - 0.5).abs() < 1e-12);
         assert!((r.avg_freq_batch() - 0.3).abs() < 1e-12);
@@ -570,10 +414,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Each aggregate recomputed from the kept samples with whole-series
+    /// folds (`Iterator::sum` for the energies, a counted mean for the
+    /// frequencies); a recorder's push-time fold must match it bit for bit.
+    fn assert_whole_series_folds(r: &Recorder, samples: &[Sample]) {
+        let dt = match samples {
+            [a, b, ..] => Seconds(b.t.0 - a.t.0),
+            _ => Seconds(1.0),
+        };
+        let ups: f64 = samples.iter().map(|s| s.ups_power.over(dt).0).sum();
+        let cb: f64 = samples.iter().map(|s| s.cb_power.over(dt).0).sum();
+        let n = samples.len().max(1) as f64;
+        let fi = samples.iter().fold(0.0, |a, s| a + s.mean_freq_interactive) / n;
+        let fb = samples.iter().fold(0.0, |a, s| a + s.mean_freq_batch) / n;
+        let shortfall = samples.iter().find(|s| s.shortfall.0 > 1.0).map(|s| s.t);
+        assert_eq!(r.len(), samples.len());
+        assert_eq!(r.ups_energy_wh().to_bits(), ups.to_bits());
+        assert_eq!(r.cb_energy_wh().to_bits(), cb.to_bits());
+        assert_eq!(r.avg_freq_interactive().to_bits(), fi.to_bits());
+        assert_eq!(r.avg_freq_batch().to_bits(), fb.to_bits());
+        assert_eq!(r.first_shortfall(), shortfall);
+    }
+
     #[test]
-    fn streaming_fold_matches_full_retention_bit_for_bit() {
-        let mut full = Recorder::default();
-        let mut st = Recorder::streaming();
+    fn push_time_folds_match_whole_series_folds_bit_for_bit() {
+        let mut series = Vec::new();
         for k in 0..50 {
             let mut s = sample(
                 k as f64 * 2.0,
@@ -582,73 +447,41 @@ mod tests {
             );
             s.mean_freq_interactive = 0.5 + 0.01 * k as f64;
             s.mean_freq_batch = 0.3 + 0.007 * k as f64;
-            if k % 7 == 0 {
-                s.tripped = true;
-            }
             if k == 31 {
                 s.shortfall = Watts(600.0);
             }
-            full.push(s.clone());
-            st.push(s);
+            series.push(s);
         }
-        st.finish_stream();
-        assert_eq!(st.len(), full.len());
-        assert_eq!(st.trip_count(), full.trip_count());
-        assert_eq!(st.first_shortfall(), full.first_shortfall());
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        assert_eq!(st.cb_energy_wh().to_bits(), full.cb_energy_wh().to_bits());
-        assert_eq!(
-            st.avg_freq_interactive().to_bits(),
-            full.avg_freq_interactive().to_bits()
-        );
-        assert_eq!(
-            st.avg_freq_batch().to_bits(),
-            full.avg_freq_batch().to_bits()
-        );
-        // The epoch lane holds every cb_power pushed since the last clear.
-        let lane = st.epoch_lane().expect("streaming recorder has a lane");
-        assert_eq!(lane.len(), 50);
-        for (v, s) in lane.iter().zip(full.samples()) {
-            assert_eq!(v.to_bits(), s.cb_power.0.to_bits());
+        // An idle UPS reports −0.0 W; `Iterator::sum` keeps that sign.
+        let idle: Vec<Sample> = (0..5).map(|k| sample(k as f64, -0.0, -0.0)).collect();
+        for samples in [&series[..], &series[..1], &idle[..], &[]] {
+            let mut kept = Recorder::default();
+            let mut st = Recorder::streaming();
+            assert_whole_series_folds(&kept, &[]);
+            assert_whole_series_folds(&st, &[]);
+            for (i, s) in samples.iter().enumerate() {
+                kept.push(s.clone());
+                st.push(s.clone());
+                // Exact after every push, not only at the end.
+                assert_whole_series_folds(&kept, &samples[..=i]);
+                assert_whole_series_folds(&st, &samples[..=i]);
+            }
+            assert_eq!(kept.samples().len(), samples.len());
+            assert!(st.samples().is_empty());
+            // The epoch lane holds every cb_power pushed since the last
+            // clear, and the stream digest equals a from-scratch fold.
+            let lane = st.epoch_lane().expect("streaming recorder has a lane");
+            assert_eq!(lane.len(), samples.len());
+            let mut h = crate::exec::DigestBuilder::new();
+            for (v, s) in lane.iter().zip(samples) {
+                assert_eq!(v.to_bits(), s.cb_power.0.to_bits());
+                crate::exec::digest_sample(&mut h, s);
+            }
+            let digest = st.stream_digest().expect("streaming digest");
+            assert_eq!(digest.finish(), h.finish());
+            assert!(kept.epoch_lane().is_none());
+            assert!(kept.stream_digest().is_none());
         }
-        // And the incremental sample digest equals a from-scratch fold.
-        let mut h = crate::exec::DigestBuilder::new();
-        for s in full.samples() {
-            crate::exec::digest_sample(&mut h, s);
-        }
-        assert_eq!(
-            st.stream_digest().expect("streaming digest").finish(),
-            h.finish()
-        );
-        // Full retention exposes no streaming surface.
-        assert!(full.epoch_lane().is_none());
-        assert!(full.stream_digest().is_none());
-    }
-
-    #[test]
-    fn streaming_accessors_are_exact_mid_run_and_below_two_samples() {
-        // One sample: full retention falls back to dt = 1 s; streaming
-        // must agree even before finish_stream().
-        let mut full = Recorder::default();
-        let mut st = Recorder::streaming();
-        let s = sample(5.0, 200.0, 2800.0);
-        full.push(s.clone());
-        st.push(s);
-        assert_eq!(st.len(), 1);
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        assert_eq!(
-            st.avg_freq_interactive().to_bits(),
-            full.avg_freq_interactive().to_bits()
-        );
-        // finish_stream is idempotent and changes nothing.
-        st.finish_stream();
-        st.finish_stream();
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        // Empty streaming recorder behaves like an empty full one.
-        let empty = Recorder::streaming();
-        assert!(empty.is_empty());
-        assert_eq!(empty.avg_freq_batch(), 0.0);
-        assert_eq!(empty.first_shortfall(), None);
     }
 
     #[test]

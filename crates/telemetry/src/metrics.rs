@@ -55,11 +55,6 @@ impl Gauge {
         self.track_by(v, |cur, new| new < cur);
     }
 
-    /// Keep the largest value ever observed.
-    pub fn track_max(&self, v: f64) {
-        self.track_by(v, |cur, new| new > cur);
-    }
-
     fn track_by(&self, v: f64, better: impl Fn(f64, f64) -> bool) {
         if self.set.load(Ordering::Acquire) == 0 {
             // First writer wins the initialization race; a lost race falls
@@ -467,17 +462,13 @@ mod tests {
     }
 
     #[test]
-    fn gauges_track_min_and_max() {
+    fn gauges_track_min_and_set() {
         let r = MetricsRegistry::default();
         assert_eq!(r.gauge("m").get(), None);
         r.gauge("m").track_min(0.8);
         r.gauge("m").track_min(0.3);
         r.gauge("m").track_min(0.5);
         assert_eq!(r.gauge("m").get(), Some(0.3));
-        r.gauge("x").track_max(1.0);
-        r.gauge("x").track_max(4.0);
-        r.gauge("x").track_max(2.0);
-        assert_eq!(r.gauge("x").get(), Some(4.0));
         r.gauge("s").set(7.0);
         r.gauge("s").set(-1.0);
         assert_eq!(r.gauge("s").get(), Some(-1.0));

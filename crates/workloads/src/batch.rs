@@ -78,16 +78,6 @@ impl BatchJob {
         self.first_completion.is_some()
     }
 
-    /// Whether the first run completed by its deadline (false while
-    /// still running past the deadline, true while running before it —
-    /// i.e. "not yet violated").
-    pub fn deadline_met(&self, now: Seconds) -> bool {
-        match self.first_completion {
-            Some(t) => t.0 <= self.deadline.0,
-            None => now.0 <= self.deadline.0,
-        }
-    }
-
     /// Remaining work of the current run, peak-core-seconds.
     pub fn remaining_work(&self) -> f64 {
         (self.total_work - self.done_work).max(0.0)
@@ -113,16 +103,6 @@ impl BatchJob {
             };
         }
         Some(self.remaining_work() / left.0)
-    }
-
-    /// The frequency needed to finish exactly at the deadline, clamped to
-    /// `[0, 1]`-representable rates; `None` if even peak frequency cannot
-    /// make it (or the deadline already passed with work left).
-    pub fn required_freq(&self, now: Seconds) -> Option<f64> {
-        let rate = self.required_rate(now)?;
-        self.model
-            .freq_for_rate(rate.min(1.0 + 1e-12).min(1.0))
-            .filter(|_| rate <= 1.0 + 1e-9)
     }
 
     /// The MPC control-penalty weight of §V-B:
@@ -218,7 +198,6 @@ mod tests {
         }
         assert!((t - 300.0).abs() < 1.0);
         assert_eq!(j.completions, 1);
-        assert!(j.deadline_met(Seconds(t)));
     }
 
     #[test]
@@ -281,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn required_rate_and_freq() {
+    fn required_rate_meets_the_deadline() {
         let mut j = job();
         // Do half the work in 150 s at peak.
         for _ in 0..150 {
@@ -290,19 +269,9 @@ mod tests {
         // 150 work left, 450 s to deadline → rate 1/3.
         let rate = j.required_rate(Seconds(150.0)).unwrap();
         assert!((rate - 150.0 / 450.0).abs() < 1e-6);
-        let f = j.required_freq(Seconds(150.0)).unwrap();
-        // Check the inversion: rate(f) == required rate.
-        assert!((j.model.rate(f) - rate).abs() < 1e-6);
         // Hopeless deadlines return None.
         assert!(j.required_rate(Seconds(599.999)).is_some());
         assert!(j.required_rate(Seconds(600.1)).is_none());
-    }
-
-    #[test]
-    fn required_freq_none_when_even_peak_insufficient() {
-        let j = job(); // 300 work
-                       // 10 s before deadline, 300 work left → rate 30: impossible.
-        assert!(j.required_freq(Seconds(590.0)).is_none());
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub enum WorkloadError {
     InvalidPeakRate(f64),
     /// An explicit demand trace must be non-empty with a positive period.
     EmptyDemandTrace,
+    /// An explicit demand trace sample is NaN or infinite.
+    NonFiniteDemand { index: usize, value: f64 },
     /// Regime switching needs at least two MMPP states.
     TooFewMmppStates(usize),
 }
@@ -81,6 +83,12 @@ impl std::fmt::Display for WorkloadError {
             }
             WorkloadError::EmptyDemandTrace => {
                 write!(f, "demand trace is empty or has a non-positive period")
+            }
+            WorkloadError::NonFiniteDemand { index, value } => {
+                write!(
+                    f,
+                    "demand trace sample {index} is {value}, not a finite number"
+                )
             }
             WorkloadError::TooFewMmppStates(n) => {
                 write!(f, "MMPP demand needs at least two states, got {n}")
@@ -128,9 +136,14 @@ impl DemandModel {
             }
             DemandModel::Trace(t) => {
                 if t.values.is_empty() || !(t.dt.0 > 0.0 && t.dt.0.is_finite()) {
-                    Err(WorkloadError::EmptyDemandTrace)
-                } else {
-                    Ok(())
+                    return Err(WorkloadError::EmptyDemandTrace);
+                }
+                match t.values.iter().position(|v| !v.is_finite()) {
+                    Some(index) => Err(WorkloadError::NonFiniteDemand {
+                        index,
+                        value: t.values[index],
+                    }),
+                    None => Ok(()),
                 }
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! The paper drives its simulation from 15-minute execution-data traces
 //! (§VI-A). A [`Trace`] stores samples at a fixed period and offers the
-//! interpolation/resampling and summary statistics the generators, the
-//! allocator, and the metrics code all need.
+//! zero-order-hold sampling, resampling and summary statistics the
+//! generators, the allocator, and the metrics code all need.
 
 use powersim::units::Seconds;
 
@@ -48,19 +48,6 @@ impl Trace {
         let idx = (t.0 / self.dt.0).floor();
         let idx = (idx.max(0.0) as usize).min(self.values.len() - 1);
         self.values[idx]
-    }
-
-    /// Linear interpolation at time `t` (clamped at both ends).
-    pub fn lerp(&self, t: Seconds) -> f64 {
-        assert!(!self.is_empty(), "sampling an empty trace");
-        let x = (t.0 / self.dt.0).max(0.0);
-        let i = x.floor() as usize;
-        if i + 1 >= self.values.len() {
-            // Non-empty: asserted on entry.
-            return *self.values.last().expect("non-empty trace");
-        }
-        let frac = x - i as f64;
-        self.values[i] * (1.0 - frac) + self.values[i + 1] * frac
     }
 
     /// Resample onto a new period via zero-order hold.
@@ -115,20 +102,6 @@ impl Trace {
     /// Map every sample.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Trace {
         Trace::new(self.dt, self.values.iter().map(|&v| f(v)).collect())
-    }
-
-    /// Pointwise combination of two equally-sampled traces.
-    pub fn zip_with(&self, other: &Trace, f: impl Fn(f64, f64) -> f64) -> Trace {
-        assert_eq!(self.dt, other.dt, "traces must share a sampling period");
-        assert_eq!(self.len(), other.len(), "traces must share a length");
-        Trace::new(
-            self.dt,
-            self.values
-                .iter()
-                .zip(&other.values)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        )
     }
 
     /// Trapezoid-free integral (sum of sample × dt); for power traces this
@@ -223,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_interpolation() {
-        let tr = t();
-        assert!((tr.lerp(Seconds(0.5)) - 1.5).abs() < 1e-12);
-        assert!((tr.lerp(Seconds(2.25)) - 3.25).abs() < 1e-12);
-        assert_eq!(tr.lerp(Seconds(99.0)), 4.0);
-    }
-
-    #[test]
     fn resample_downsamples_by_hold() {
         let tr = t();
         let r = tr.resample(Seconds(2.0));
@@ -263,20 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip() {
-        let tr = t();
-        let doubled = tr.map(|v| v * 2.0);
+    fn map_is_pointwise() {
+        let doubled = t().map(|v| v * 2.0);
         assert_eq!(doubled.values, vec![2.0, 4.0, 6.0, 8.0]);
-        let s = tr.zip_with(&doubled, |a, b| b - a);
-        assert_eq!(s.values, tr.values);
-    }
-
-    #[test]
-    #[should_panic(expected = "share a length")]
-    fn zip_length_mismatch_panics() {
-        let a = Trace::constant(Seconds(1.0), 0.0, 3);
-        let b = Trace::constant(Seconds(1.0), 0.0, 4);
-        a.zip_with(&b, |x, _| x);
     }
 
     #[test]

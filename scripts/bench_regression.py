@@ -35,15 +35,11 @@ WHITELIST = {
     "BENCH_datacenter.json": [
         "racks",
         "secs",
-        "mode",
         "digest",
         "market_rounds",
         "peak_feeder_w",
         "feeder_trip_periods",
         "conserved",
-        "determinism",
-        "record_mode_digest_match",
-        "single_rack_equivalence",
     ],
     "BENCH_grid.json": [
         "seed",

@@ -1,9 +1,10 @@
 //! Datacenter-engine contract tests: sharded multi-rack execution must
 //! be bit-identical to sequential execution (including under active
 //! fault injection), the headroom market must conserve every tree
-//! edge's budget at every supervisor boundary, and a single-rack
-//! datacenter must reproduce the standalone engine's digest exactly.
-//! CI runs this suite plus `bench_datacenter --check` on every push.
+//! edge's budget at every supervisor boundary, and under an ample tree
+//! every rack must reproduce the standalone engine's digest exactly.
+//! CI runs this suite, and `bench_datacenter --check` times the floor at
+//! scale.
 
 mod golden;
 
@@ -13,8 +14,8 @@ use powersim::grid::{GridEventKind, GridPlan};
 use powersim::units::{Seconds, Watts};
 use proptest::prelude::*;
 use simkit::{
-    run_datacenter, run_datacenter_with, run_digest, run_policy, DcRecordMode, DcScenario,
-    ExecConfig, PolicyKind, Scenario,
+    run_datacenter, run_digest, run_policy, DcRunOutput, DcScenario, ExecConfig, PolicyKind,
+    Scenario,
 };
 use sprintcon::{
     allocate_headroom_two_level, allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace,
@@ -44,34 +45,83 @@ fn two_pdu_topo() -> DatacenterTopology {
     .expect("topology is valid")
 }
 
-#[test]
-fn sharded_run_is_bit_identical_to_sequential_including_faults() {
-    let dc = DcScenario::new(faulty_base(7, 90.0), two_pdu_topo()).unwrap();
-    let seq = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
-    // 8 workers over 6 racks: more workers than shards.
-    for jobs in [2usize, 4, 8] {
-        let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).unwrap();
-        assert_eq!(
-            par.digest, seq.digest,
-            "jobs={jobs}: datacenter digest diverged from sequential"
-        );
-        // The digest covers per-rack samples/events/summary plus
-        // the market rounds; spot-check raw bit equality on one rack's
-        // trajectory as well so a digest bug cannot mask a divergence.
-        for (a, b) in par.racks[3]
-            .recorder
-            .samples()
+/// One PDU of 24 racks with headroom for a fifth of their overload
+/// swings, under a feeder rated like the PDU: one wide level-2 auction.
+fn one_pdu_topo() -> DatacenterTopology {
+    let rating = Watts(24.0 * 3200.0 + 24.0 * 800.0 / 5.0);
+    DatacenterTopology::uniform(1, 24, rating, rating).expect("topology is valid")
+}
+
+/// Every PDU and the feeder can carry every rack's full 800 W overload
+/// swing, so every grant is bit-transparent.
+fn ample_topo() -> DatacenterTopology {
+    DatacenterTopology::uniform(2, 3, Watts(3.0 * 4000.0), Watts(6.0 * 4000.0))
+        .expect("topology is valid")
+}
+
+/// The first tree edge a market round overspent, if any: Σ grants
+/// against the feeder budget and each PDU's member grants against its
+/// cap, plus grants that are negative or not finite.
+fn overspent_edge(out: &DcRunOutput) -> Option<String> {
+    for round in &out.rounds {
+        let e = round.epoch;
+        if let Some(g) = round
+            .grants
             .iter()
-            .zip(seq.racks[3].recorder.samples())
+            .find(|g| !(g.0.is_finite() && g.0 >= 0.0))
         {
-            assert_eq!(a.p_total.0.to_bits(), b.p_total.0.to_bits());
-            assert_eq!(a.cb_power.0.to_bits(), b.cb_power.0.to_bits());
+            return Some(format!("epoch {e}: bad grant {g}"));
         }
-        for (ra, rb) in par.rounds.iter().zip(&seq.rounds) {
-            for (ga, gb) in ra.grants.iter().zip(&rb.grants) {
-                assert_eq!(ga.0.to_bits(), gb.0.to_bits());
+        let total: f64 = round.grants.iter().map(|g| g.0).sum();
+        if total > out.feeder_budget.0 + 1e-9 {
+            return Some(format!("epoch {e}: Σ grants {total} > feeder budget"));
+        }
+        for (p, cap) in out.pdu_caps.iter().enumerate() {
+            let pdu_sum: f64 = round
+                .grants
+                .iter()
+                .zip(&out.pdu_of)
+                .filter(|(_, &q)| q == p)
+                .map(|(g, _)| g.0)
+                .sum();
+            if pdu_sum > cap.0 + 1e-9 {
+                return Some(format!("epoch {e}: PDU {p} granted {pdu_sum} > cap {cap}"));
             }
         }
+    }
+    None
+}
+
+#[test]
+fn sharded_run_is_bit_identical_to_sequential_including_faults() {
+    for topo in [two_pdu_topo(), one_pdu_topo()] {
+        let dc = DcScenario::new(faulty_base(7, 90.0), topo).unwrap();
+        let racks = dc.topo.num_racks();
+        let seq = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
+        assert_eq!(overspent_edge(&seq), None, "{racks} racks");
+        // 8 workers over 6 racks: more workers than shards; 0: one per core.
+        for jobs in [2usize, 4, 8, 0] {
+            let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).unwrap();
+            assert_eq!(
+                par.digest, seq.digest,
+                "{racks} racks, jobs={jobs}: datacenter digest diverged from sequential"
+            );
+            golden::assert_same_floor(&par, &seq, &format!("{racks} racks, jobs={jobs}"));
+        }
+    }
+}
+
+/// Floor racks keep no samples, yet `run_digest` of each rack's output
+/// is the digest the engine folded for it: it starts from the streaming
+/// recorder's own sample fold.
+#[test]
+fn floor_rack_run_digests_match_the_engine_rack_digests() {
+    let dc = DcScenario::new(faulty_base(3, 60.0), two_pdu_topo()).unwrap();
+    let out = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
+    for (r, rack) in out.racks.iter().enumerate() {
+        assert!(rack.recorder.samples().is_empty(), "rack {r} kept samples");
+        assert_eq!(rack.recorder.len(), 60, "rack {r} sample count");
+        assert_eq!(run_digest(rack), out.rack_digests[r], "rack {r}");
     }
 }
 
@@ -80,12 +130,8 @@ fn sharded_run_is_bit_identical_to_sequential_including_faults() {
 /// trip and peak-load outcomes.
 #[test]
 fn the_default_floor_reproduces_the_golden_digest() {
-    let out = run_datacenter_with(
-        &golden::floor(),
-        ExecConfig::jobs(2),
-        DcRecordMode::Streaming,
-    )
-    .expect("the golden floor carries its rated draw");
+    let out = run_datacenter(&golden::floor(), ExecConfig::jobs(2))
+        .expect("the golden floor carries its rated draw");
     assert_eq!(
         out.digest,
         golden::FLOOR_DIGEST,
@@ -123,8 +169,7 @@ fn rack_zero_matches_standalone_even_in_a_multi_rack_floor() {
     // racks bid in the same market.
     let mut base = Scenario::paper_default(21);
     base.duration = Seconds(60.0);
-    let topo = DatacenterTopology::uniform(2, 3, Watts(3.0 * 4000.0), Watts(6.0 * 4000.0)).unwrap();
-    let dc = DcScenario::new(base.clone(), topo).unwrap();
+    let dc = DcScenario::new(base.clone(), ample_topo()).unwrap();
     let out = run_datacenter(&dc, ExecConfig::jobs(3)).unwrap();
     let standalone = run_policy(&base, PolicyKind::SprintCon);
     assert_eq!(run_digest(&out.racks[0]), run_digest(&standalone));
@@ -183,19 +228,13 @@ fn market_workspace_reuse_is_deterministic_across_shapes() {
     }
 }
 
-/// The grid-plan shapes the streaming≡full sweep cycles through — each
-/// exercises a different supervisor escalation path during the run.
-fn grid_variant(v: usize, secs: f64, racks: usize) -> GridPlan {
-    let rated = racks as f64 * 3200.0;
-    match v % 4 {
+/// The grid-plan shapes the ample-tree sweep cycles through. None
+/// curtails: a floor curtailment shrinks the market budget below the
+/// racks' overload swings, so grants stop being bit-transparent.
+fn grid_variant(v: usize, secs: f64) -> GridPlan {
+    match v % 3 {
         0 => GridPlan::none(),
-        1 => GridPlan::curtailment(
-            Seconds(secs * 0.2),
-            Seconds(secs * 0.5),
-            Watts(rated * 0.95),
-            Seconds(10.0),
-        ),
-        2 => GridPlan::none().with_event(
+        1 => GridPlan::none().with_event(
             Seconds(secs * 0.3),
             Seconds(secs * 0.4),
             GridEventKind::PriceSpike { multiplier: 3.0 },
@@ -244,92 +283,44 @@ proptest! {
         let dc = DcScenario::new(base, topo).expect("scenario is valid");
         let out = run_datacenter(&dc, ExecConfig::jobs(2)).expect("tree carries rated draw");
         prop_assert!(!out.rounds.is_empty());
-        for (i, round) in out.rounds.iter().enumerate() {
-            let total: f64 = round.grants.iter().map(|g| g.0).sum();
-            prop_assert!(
-                total <= out.feeder_budget.0 + 1e-9,
-                "round {i}: Σ grants {total} > feeder budget {}",
-                out.feeder_budget
-            );
-            for (p, cap) in out.pdu_caps.iter().enumerate() {
-                let pdu_sum: f64 = round
-                    .grants
-                    .iter()
-                    .zip(&out.pdu_of)
-                    .filter(|(_, &q)| q == p)
-                    .map(|(g, _)| g.0)
-                    .sum();
-                prop_assert!(
-                    pdu_sum <= cap.0 + 1e-9,
-                    "round {i}: PDU {p} granted {pdu_sum} > cap {cap}"
-                );
-            }
-            // Grants are non-negative and finite.
-            for g in &round.grants {
-                prop_assert!(g.0.is_finite() && g.0 >= 0.0, "bad grant {g}");
-            }
-        }
+        let overspent = overspent_edge(&out);
+        prop_assert!(overspent.is_none(), "{:?}", overspent);
     }
 
-    /// Streaming retention is a pure memory optimization: over random
-    /// scenario shapes (seed, length, batch pressure), fault plans, grid
-    /// plans, and worker counts, a streaming run must reproduce the
-    /// full-retention run's digest and per-rack digests bit for bit —
-    /// while actually discarding its per-period samples. (The datacenter
-    /// engine pins the SprintCon policy per rack; `job_scale`/`deadline`
+    /// Under an ample tree every grant is bit-transparent, so every
+    /// floor rack reproduces the standalone run of its own scenario bit
+    /// for bit: over seeds, run lengths, batch pressure, fault plans,
+    /// grid plans without a curtailment and 0–4 workers. (The engine
+    /// pins the SprintCon policy per rack; `job_scale` and the deadline
     /// vary the decisions it takes instead.)
     #[test]
-    fn streaming_retention_reproduces_full_retention_digests(
+    fn ample_tree_floor_racks_reproduce_standalone_digests(
         seed in 0u64..1_000,
         secs in 45.0f64..95.0,
         job_scale in 0.6f64..1.2,
         faulty_v in 0usize..2,
-        grid_v in 0usize..4,
+        grid_v in 0usize..3,
         jobs in 0usize..5,
     ) {
-        let racks = 6;
         let mut builder = Scenario::builder(seed)
             .duration(Seconds(secs))
             .deadline(Seconds(secs * 0.8))
             .job_scale(job_scale)
-            .grid(grid_variant(grid_v, secs, racks));
+            .grid(grid_variant(grid_v, secs));
         let faulty = faulty_v == 1;
         if faulty {
             builder = builder.faults(FaultPlan::monitor_dropout(0.3, Seconds(8.0)));
         }
         let base = builder.build().expect("generated scenario is valid");
-        let dc = DcScenario::new(base, two_pdu_topo()).expect("scenario is valid");
-        let full = run_datacenter_with(&dc, ExecConfig::sequential(), DcRecordMode::Full)
-            .expect("full run succeeds");
-        let stream = run_datacenter_with(&dc, ExecConfig::jobs(jobs), DcRecordMode::Streaming)
-            .expect("streaming run succeeds");
-        prop_assert!(
-            stream.digest == full.digest,
-            "streaming digest diverged (seed {}, {:.0}s, faulty {}, grid {}, jobs {})",
-            seed, secs, faulty, grid_v, jobs
-        );
-        prop_assert_eq!(&stream.rack_digests, &full.rack_digests);
-        for (r, out) in stream.racks.iter().enumerate() {
+        let dc = DcScenario::new(base, ample_topo()).expect("scenario is valid");
+        let out = run_datacenter(&dc, ExecConfig::jobs(jobs)).expect("floor run succeeds");
+        for (r, &digest) in out.rack_digests.iter().enumerate() {
+            let standalone = run_policy(&dc.rack_scenario(r), PolicyKind::SprintCon);
             prop_assert!(
-                out.recorder.samples().is_empty(),
-                "streaming rack {r} retained {} samples",
-                out.recorder.samples().len()
+                digest == run_digest(&standalone),
+                "rack {} diverged from standalone (seed {}, {:.0}s, faulty {}, grid {}, jobs {})",
+                r, seed, secs, faulty, grid_v, jobs
             );
-        }
-        for (r, out) in full.racks.iter().enumerate() {
-            prop_assert!(
-                !out.recorder.samples().is_empty(),
-                "full-retention rack {r} kept no samples"
-            );
-        }
-        // Market rounds are part of the digest, but compare them
-        // directly too so a digest bug cannot mask a divergence.
-        prop_assert_eq!(stream.rounds.len(), full.rounds.len());
-        for (ra, rb) in stream.rounds.iter().zip(&full.rounds) {
-            prop_assert_eq!(ra.spent.0.to_bits(), rb.spent.0.to_bits());
-            for (ga, gb) in ra.grants.iter().zip(&rb.grants) {
-                prop_assert_eq!(ga.0.to_bits(), gb.0.to_bits());
-            }
         }
     }
 }

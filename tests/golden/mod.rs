@@ -14,16 +14,17 @@
 //! after.
 //!
 //! Shared by `soa_substrate.rs`, `grid.rs`, `workload_api.rs`,
-//! `datacenter.rs`, `faults.rs` and `telemetry.rs`, with the fixtures
-//! and the traced runner they have in common; each uses a subset.
+//! `datacenter.rs`, `faults.rs` and `telemetry.rs`, with the fixtures,
+//! the traced runner and the floor comparison they have in common; each
+//! uses a subset.
 #![allow(dead_code)]
 
 use powersim::datacenter::DatacenterTopology;
 use powersim::faults::{FaultKind, FaultPlan, StochasticFault};
 use powersim::units::{Seconds, Watts};
 use simkit::{
-    Campaign, DcScenario, ExecConfig, GridEventKind, GridPlan, PolicyKind, RunOutput, Scenario,
-    ScenarioBuilder,
+    Campaign, DcRunOutput, DcScenario, ExecConfig, GridEventKind, GridPlan, PolicyKind, RunOutput,
+    RunSummary, Scenario, ScenarioBuilder, TailSummary,
 };
 
 /// `run_policy` with telemetry on, for tests that read counters: an
@@ -173,7 +174,7 @@ pub fn busy_grid_plan() -> GridPlan {
 }
 
 /// The pinned floor digest: [`floor`] run to completion, any worker
-/// count, either record mode.
+/// count.
 pub const FLOOR_DIGEST: u64 = 0x75871697e56e9684;
 
 /// `bench_datacenter`'s default floor: 1000 racks in 20 PDUs of 50 under
@@ -194,4 +195,98 @@ pub fn floor() -> DcScenario {
     let mut base = Scenario::paper_default(2019);
     base.duration = Seconds(60.0);
     DcScenario::new(base, topo).expect("floor scenario is valid")
+}
+
+/// Two floor runs agree rack by rack and round by round: every rack
+/// digest, every `RunSummary` field bitwise (so a digest bug cannot hide
+/// a divergence; floor racks keep no samples to compare), and every
+/// market grant bitwise.
+pub fn assert_same_floor(a: &DcRunOutput, b: &DcRunOutput, what: &str) {
+    assert_eq!(a.racks.len(), b.racks.len(), "{what}: rack count");
+    for (r, (x, y)) in a.racks.iter().zip(&b.racks).enumerate() {
+        assert_eq!(
+            a.rack_digests[r], b.rack_digests[r],
+            "{what}: rack {r} digest"
+        );
+        assert_eq!(x.summary.policy, y.summary.policy, "{what}: rack {r}");
+        assert_eq!(
+            summary_bits(&x.summary),
+            summary_bits(&y.summary),
+            "{what}: rack {r} summary"
+        );
+    }
+    assert_eq!(a.rounds.len(), b.rounds.len(), "{what}: market rounds");
+    for (x, y) in a.rounds.iter().zip(&b.rounds) {
+        let bits = |g: &[Watts]| g.iter().map(|w| w.0.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&x.grants),
+            bits(&y.grants),
+            "{what}: epoch {} grants",
+            x.epoch
+        );
+    }
+}
+
+/// Every numeric `RunSummary` field by name, floats as bit patterns.
+/// The destructuring names every field, so a new one does not compile
+/// until it is listed here.
+pub fn summary_bits(s: &RunSummary) -> Vec<(&'static str, Option<u64>)> {
+    let RunSummary {
+        policy: _,
+        avg_freq_interactive,
+        avg_freq_batch,
+        trips,
+        shutdown,
+        shutdown_at,
+        ups_energy_wh,
+        dod,
+        max_dod,
+        deadlines_met,
+        deadlines_total,
+        normalized_time_use,
+        service_ratio,
+        cb_energy_wh,
+        grid_violations,
+        open_loop,
+    } = s;
+    let bits = |v: &f64| Some(v.to_bits());
+    let mut fields = vec![
+        ("avg_freq_interactive", bits(avg_freq_interactive)),
+        ("avg_freq_batch", bits(avg_freq_batch)),
+        ("trips", Some(*trips as u64)),
+        ("shutdown", Some(*shutdown as u64)),
+        ("shutdown_at", shutdown_at.map(|t| t.0.to_bits())),
+        ("ups_energy_wh", bits(ups_energy_wh)),
+        ("dod", bits(dod)),
+        ("max_dod", bits(max_dod)),
+        ("deadlines_met", Some(*deadlines_met as u64)),
+        ("deadlines_total", Some(*deadlines_total as u64)),
+        ("normalized_time_use", bits(normalized_time_use)),
+        ("service_ratio", bits(service_ratio)),
+        ("cb_energy_wh", bits(cb_energy_wh)),
+        ("grid_violations", Some(*grid_violations)),
+    ];
+    match open_loop {
+        Some(TailSummary {
+            p50_s,
+            p95_s,
+            p99_s,
+            max_s,
+            arrived,
+            completed,
+            dropped,
+            drop_fraction,
+        }) => fields.extend([
+            ("open_loop.p50_s", bits(p50_s)),
+            ("open_loop.p95_s", bits(p95_s)),
+            ("open_loop.p99_s", bits(p99_s)),
+            ("open_loop.max_s", bits(max_s)),
+            ("open_loop.arrived", bits(arrived)),
+            ("open_loop.completed", bits(completed)),
+            ("open_loop.dropped", bits(dropped)),
+            ("open_loop.drop_fraction", bits(drop_fraction)),
+        ]),
+        None => fields.push(("open_loop", None)),
+    }
+    fields
 }

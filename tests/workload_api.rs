@@ -20,9 +20,11 @@ use powersim::units::{NormFreq, Seconds, Watts};
 use proptest::prelude::*;
 use simkit::engine::TierState;
 use simkit::{
-    qos_report, run_datacenter, run_digest, run_policy, Campaign, DcScenario, DemandModel,
-    ExecConfig, PolicyKind, Scenario, WorkloadSource,
+    qos_report, run_datacenter, run_digest, run_policy, ArrivalProcess, Campaign, DcScenario,
+    DemandModel, ExecConfig, PolicyKind, Scenario, ScenarioError, ServiceModel, WorkloadSource,
 };
+use workloads::open_loop::WorkloadError;
+use workloads::trace::Trace;
 use workloads::wiki_trace::WikiTraceConfig;
 
 /// A golden trajectory rebuilt through the *new* `workload(..)` entry
@@ -61,6 +63,41 @@ fn invalid_workload_fails_scenario_validation() {
         err.to_string().contains("service time"),
         "unhelpful error: {err}"
     );
+}
+
+/// A NaN or infinite sample in an explicit demand trace is a typed
+/// validation error naming its index, on the closed and the open loop
+/// alike: a run would otherwise report a NaN service ratio.
+#[test]
+fn non_finite_demand_trace_fails_scenario_validation() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut values = vec![0.5; 60];
+        values[10] = bad;
+        let demand = DemandModel::Trace(Trace::new(Seconds(1.0), values));
+        let open_loop = WorkloadSource::OpenLoop {
+            arrivals: ArrivalProcess::new(demand.clone(), 50.0),
+            service: ServiceModel::paper_default(),
+        };
+        for source in [WorkloadSource::UtilTrace(demand), open_loop] {
+            let err = Scenario::builder(7)
+                .duration(Seconds(60.0))
+                .deadline(Seconds(50.0))
+                .workload(source)
+                .build()
+                .expect_err("a non-finite demand sample must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    ScenarioError::Workload(WorkloadError::NonFiniteDemand { index: 10, .. })
+                ),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string().contains("sample 10"),
+                "unhelpful error: {err}"
+            );
+        }
+    }
 }
 
 fn open_loop_scenario(seed: u64, secs: f64) -> Scenario {
@@ -130,17 +167,11 @@ fn open_loop_datacenter_parallel_matches_sequential() {
             par.digest, seq.digest,
             "jobs={jobs}: datacenter digest diverged with queueing enabled"
         );
-        for (a, b) in par.racks[1]
-            .recorder
-            .samples()
-            .iter()
-            .zip(seq.racks[1].recorder.samples())
-        {
-            let (qa, qb) = (a.queue.unwrap(), b.queue.unwrap());
-            assert_eq!(qa.depth.to_bits(), qb.depth.to_bits());
-            assert_eq!(qa.p99_s.to_bits(), qb.p99_s.to_bits());
-        }
+        golden::assert_same_floor(&par, &seq, &format!("jobs={jobs}"));
     }
+    // Every rack served open-loop traffic: its request tail is in the
+    // summary the comparison above checks bitwise.
+    assert!(seq.racks.iter().all(|r| r.summary.open_loop.is_some()));
 }
 
 proptest! {
