@@ -87,8 +87,8 @@ struct Separation {
 fn separation_gate(seed: u64, secs: f64) -> Result<Separation, String> {
     let a = run_policy(&curtailed_flash_crowd(seed, secs), PolicyKind::SprintCon);
     let b = run_policy(&curtailed_flash_crowd(seed, secs), PolicyKind::Sgct);
-    let qa = qos_report(&a.recorder, &[0.1, 0.25, 1.0]);
-    let qb = qos_report(&b.recorder, &[0.1, 0.25, 1.0]);
+    let qa = qos_report(&a.recorder, &[0.1, 0.25, 1.0]).map_err(|e| e.to_string())?;
+    let qb = qos_report(&b.recorder, &[0.1, 0.25, 1.0]).map_err(|e| e.to_string())?;
     let pa = qa.request_p99_s.ok_or("SprintCon run has no tail")?;
     let pb = qb.request_p99_s.ok_or("SGCT run has no tail")?;
     if pa >= pb {

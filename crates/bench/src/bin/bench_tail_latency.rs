@@ -17,7 +17,8 @@
 
 use powersim::units::Seconds;
 use simkit::{
-    qos_report, run_policy, Campaign, ExecConfig, PolicyKind, QosReport, Scenario, WorkloadSource,
+    qos_report, run_policy, Campaign, ExecConfig, PolicyKind, QosReport, SamplesNotKept, Scenario,
+    WorkloadSource,
 };
 use std::time::Instant;
 
@@ -75,12 +76,12 @@ struct PolicyTail {
 }
 
 /// Run one policy over the flash crowd and pull its request tail.
-fn tail_for(kind: PolicyKind, seed: u64, secs: f64) -> PolicyTail {
+fn tail_for(kind: PolicyKind, seed: u64, secs: f64) -> Result<PolicyTail, SamplesNotKept> {
     let out = run_policy(&flash_crowd_scenario(seed, secs), kind);
-    PolicyTail {
+    Ok(PolicyTail {
         policy: kind.name(),
-        qos: qos_report(&out.recorder, &[0.1, 0.25, 1.0]),
-    }
+        qos: qos_report(&out.recorder, &[0.1, 0.25, 1.0])?,
+    })
 }
 
 /// Gate 1: SprintCon's peak-pinned interactive cores must show a
@@ -171,10 +172,15 @@ fn main() {
 
     println!("tail separation run: SprintCon vs SGCT under the flash crowd...");
     let t0 = Instant::now();
-    let tails: Vec<PolicyTail> = [PolicyKind::SprintCon, PolicyKind::Sgct, PolicyKind::SgctV2]
-        .into_iter()
-        .map(|k| tail_for(k, args.seed, args.secs))
-        .collect();
+    let tails: Result<Vec<PolicyTail>, _> =
+        [PolicyKind::SprintCon, PolicyKind::Sgct, PolicyKind::SgctV2]
+            .into_iter()
+            .map(|k| tail_for(k, args.seed, args.secs))
+            .collect();
+    let tails = tails.unwrap_or_else(|e| {
+        eprintln!("QoS REPORT FAILED: {e}");
+        std::process::exit(1);
+    });
     let wall = t0.elapsed().as_secs_f64();
     for t in &tails {
         println!(

@@ -23,7 +23,7 @@
 
 use crate::linalg::Mat;
 use crate::qp::{QpProblem, QpSolution, QpWorkspace};
-use crate::qp_structured::solve_blocks_into;
+use crate::qp_structured::FixedBlocks;
 
 /// Which QP machinery [`MpcController::compute`] runs each period.
 ///
@@ -135,20 +135,20 @@ pub struct MpcController {
     /// Eq. (7) decay for each prediction step `1..=Lp` (index `step − 1`),
     /// computed once from `cfg`.
     decays: Vec<f64>,
-    /// Per-channel power gains `kⱼ` (watts per unit normalized
-    /// frequency), from the linear model of Eq. (2)/(3).
-    gains: Vec<f64>,
-    /// Per-channel frequency ceiling (Eq. (9)); the floor lives only in
-    /// the box bounds `lo`.
+    /// The fixed half of the structured Eq. (8) problem, built and
+    /// validated once: the per-block coupling weights
+    /// `c_b = 2q·(tracking steps fed)`, the per-channel power gains `kⱼ`
+    /// (watts per unit normalized frequency, from the linear model of
+    /// Eq. (2)/(3)) and the Eq. (9) box replicated per control block,
+    /// with the solver constants derived from them.
+    blocks: FixedBlocks,
+    /// Per-channel frequency ceiling (Eq. (9)), for the penalty's peak
+    /// pull.
     fmax: Vec<f64>,
     /// Per-channel penalty weights `Rⱼ` (progress balancing, §V-B).
     r: Vec<f64>,
     /// Floor applied to `Rⱼ` to keep the Hessian positive definite.
     pub r_floor: f64,
-    /// Box bounds of Eq. (9) replicated per control block (length
-    /// `n·Lc`), built once and never changed.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
     /// Preallocated structured-assembly buffers, reused across periods.
     sb: StructuredBuffers,
     /// The dense backend's state, present exactly when the controller
@@ -160,14 +160,12 @@ pub struct MpcController {
     dense: Option<(QpProblem, QpWorkspace)>,
 }
 
-/// Scratch for the structured backend: the per-block coupling scalars
-/// plus the diagonal/linear terms and solution over the full `n·Lc`
-/// decision vector, and the solver's `4n` kernel scratch. Sized once at
-/// construction; the hot path rebuilds them in place.
+/// Scratch for the structured backend: the diagonal/linear terms and
+/// solution over the full `n·Lc` decision vector, and the solver's `4n`
+/// kernel scratch. Sized once at construction; the hot path rebuilds
+/// them in place.
 #[derive(Debug, Clone, Default)]
 struct StructuredBuffers {
-    /// Per-block rank-one weight `c_b = 2q·(tracking steps fed)`.
-    c: Vec<f64>,
     /// Diagonal `d` (progress penalties), length `n·Lc`.
     d: Vec<f64>,
     /// Linear term `g`, length `n·Lc`.
@@ -178,10 +176,10 @@ struct StructuredBuffers {
     /// blocks a lockstep pair solves at once), length `4n`.
     kernel: Vec<f64>,
     /// Per-block coupling-scalar roots `u_b = kᵀy_b` carried across
-    /// control periods as warm-start hints (NaN = cold). The solver's
-    /// stale-bracket guard rejects a carried root whenever the bracket
-    /// has moved (gains/weights/target changed), so this only ever
-    /// speeds the root find up.
+    /// control periods as warm-start hints (NaN = cold). The solver
+    /// trusts a hint only strictly inside the block's bracket, which the
+    /// controller fixes at construction; a root on a bracket end, or
+    /// NaN, restarts from the bisection midpoint.
     warm_u: Vec<f64>,
 }
 
@@ -219,8 +217,10 @@ impl MpcController {
             fmin.iter().zip(&fmax).all(|(a, b)| a <= b),
             "fmin must not exceed fmax"
         );
-        // Box constraints (Eq. (9)) replicated per control block — fixed
-        // for the controller's lifetime, so build them once.
+        // Box constraints (Eq. (9)) replicated per control block, and the
+        // blocks' coupling weights — fixed for the controller's lifetime,
+        // so build them once. `FixedBlocks::new` also rejects ±∞ gains
+        // and bounds, and a non-finite `q`.
         let dim = n * cfg.lc;
         let mut lo = Vec::with_capacity(dim);
         let mut hi = Vec::with_capacity(dim);
@@ -228,6 +228,9 @@ impl MpcController {
             lo.extend_from_slice(&fmin);
             hi.extend_from_slice(&fmax);
         }
+        let c = (0..cfg.lc)
+            .map(|b| 2.0 * cfg.q * steps_fed(cfg.lp, cfg.lc, b) as f64)
+            .collect();
         let dense = (backend == MpcBackend::DenseFista).then(|| {
             let qp = QpProblem::new(Mat::zeros(dim, dim), vec![0.0; dim], lo.clone(), hi.clone());
             (qp, QpWorkspace::new(dim))
@@ -237,14 +240,11 @@ impl MpcController {
             decays: (1..=cfg.lp)
                 .map(|step| reference_decay(step, cfg.period, cfg.tau_r))
                 .collect(),
-            gains,
+            blocks: FixedBlocks::new(c, gains, lo, hi),
             fmax,
             r: vec![1.0; n],
             r_floor: 0.05,
-            lo,
-            hi,
             sb: StructuredBuffers {
-                c: vec![0.0; cfg.lc],
                 d: vec![0.0; dim],
                 g: vec![0.0; dim],
                 x: vec![0.0; dim],
@@ -271,18 +271,18 @@ impl MpcController {
     }
 
     pub fn num_channels(&self) -> usize {
-        self.gains.len()
+        self.gains().len()
     }
 
     /// Update the per-channel progress weights `Rⱼ` (allocator/§V-B).
     pub fn set_penalty_weights(&mut self, r: &[f64]) {
-        assert_eq!(r.len(), self.gains.len());
+        assert_eq!(r.len(), self.num_channels());
         assert!(r.iter().all(|v| v.is_finite() && *v >= 0.0));
         self.r.copy_from_slice(r);
     }
 
     pub fn gains(&self) -> &[f64] {
-        &self.gains
+        self.blocks.k()
     }
 
     /// Reference trajectory (Eq. (7)): the power the controller wants at
@@ -317,7 +317,7 @@ impl MpcController {
         let freqs: Vec<f64> = qp.x[..n].to_vec();
         let predicted_power = p_fb
             + self
-                .gains
+                .gains()
                 .iter()
                 .zip(freqs.iter().zip(f_now))
                 .map(|(k, (y, f))| k * (y - f))
@@ -339,47 +339,43 @@ impl MpcController {
         let _timer = telemetry::span("qp_solve_time");
         let n = self.num_channels();
         let (lp, lc) = (self.cfg.lp, self.cfg.lc);
-        let q = self.cfg.q;
-        let kf: f64 = self.gains.iter().zip(f_now).map(|(k, f)| k * f).sum();
+        let (q, r_scale, r_floor) = (self.cfg.q, self.cfg.r_scale, self.r_floor);
+        let k = self.blocks.k();
+        let kf: f64 = k.iter().zip(f_now).map(|(k, f)| k * f).sum();
 
-        // Tracking terms: each prediction step adds q·(kᵀy_b − b_s)² to
-        // its block, i.e. 2q·kkᵀ to the Hessian and −2q·b_s·k to g.
-        // Summed per block that is c_b = 2q·steps_fed(b) on the rank-one
-        // part and −2q·(Σ_s b_s)·k on the linear part.
+        // Per block b, over its n lanes:
+        // - tracking terms: each prediction step s fed by the block adds
+        //   q·(kᵀy_b − b_s)², i.e. 2q·kkᵀ to the Hessian (the fixed
+        //   c_b = 2q·steps_fed(b)) and −2q·b_s·k to g, in step order;
+        // - control-penalty terms: r_j·(y_{j,b} − fmax_j)², horizon-
+        //   balanced by the share of tracking steps the block feeds (see
+        //   the dense path for why) — exactly the diagonal d and the
+        //   peak-pull part of g, added last.
         let sb = &mut self.sb;
-        sb.g.fill(0.0);
-        for b in 0..lc {
-            sb.c[b] = 2.0 * q * steps_fed(lp, lc, b) as f64;
-        }
-        for (step, &decay) in (1..=lp).zip(&self.decays) {
-            let b = step.min(lc) - 1;
-            let reference = reference_from_decay(target, p_fb, decay);
-            let bn = reference - p_fb + kf;
-            for j in 0..n {
-                sb.g[b * n + j] += -2.0 * q * bn * self.gains[j];
+        let lanes = sb.d.chunks_exact_mut(n).zip(sb.g.chunks_exact_mut(n));
+        for (b, (d_b, g_b)) in lanes.enumerate() {
+            g_b.fill(0.0);
+            let steps = if b + 1 < lc { b + 1..=b + 1 } else { lc..=lp };
+            for step in steps {
+                let reference = reference_from_decay(target, p_fb, self.decays[step - 1]);
+                let bn = reference - p_fb + kf;
+                let pull = -2.0 * q * bn;
+                for (g, &k) in g_b.iter_mut().zip(k) {
+                    *g += pull * k;
+                }
             }
-        }
-
-        // Control-penalty terms: r_j·(y_{j,b} − fmax_j)² per block,
-        // horizon-balanced by the share of tracking steps the block
-        // feeds (see the dense path for why) — these are exactly the
-        // diagonal d and the peak-pull part of g.
-        for b in 0..lc {
             let share = steps_fed(lp, lc, b) as f64 / lp as f64;
-            for j in 0..n {
-                let rj = self.cfg.r_scale * self.r[j].max(self.r_floor) * share;
-                sb.d[b * n + j] = 2.0 * rj;
-                sb.g[b * n + j] += -2.0 * rj * self.fmax[j];
+            let weights = self.r.iter().zip(&self.fmax);
+            for ((d, g), (&r, &fmax)) in d_b.iter_mut().zip(g_b.iter_mut()).zip(weights) {
+                let rj = r_scale * r.max(r_floor) * share;
+                *d = 2.0 * rj;
+                *g += -2.0 * rj * fmax;
             }
         }
 
-        let (evals, converged, kkt_residual) = solve_blocks_into(
-            &sb.c,
-            &self.gains,
+        let (evals, converged, kkt_residual) = self.blocks.solve_into(
             &sb.d,
             &sb.g,
-            &self.lo,
-            &self.hi,
             &mut sb.x,
             &mut sb.kernel,
             1e-7,
@@ -422,17 +418,18 @@ impl MpcController {
 
         // Tracking terms: q·(kᵀ y_b − b_n)² with
         // b_n = p_r(n) − p_fb + kᵀ f_now.
-        let kf: f64 = self.gains.iter().zip(f_now).map(|(k, f)| k * f).sum();
+        let k = self.blocks.k();
+        let kf: f64 = k.iter().zip(f_now).map(|(k, f)| k * f).sum();
         for (step, &decay) in (1..=lp).zip(&self.decays) {
             let b = step.min(lc) - 1; // control block feeding this step
             let reference = reference_from_decay(target, p_fb, decay);
             let bn = reference - p_fb + kf;
             let q = self.cfg.q;
             for j in 0..n {
-                let kj = self.gains[j];
+                let kj = k[j];
                 g[b * n + j] += -2.0 * q * bn * kj;
                 for i in 0..n {
-                    h[(b * n + j, b * n + i)] += 2.0 * q * kj * self.gains[i];
+                    h[(b * n + j, b * n + i)] += 2.0 * q * kj * k[i];
                 }
             }
         }
@@ -722,5 +719,140 @@ mod tests {
         let mut cfg = MpcConfig::paper_default();
         cfg.lc = cfg.lp + 1;
         MpcController::new(cfg, vec![1.0], vec![0.0], vec![1.0]);
+    }
+
+    /// The construction-time checks stand in for the per-period ones
+    /// the structured solve no longer repeats on `k`, the box and `c`:
+    /// both backends refuse what `RankOneDiagQp::validate` refuses.
+    #[test]
+    fn rejects_non_finite_gains_bounds_and_weights() {
+        let inf = f64::INFINITY;
+        let cases = [
+            (
+                vec![15.0, inf],
+                vec![0.2; 2],
+                vec![1.0; 2],
+                1.0,
+                "block inputs must be finite",
+            ),
+            (
+                vec![15.0; 2],
+                vec![-inf, 0.2],
+                vec![1.0; 2],
+                1.0,
+                "block inputs must be finite",
+            ),
+            (
+                vec![15.0; 2],
+                vec![0.2; 2],
+                vec![1.0, inf],
+                1.0,
+                "block inputs must be finite",
+            ),
+            (
+                vec![15.0; 2],
+                vec![0.2; 2],
+                vec![1.0; 2],
+                inf,
+                "c must be ≥ 0",
+            ),
+        ];
+        for backend in [MpcBackend::Structured, MpcBackend::DenseFista] {
+            for (i, (gains, fmin, fmax, q, expected)) in cases.iter().enumerate() {
+                let cfg = MpcConfig {
+                    q: *q,
+                    ..MpcConfig::paper_default()
+                };
+                let (gains, fmin, fmax) = (gains.clone(), fmin.clone(), fmax.clone());
+                let built = std::panic::catch_unwind(|| {
+                    MpcController::with_backend(cfg, gains, fmin, fmax, backend)
+                });
+                let err = built.expect_err(&format!("{backend:?} case {i} was accepted"));
+                let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(msg, *expected, "{backend:?} case {i}");
+            }
+        }
+    }
+
+    /// Over a closed loop with shifting progress weights, every period's
+    /// decision is bitwise a `solve_blocks_into` solve of the problem the
+    /// period assembled, from the same carried roots, with `c`, `k` and
+    /// the box rebuilt here from the configuration. The assembly itself
+    /// is checked lane by lane against the indexed loop it replaced.
+    #[test]
+    fn periods_are_bitwise_solve_blocks_into_of_the_assembly() {
+        use crate::qp_structured::solve_blocks_into;
+        let n = 12;
+        // Weights whose products round, so a reordered lane shows.
+        let cfg = MpcConfig {
+            q: 0.7,
+            r_scale: 6.3,
+            ..MpcConfig::paper_default()
+        };
+        let (lp, lc) = (cfg.lp, cfg.lc);
+        let gains: Vec<f64> = (0..n).map(|j| 9.0 + (j % 5) as f64 * 2.5).collect();
+        let (fmin, fmax) = (vec![0.2; n], vec![1.0; n]);
+        let mut ctrl = MpcController::new(cfg, gains.clone(), fmin.clone(), fmax.clone());
+        let mut plant = Plant {
+            k: gains.iter().map(|k| 1.1 * k).collect(),
+            base: 40.0,
+            f: vec![1.0; n],
+        };
+        let c: Vec<f64> = (0..lc)
+            .map(|b| 2.0 * cfg.q * steps_fed(lp, lc, b) as f64)
+            .collect();
+        let (lo, hi) = (fmin.repeat(lc), fmax.repeat(lc));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for period in 0..80 {
+            let r: Vec<f64> = (0..n)
+                .map(|j| 0.02 + ((period * 7 + j * 3) % 11) as f64 * 0.3)
+                .collect();
+            ctrl.set_penalty_weights(&r);
+            let target = 120.0 + 40.0 * (period as f64 * 0.2).sin();
+            let (p_fb, f_now) = (plant.power(), plant.f.clone());
+            let mut warm = ctrl.sb.warm_u.clone();
+            let decision = ctrl.compute(p_fb, target, &f_now);
+
+            let kf: f64 = gains.iter().zip(&f_now).map(|(k, f)| k * f).sum();
+            let (mut d, mut g) = (vec![0.0; n * lc], vec![0.0; n * lc]);
+            for (step, &decay) in (1..=lp).zip(&ctrl.decays) {
+                let b = step.min(lc) - 1;
+                let bn = reference_from_decay(target, p_fb, decay) - p_fb + kf;
+                for j in 0..n {
+                    g[b * n + j] += -2.0 * cfg.q * bn * gains[j];
+                }
+            }
+            for b in 0..lc {
+                let share = steps_fed(lp, lc, b) as f64 / lp as f64;
+                for j in 0..n {
+                    let rj = cfg.r_scale * r[j].max(ctrl.r_floor) * share;
+                    d[b * n + j] = 2.0 * rj;
+                    g[b * n + j] += -2.0 * rj * fmax[j];
+                }
+            }
+            assert_eq!(bits(&ctrl.sb.d), bits(&d), "period {period}: d");
+            assert_eq!(bits(&ctrl.sb.g), bits(&g), "period {period}: g");
+
+            let (mut x, mut scratch) = (vec![0.0; n * lc], vec![0.0; 4 * n]);
+            let (evals, converged, res) = solve_blocks_into(
+                &c,
+                &gains,
+                &d,
+                &g,
+                &lo,
+                &hi,
+                &mut x,
+                &mut scratch,
+                1e-7,
+                200,
+                Some(&mut warm),
+            );
+            assert_eq!(bits(&decision.qp.x), bits(&x), "period {period}: x");
+            assert_eq!(bits(&ctrl.sb.warm_u), bits(&warm), "period {period}: u");
+            assert_eq!(decision.qp.iterations, evals, "period {period}");
+            assert_eq!(decision.qp.converged, converged, "period {period}");
+            assert_eq!(decision.qp.kkt_residual.to_bits(), res.to_bits());
+            plant.f = decision.freqs;
+        }
     }
 }

@@ -55,8 +55,8 @@
 //! divisions and an n-long fold. Once per block solve, a clamp
 //! certificate names the two ranges of `u` in which every lane is
 //! clamped: it approximates each lane's two crossings, pads the
-//! outermost ones, and verifies both candidates in one pass of the
-//! exact closed forms. Each step of a lane's closed form is a correctly
+//! outermost ones, and verifies both candidates against the exact
+//! closed forms. Each step of a lane's closed form is a correctly
 //! rounded, monotone operation, so a lane clamped in the direction of
 //! travel stays on the same bound beyond its candidate. On the left
 //! every lane takes the bound that maximizes `kⱼyⱼ`, on the right the
@@ -69,8 +69,27 @@
 //! every iterate. The root find itself and the scalar oracle of the
 //! tests never consult the certificate.
 //!
-//! [`RankOneDiagQp`] is one block. Both entry points write into
-//! caller-provided slices and take a caller-provided scratch (`2n`
+//! **Per controller and per period.** What a block solve derives from
+//! `c`, `k`, `lo` and `hi` alone is a handful of scalars: the bracket
+//! ends (two n-long folds in index order, which double as the
+//! certificate's `K`), the tolerance scale `max(c·‖k‖∞, 1)` and whether
+//! the block is coupled at all. The Eq. (8) MPC never changes those
+//! four inputs, so `FixedBlocks` holds them with these O(1)-per-block
+//! constants, computed and validated once when the controller is built.
+//! [`solve_blocks_into`] and [`RankOneDiagQp::solve_into`] take the
+//! whole problem, so they validate it and derive the same constants on
+//! every call, then run the same code. What reads `d` or `g` runs per
+//! period, in lane-independent passes that vectorize: the checks of `d`
+//! and `g`, the curvatures, the certificate's candidate crossings, its
+//! two quotients per lane and its clamp tests, and the KKT residual.
+//! Per block and period that is four divisions per lane (a curvature,
+//! a crossing and two quotients) before the root find, one per lane in
+//! each full evaluation, O(1) per certified iterate, and one n-long
+//! in-order dot product for the KKT residual. No lane-sized state
+//! outlives a solve.
+//!
+//! [`RankOneDiagQp`] is one block. Every entry point writes into
+//! caller-provided slices and takes a caller-provided scratch (`2n`
 //! values per block in flight: the curvatures and the slope shares), so
 //! a solve allocates nothing.
 
@@ -115,6 +134,47 @@ pub struct BlockSolve {
     pub converged: bool,
 }
 
+/// What a block solve derives from `c`, `k`, `lo` and `hi` alone (see
+/// the module docs): held by [`FixedBlocks`], derived per call by the
+/// entry points that take the whole problem.
+#[derive(Debug, Clone, Copy)]
+struct BlockConsts {
+    /// The bracket of the root, `a = Σ min(kⱼloⱼ, kⱼhiⱼ)` and
+    /// `b = Σ max(kⱼloⱼ, kⱼhiⱼ)`, each folded in index order from `+0.0`:
+    /// also the clamp certificate's `K` on the right (`a`) and on the
+    /// left (`b`). Both `0.0` when uncoupled.
+    a: f64,
+    b: f64,
+    /// `max(c·‖k‖∞, 1)`. A φ-residual of δ perturbs the gradient by at
+    /// most `c·‖k‖∞·δ`, so the root find aims at the caller's KKT
+    /// tolerance divided by this.
+    tol_scale: f64,
+    /// `false` when `c = 0` or `k = 0`: the closed forms are exact at any
+    /// `u`, and one evaluation finishes the block.
+    coupled: bool,
+}
+
+impl BlockConsts {
+    fn new(c: f64, k: &[f64], lo: &[f64], hi: &[f64]) -> Self {
+        let coupled = c > 0.0 && k.iter().any(|&k| k != 0.0);
+        let mut consts = BlockConsts {
+            a: 0.0,
+            b: 0.0,
+            tol_scale: 1.0,
+            coupled,
+        };
+        if coupled {
+            for ((&k, &l), &h) in k.iter().zip(lo).zip(hi) {
+                consts.a += (k * l).min(k * h);
+                consts.b += (k * l).max(k * h);
+            }
+            let k_inf = fold4(k.len(), 0.0, f64::max, |j| k[j].abs());
+            consts.tol_scale = (c * k_inf).max(1.0);
+        }
+        consts
+    }
+}
+
 /// Safeguarded Newton-bisection on φ for one block, as a state machine:
 /// [`Self::u`] is where φ is wanted next, and [`Self::step`] consumes
 /// `(φ(u), φ′(u))`. Keeping the loop state out of the loop lets
@@ -134,18 +194,17 @@ struct RootFind {
     last: f64,
     evals: usize,
     max_evals: usize,
-    /// `false` when `c = 0` or `k = 0`: the closed forms are exact at any
-    /// `u`, and one evaluation finishes the block.
+    /// See [`BlockConsts::coupled`].
     coupled: bool,
     converged: bool,
     done: bool,
 }
 
 impl RootFind {
-    /// Bracket the root and pick the first iterate. `warm` is only
-    /// trusted strictly inside the fresh bracket (see
+    /// Start at the block's bracket and pick the first iterate. `warm`
+    /// is only trusted strictly inside the bracket (see
     /// [`RankOneDiagQp::solve_into`]).
-    fn new(block: &RankOneDiagQp, tol: f64, max_evals: usize, warm: Option<f64>) -> Self {
+    fn new(consts: &BlockConsts, tol: f64, max_evals: usize, warm: Option<f64>) -> Self {
         assert!(tol > 0.0 && max_evals > 0);
         let mut rf = RootFind {
             a: 0.0,
@@ -155,23 +214,15 @@ impl RootFind {
             last: f64::NAN,
             evals: 0,
             max_evals,
-            coupled: block.c > 0.0 && block.k.iter().any(|&k| k != 0.0),
+            coupled: consts.coupled,
             converged: false,
             done: false,
         };
         if !rf.coupled {
             return rf;
         }
-        // Bracket u* by the range of kᵀy over the box: φ(a) ≥ 0, φ(b) ≤ 0.
-        for ((&k, &l), &h) in block.k.iter().zip(block.lo).zip(block.hi) {
-            rf.a += (k * l).min(k * h);
-            rf.b += (k * l).max(k * h);
-        }
-        // A φ-residual of δ perturbs the gradient by at most c·‖k‖∞·δ,
-        // so aim the root find below the caller's KKT tolerance.
-        let k = block.k;
-        let k_inf = fold4(k.len(), 0.0, f64::max, |j| k[j].abs());
-        rf.tol_u = tol / (block.c * k_inf).max(1.0);
+        (rf.a, rf.b) = (consts.a, consts.b);
+        rf.tol_u = tol / consts.tol_scale;
         // Warm start: reuse the previous root if it is still strictly
         // bracketed; otherwise fall back to the bisection midpoint.
         rf.u = match warm {
@@ -258,6 +309,36 @@ fn fold4<T: Copy>(n: usize, init: T, op: impl Fn(T, T) -> T, f: impl Fn(usize) -
     op(op(acc[0], acc[1]), op(acc[2], acc[3]))
 }
 
+/// `true` if every value is finite. Folds with `&`, not `all()`: no
+/// short circuit, so it vectorizes.
+fn all_finite(v: &[f64]) -> bool {
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
+/// The checks of [`RankOneDiagQp::validate`] on what a block solve
+/// derives its constants from: `c`, `k` and the box.
+fn validate_fixed(c: f64, k: &[f64], lo: &[f64], hi: &[f64]) {
+    assert!(c >= 0.0 && c.is_finite(), "c must be ≥ 0");
+    assert!(
+        all_finite(k) & all_finite(lo) & all_finite(hi),
+        "block inputs must be finite"
+    );
+    assert!(
+        lo.iter().zip(hi).fold(true, |ok, (l, u)| ok & (l <= u)),
+        "lower bound exceeds upper bound"
+    );
+}
+
+/// The checks of [`RankOneDiagQp::validate`] on what changes every
+/// period: `d` and `g`.
+fn validate_varying(d: &[f64], g: &[f64]) {
+    assert!(all_finite(d) & all_finite(g), "block inputs must be finite");
+    assert!(
+        d.iter().fold(true, |ok, &d| ok & (d >= 0.0)),
+        "diagonal must be ≥ 0"
+    );
+}
+
 /// The two ranges of the coupling scalar in which every lane of a block
 /// is clamped, certified once per block solve (see the module docs).
 /// For `u ≤ left` each lane sits on the bound that maximizes `kⱼyⱼ`, so
@@ -283,71 +364,70 @@ impl ClampCert {
         k_right: f64::NAN,
     };
 
-    /// Certify `block`, whose root find `rf` has just been bracketed.
-    /// Step 1 brackets every lane's free range between its two
-    /// crossings `(−hⱼdⱼ − gⱼ)/(c·kⱼ)` and `(−lⱼdⱼ − gⱼ)/(c·kⱼ)` and pads
-    /// the outermost ones by a relative 1e-9. These are approximations:
+    /// Certify `block`, whose root find `rf` has just started. Step 1
+    /// brackets every lane's free range between its two crossings
+    /// `(−hⱼdⱼ − gⱼ)/(c·kⱼ)` and `(−lⱼdⱼ − gⱼ)/(c·kⱼ)`, written to the
+    /// scratch `lows` and `highs` (`n` values each), and pads the
+    /// outermost ones by a relative 1e-9. These are approximations:
     /// [`Self::verify`] decides, so the pad trades hit rate, never
     /// correctness. An uncoupled block (`c = 0`, or `k = 0`) gets none.
-    fn new(block: &RankOneDiagQp, rf: &RootFind) -> Self {
+    fn new(block: &RankOneDiagQp, rf: &RootFind, lows: &mut [f64], highs: &mut [f64]) -> Self {
         if !rf.coupled {
             return Self::NONE;
         }
         let n = block.k.len();
         let (c, k, d, g) = (block.c, &block.k[..n], &block.d[..n], &block.g[..n]);
         let (lo, hi) = (&block.lo[..n], &block.hi[..n]);
-        let (first, last) = fold4(
-            n,
-            (f64::INFINITY, f64::NEG_INFINITY),
-            |(a, b), (x, y)| (a.min(x), b.max(y)),
-            |j| {
-                let inv = 1.0 / (c * k[j]);
-                let at_hi = (-hi[j] * d[j] - g[j]) * inv;
-                let at_lo = (-lo[j] * d[j] - g[j]) * inv;
-                (at_hi.min(at_lo), at_hi.max(at_lo))
-            },
-        );
+        let (lows, highs) = (&mut lows[..n], &mut highs[..n]);
+        for j in 0..n {
+            let inv = 1.0 / (c * k[j]);
+            let at_hi = (-hi[j] * d[j] - g[j]) * inv;
+            let at_lo = (-lo[j] * d[j] - g[j]) * inv;
+            lows[j] = at_hi.min(at_lo);
+            highs[j] = at_hi.max(at_lo);
+        }
+        let (lows, highs) = (&*lows, &*highs);
+        let first = fold4(n, f64::INFINITY, f64::min, |j| lows[j]);
+        let last = fold4(n, f64::NEG_INFINITY, f64::max, |j| highs[j]);
         let pad = 1e-9 * first.abs().max(last.abs());
         Self::verify(block, rf, first - pad, last + pad)
     }
 
-    /// Step 2: in one pass, evaluate every lane at both candidates
-    /// exactly as [`RankOneDiagQp::closed_forms`] does, and keep a side
-    /// only if every lane is clamped there in the absorbing sense. Each
-    /// step of `raw = −(g + (c·u)·k)/d` is a correctly rounded, monotone
-    /// operation, so a lane clamped in the direction of travel keeps
-    /// its bound for every `u` beyond. A lane with `kⱼ = 0` refuses both
-    /// sides (and `c = 0` never gets here). The pattern's `kᵀy`, folded
-    /// in index order, is the bracket end that [`RootFind::new`] folded
-    /// from the same bounds.
+    /// Step 2: evaluate every lane at both candidates exactly as
+    /// [`RankOneDiagQp::closed_forms`] does, `raw = −(g + (c·u)·k)/d`,
+    /// and keep a side only if every lane is clamped there in the
+    /// absorbing sense. One branch-free pass of selects and `&` folds,
+    /// which vectorizes. Each step of `raw` is a correctly rounded,
+    /// monotone operation, so a lane clamped in the direction of travel
+    /// keeps its bound for every `u` beyond. A lane with `kⱼ = 0` refuses
+    /// both sides (and `c = 0` never gets here). The pattern's `kᵀy`,
+    /// folded in index order, is the bracket end that
+    /// [`BlockConsts::new`] folded from the same bounds.
     fn verify(block: &RankOneDiagQp, rf: &RootFind, left: f64, right: f64) -> Self {
         let n = block.k.len();
         let (c, k, d, g) = (block.c, &block.k[..n], &block.d[..n], &block.g[..n]);
         let (lo, hi) = (&block.lo[..n], &block.hi[..n]);
         let (cl, cr) = (c * left, c * right);
-        let (ok_left, ok_right) = fold4(
-            n,
-            (true, true),
-            |(a, b), (x, y)| (a & x, b & y),
-            |j| {
-                let (sl, sr) = (g[j] + cl * k[j], g[j] + cr * k[j]);
-                let (rl, rr) = (-sl / d[j], -sr / d[j]);
-                // With kⱼ > 0, raw falls as u grows: it must stay at hi
-                // leftwards (and above lo, which wins ties) and at lo
-                // rightwards. kⱼ < 0 mirrors it; dⱼ = 0 needs a strict
-                // sign of s.
-                let at_hi = |raw: f64| (raw > lo[j]) & (raw >= hi[j]);
-                let at_lo = |raw: f64| raw <= lo[j];
-                let (l, r) = match (d[j] > 0.0, k[j] > 0.0) {
-                    (true, true) => (at_hi(rl), at_lo(rr)),
-                    (true, false) => (at_lo(rl), at_hi(rr)),
-                    (false, true) => (sl < 0.0, sr > 0.0),
-                    (false, false) => (sl > 0.0, sr < 0.0),
-                };
-                let live = k[j] != 0.0;
-                (live & l, live & r)
-            },
-        );
+        let (mut ok_left, mut ok_right) = (true, true);
+        for j in 0..n {
+            let (sl, sr) = (g[j] + cl * k[j], g[j] + cr * k[j]);
+            let (rl, rr, l, h) = (-sl / d[j], -sr / d[j], lo[j], hi[j]);
+            // With kⱼ > 0, raw falls as u grows: it must stay at hi
+            // leftwards (and above lo, which wins ties) and at lo
+            // rightwards. kⱼ < 0 mirrors it.
+            let pos = k[j] > 0.0;
+            let at_hi_l = (rl > l) & (rl >= h);
+            let at_hi_r = (rr > l) & (rr >= h);
+            let curved_l = if pos { at_hi_l } else { rl <= l };
+            let curved_r = if pos { rr <= l } else { at_hi_r };
+            // dⱼ = 0 needs a strict sign of s.
+            let flat_l = if pos { sl < 0.0 } else { sl > 0.0 };
+            let flat_r = if pos { sr > 0.0 } else { sr < 0.0 };
+            let curved = d[j] > 0.0;
+            let live = k[j] != 0.0;
+            ok_left &= live & if curved { curved_l } else { flat_l };
+            ok_right &= live & if curved { curved_r } else { flat_r };
+        }
         ClampCert {
             left: if ok_left { left } else { Self::NONE.left },
             right: if ok_right { right } else { Self::NONE.right },
@@ -413,37 +493,37 @@ impl<'a> RankOneDiagQp<'a> {
             self.d.len() == n && self.g.len() == n && self.lo.len() == n && self.hi.len() == n,
             "block shape mismatch"
         );
-        assert!(self.c >= 0.0 && self.c.is_finite(), "c must be ≥ 0");
-        // Folds with `&`, not `all()`: no short circuit, so they vectorize.
-        let finite = |v: &[f64]| v.iter().fold(true, |ok, x| ok & x.is_finite());
-        assert!(
-            finite(self.k) & finite(self.d) & finite(self.g) & finite(self.lo) & finite(self.hi),
-            "block inputs must be finite"
-        );
-        assert!(
-            self.d.iter().fold(true, |ok, &d| ok & (d >= 0.0)),
-            "diagonal must be ≥ 0"
-        );
-        assert!(
-            self.lo
-                .iter()
-                .zip(self.hi)
-                .fold(true, |ok, (l, u)| ok & (l <= u)),
-            "lower bound exceeds upper bound"
-        );
+        validate_fixed(self.c, self.k, self.lo, self.hi);
+        validate_varying(self.d, self.g);
+    }
+
+    /// The block's constants, derived afresh.
+    fn consts(&self) -> BlockConsts {
+        BlockConsts::new(self.c, self.k, self.lo, self.hi)
     }
 
     /// Per-lane curvature `wⱼ = c·kⱼ·kⱼ/dⱼ`: how much a free coordinate
     /// steepens φ. Computed once per block solve; `0.0` where `dⱼ = 0`
     /// (such a lane is never free).
     fn curvatures_into(&self, w: &mut [f64]) {
-        for (j, wj) in w.iter_mut().enumerate() {
-            *wj = if self.d[j] > 0.0 {
-                self.c * self.k[j] * self.k[j] / self.d[j]
+        let n = w.len();
+        let (k, d) = (&self.k[..n], &self.d[..n]);
+        for j in 0..n {
+            w[j] = if d[j] > 0.0 {
+                self.c * k[j] * k[j] / d[j]
             } else {
                 0.0
             };
         }
+    }
+
+    /// A block solve's set-up before its first iterate: the curvatures
+    /// into `w`, and the clamp certificate for the root find `rf`, whose
+    /// candidate crossings go into `y` and `share` (free until the first
+    /// evaluation overwrites them).
+    fn prepare(&self, rf: &RootFind, w: &mut [f64], y: &mut [f64], share: &mut [f64]) -> ClampCert {
+        self.curvatures_into(w);
+        ClampCert::new(self, rf, y, share)
     }
 
     /// Pass 1 of an evaluation at a fixed coupling scalar: overwrite `y`
@@ -531,14 +611,26 @@ impl<'a> RankOneDiagQp<'a> {
         max_evals: usize,
         warm: Option<f64>,
     ) -> BlockSolve {
+        self.solve_with(&self.consts(), y, scratch, tol, max_evals, warm)
+    }
+
+    /// [`Self::solve_into`] from the block's constants.
+    fn solve_with(
+        &self,
+        consts: &BlockConsts,
+        y: &mut [f64],
+        scratch: &mut [f64],
+        tol: f64,
+        max_evals: usize,
+        warm: Option<f64>,
+    ) -> BlockSolve {
         let n = self.k.len();
         debug_assert_eq!(y.len(), n);
         assert!(scratch.len() >= 2 * n, "solver scratch needs 2n values");
         let (w, share) = scratch[..2 * n].split_at_mut(n);
-        self.curvatures_into(w);
+        let mut rf = RootFind::new(consts, tol, max_evals, warm);
+        let cert = self.prepare(&rf, w, y, share);
         let w = &*w;
-        let mut rf = RootFind::new(self, tol, max_evals, warm);
-        let cert = ClampCert::new(self, &rf);
         let solve = rf.finish(|u| cert.eval(self, u, w, y, share));
         cert.settle(self, &rf, y);
         solve
@@ -557,6 +649,8 @@ impl<'a> RankOneDiagQp<'a> {
     /// Projected-KKT residual `‖y − Π(y − ∇)‖∞` with
     /// `∇ⱼ = dⱼyⱼ + c·(kᵀy)·kⱼ + gⱼ` — the same certificate
     /// [`crate::qp::QpProblem::kkt_residual`] uses, computed in O(n).
+    /// The projection is `f64::clamp` spelled as two selects, without
+    /// its per-lane `lo ≤ hi` assert, so the pass vectorizes.
     pub fn kkt_residual(&self, y: &[f64]) -> f64 {
         let ky = crate::linalg::dot(self.k, y);
         let n = y.len();
@@ -564,7 +658,9 @@ impl<'a> RankOneDiagQp<'a> {
         let (lo, hi) = (&self.lo[..n], &self.hi[..n]);
         fold4(n, 0.0, f64::max, |j| {
             let grad = d[j] * y[j] + self.c * ky * k[j] + g[j];
-            let moved = (y[j] - grad).clamp(lo[j], hi[j]);
+            let step = y[j] - grad;
+            let moved = if step < lo[j] { lo[j] } else { step };
+            let moved = if moved > hi[j] { hi[j] } else { moved };
             (y[j] - moved).abs()
         })
     }
@@ -594,10 +690,11 @@ impl<'a> RankOneDiagQp<'a> {
 /// evaluates the other alone. When one block finishes, the other
 /// continues alone. `scratch` holds `4n` values: the first block's
 /// curvatures and shares, then the second's.
-#[allow(clippy::too_many_arguments)] // a pair of blocks, each with its solution slice and hint
+#[allow(clippy::too_many_arguments)] // a pair of blocks, each with its constants, solution slice and hint
 fn solve_pair(
     p: &RankOneDiagQp,
     q: &RankOneDiagQp,
+    consts: [BlockConsts; 2],
     yp: &mut [f64],
     yq: &mut [f64],
     scratch: &mut [f64],
@@ -610,12 +707,13 @@ fn solve_pair(
     let (sp, sq) = scratch[..4 * n].split_at_mut(2 * n);
     let (wp, share_p) = sp.split_at_mut(n);
     let (wq, share_q) = sq.split_at_mut(n);
-    p.curvatures_into(wp);
-    q.curvatures_into(wq);
+    let mut rp = RootFind::new(&consts[0], tol, max_evals, warm[0]);
+    let mut rq = RootFind::new(&consts[1], tol, max_evals, warm[1]);
+    let (cp, cq) = (
+        p.prepare(&rp, wp, yp, share_p),
+        q.prepare(&rq, wq, yq, share_q),
+    );
     let (wp, wq) = (&*wp, &*wq);
-    let mut rp = RootFind::new(p, tol, max_evals, warm[0]);
-    let mut rq = RootFind::new(q, tol, max_evals, warm[1]);
-    let (cp, cq) = (ClampCert::new(p, &rp), ClampCert::new(q, &rq));
     while !rp.done && !rq.done {
         let (ep, eq) = (cp.answer(rp.u), cq.answer(rq.u));
         if ep.is_some() || eq.is_some() {
@@ -653,10 +751,12 @@ fn solve_pair(
 /// contiguously in `d`/`g`/`lo`/`hi`/`x` (block `b` owns
 /// `[b·n, (b+1)·n)`), all sharing the gain vector `k`. Returns the
 /// summed evaluation count, the worst per-block convergence flag, and the
-/// overall projected-KKT residual of `x`. This is the MPC hot path:
-/// O(n·blocks) total, zero allocation. Blocks `2i` and `2i + 1` run in
-/// lockstep (see the module docs) and an odd last block runs alone;
-/// `scratch` holds at least `4n` values (`2n` for a single block).
+/// overall projected-KKT residual of `x`: O(n·blocks) total, zero
+/// allocation. Blocks `2i` and `2i + 1` run in lockstep (see the module
+/// docs) and an odd last block runs alone; `scratch` holds at least
+/// `4n` values (`2n` for a single block). Every block is validated, and
+/// its constants derived, on every call. The MPC hot path runs the same
+/// solve from constants it derived once, when the controller was built.
 ///
 /// With `warm = Some(state)`, `state[b]` holds the coupling-scalar hint
 /// for block `b` on entry (NaN = cold) and is overwritten with the
@@ -676,8 +776,57 @@ pub fn solve_blocks_into(
     scratch: &mut [f64],
     tol: f64,
     max_evals: usize,
+    warm: Option<&mut [f64]>,
+) -> (usize, bool, f64) {
+    let problem = Blocks { c, k, d, g, lo, hi };
+    let block_consts = |b: usize| {
+        let block = problem.block(b);
+        block.validate();
+        block.consts()
+    };
+    solve_blocks(problem, block_consts, x, scratch, tol, max_evals, warm)
+}
+
+/// A multi-block problem laid out as [`solve_blocks_into`] takes it:
+/// one `c` per block, the shared `k`, and block `b`'s lanes of `d`, `g`,
+/// `lo` and `hi` at `[b·n, (b+1)·n)`.
+#[derive(Clone, Copy)]
+struct Blocks<'a> {
+    c: &'a [f64],
+    k: &'a [f64],
+    d: &'a [f64],
+    g: &'a [f64],
+    lo: &'a [f64],
+    hi: &'a [f64],
+}
+
+impl<'a> Blocks<'a> {
+    fn block(&self, b: usize) -> RankOneDiagQp<'a> {
+        let r = b * self.k.len()..(b + 1) * self.k.len();
+        RankOneDiagQp {
+            c: self.c[b],
+            k: self.k,
+            d: &self.d[r.clone()],
+            g: &self.g[r.clone()],
+            lo: &self.lo[r.clone()],
+            hi: &self.hi[r],
+        }
+    }
+}
+
+/// The one solve behind [`solve_blocks_into`] and
+/// `FixedBlocks::solve_into`: `block_consts(b)` yields block `b`'s
+/// constants, once per block.
+fn solve_blocks(
+    problem: Blocks,
+    block_consts: impl Fn(usize) -> BlockConsts,
+    x: &mut [f64],
+    scratch: &mut [f64],
+    tol: f64,
+    max_evals: usize,
     mut warm: Option<&mut [f64]>,
 ) -> (usize, bool, f64) {
+    let Blocks { c, k, d, g, lo, hi } = problem;
     let n = k.len();
     let blocks = c.len();
     assert!(n > 0 && blocks > 0, "empty structured problem");
@@ -693,17 +842,6 @@ pub fn solve_blocks_into(
     if let Some(w) = warm.as_deref() {
         assert_eq!(w.len(), blocks, "warm-start state shape mismatch");
     }
-    let block = |b: usize| {
-        let r = b * n..(b + 1) * n;
-        RankOneDiagQp {
-            c: c[b],
-            k,
-            d: &d[r.clone()],
-            g: &g[r.clone()],
-            lo: &lo[r.clone()],
-            hi: &hi[r],
-        }
-    };
     let mut evals = 0;
     let mut converged = true;
     let mut res = 0.0_f64;
@@ -711,18 +849,15 @@ pub fn solve_blocks_into(
         let b = 2 * pair;
         let hint = |b: usize| warm.as_deref().map(|w| w[b]);
         let (yp, yq) = xs.split_at_mut(n);
-        let p = block(b);
-        p.validate();
+        let p = problem.block(b);
         let solves = if yq.is_empty() {
-            [
-                Some(p.solve_into(yp, scratch, tol, max_evals, hint(b))),
-                None,
-            ]
+            let solve = p.solve_with(&block_consts(b), yp, scratch, tol, max_evals, hint(b));
+            [Some(solve), None]
         } else {
-            let q = block(b + 1);
-            q.validate();
+            let consts = [block_consts(b), block_consts(b + 1)];
             let hints = [hint(b), hint(b + 1)];
-            solve_pair(&p, &q, yp, yq, scratch, tol, max_evals, hints).map(Some)
+            let q = problem.block(b + 1);
+            solve_pair(&p, &q, consts, yp, yq, scratch, tol, max_evals, hints).map(Some)
         };
         for (i, (y, s)) in xs.chunks(n).zip(solves.into_iter().flatten()).enumerate() {
             if let Some(w) = warm.as_deref_mut() {
@@ -730,10 +865,95 @@ pub fn solve_blocks_into(
             }
             evals += s.evals;
             converged &= s.converged;
-            res = res.max(block(b + i).kkt_residual(y));
+            res = res.max(problem.block(b + i).kkt_residual(y));
         }
     }
     (evals, converged, res)
+}
+
+/// The fixed half of a [`solve_blocks_into`] problem: each block's
+/// coupling weight `c`, the shared gains `k` and the box, validated once
+/// and held with the constants a block solve derives from them alone
+/// (see the module docs). An Eq. (8) MPC controller builds one and
+/// never changes it. [`Self::solve_into`] then solves any number of
+/// periods with fresh `d` and `g` on the code of [`solve_blocks_into`],
+/// bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct FixedBlocks {
+    c: Vec<f64>,
+    k: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    consts: Vec<BlockConsts>,
+}
+
+impl FixedBlocks {
+    /// Blocks laid out as [`solve_blocks_into`] takes them: one `c` per
+    /// block, and `lo`/`hi` of `n` values per block for the `n` gains.
+    /// Panics on a shape error and on what [`RankOneDiagQp::validate`]
+    /// rejects in these inputs: a non-finite value, `lo > hi`, or a
+    /// negative or non-finite `c`.
+    pub(crate) fn new(c: Vec<f64>, k: Vec<f64>, lo: Vec<f64>, hi: Vec<f64>) -> Self {
+        let n = k.len();
+        assert!(n > 0 && !c.is_empty(), "empty structured problem");
+        assert!(
+            lo.len() == n * c.len() && hi.len() == lo.len(),
+            "structured problem shape mismatch"
+        );
+        let consts = (0..c.len())
+            .map(|b| {
+                let r = b * n..(b + 1) * n;
+                let (lo, hi) = (&lo[r.clone()], &hi[r]);
+                validate_fixed(c[b], &k, lo, hi);
+                BlockConsts::new(c[b], &k, lo, hi)
+            })
+            .collect();
+        FixedBlocks {
+            c,
+            k,
+            lo,
+            hi,
+            consts,
+        }
+    }
+
+    /// The shared gain vector.
+    pub(crate) fn k(&self) -> &[f64] {
+        &self.k
+    }
+
+    /// [`solve_blocks_into`] with this problem's `c`, `k`, `lo` and `hi`
+    /// and the period's `d` and `g`, which are validated on every call.
+    #[allow(clippy::too_many_arguments)] // solve_blocks_into's arguments, less the fixed ones
+    pub(crate) fn solve_into(
+        &self,
+        d: &[f64],
+        g: &[f64],
+        x: &mut [f64],
+        scratch: &mut [f64],
+        tol: f64,
+        max_evals: usize,
+        warm: Option<&mut [f64]>,
+    ) -> (usize, bool, f64) {
+        validate_varying(d, g);
+        let problem = Blocks {
+            c: &self.c,
+            k: &self.k,
+            d,
+            g,
+            lo: &self.lo,
+            hi: &self.hi,
+        };
+        solve_blocks(
+            problem,
+            |b| self.consts[b],
+            x,
+            scratch,
+            tol,
+            max_evals,
+            warm,
+        )
+    }
 }
 #[cfg(test)]
 mod tests {
@@ -795,11 +1015,19 @@ mod tests {
             warm: Option<f64>,
             iterates: &mut Vec<(f64, f64)>,
         ) -> BlockSolve {
-            RootFind::new(self, tol, max_evals, warm).finish(|u| {
+            RootFind::new(&self.consts(), tol, max_evals, warm).finish(|u| {
                 let (phi, slope) = self.eval_scalar(u, y);
                 iterates.push((u, slope));
                 (phi, slope)
             })
+        }
+
+        /// The clamp certificate a solve from `warm` builds, with the
+        /// production tolerance.
+        fn cert(&self, max_evals: usize, warm: Option<f64>) -> ClampCert {
+            let rf = RootFind::new(&self.consts(), 1e-7, max_evals, warm);
+            let n = self.k.len();
+            ClampCert::new(self, &rf, &mut vec![0.0; n], &mut vec![0.0; n])
         }
 
         /// [`Self::solve_into`] with a fresh scratch.
@@ -1104,11 +1332,16 @@ mod tests {
         /// budgets of 1–3 evaluations, where a block may stop on its
         /// budget before or after its neighbour and return its
         /// un-evaluated next iterate as `u`. Each case runs
-        /// [`EdgeBlock`] blocks and MPC-shaped ones, whose hints land
-        /// within ±50% of the tracking target. Most of the MPC-shaped
-        /// iterates must fall in the block's certified clamped ranges
-        /// (and leave every lane on a bound there), so the kernel really
-        /// answers them in O(1).
+        /// [`EdgeBlock`] blocks (`k = 0` and `d = 0` lanes among them)
+        /// and MPC-shaped ones, whose hints land within ±50% of the
+        /// tracking target. Both entry points solve every period:
+        /// [`solve_blocks_into`], which derives the block constants per
+        /// call, and one [`FixedBlocks`] built before the first period,
+        /// which keeps them across two further warm periods with fresh
+        /// `d` and `g` (`d = 0` lanes stay at zero). Most of the
+        /// MPC-shaped iterates must fall in the block's certified clamped
+        /// ranges (and leave every lane on a bound there), so the kernel
+        /// really answers them in O(1).
         #[test]
         fn whole_solves_are_bitwise_the_scalar_oracle(
             seed in 0u64..1_000_000_000,
@@ -1129,26 +1362,40 @@ mod tests {
                     if let Some(cb) = c.get_mut(uncoupled) {
                         *cb = 0.0;
                     }
-                    let block = |b: usize| RankOneDiagQp { c: c[b], ..e.block(b) };
+                    let fixed = FixedBlocks::new(c.clone(), e.k.clone(), e.lo.clone(), e.hi.clone());
                     let dim = n * blocks;
                     for max_evals in [1, 2, 3, 200] {
                         let mut warm = hints.clone();
                         warm[0] = f64::NAN;
-                        let mut warm_s = warm.clone();
-                        for period in 0..2 {
+                        let (mut warm_f, mut warm_s) = (warm.clone(), warm.clone());
+                        let (mut d, mut g) = (e.d.clone(), e.g.clone());
+                        let mut next = xorshift(seed ^ (n * 4 + max_evals) as u64);
+                        for period in 0..4 {
+                            if period >= 2 {
+                                for (dj, gj) in d.iter_mut().zip(&mut g) {
+                                    *dj *= 0.5 + next().abs();
+                                    *gj *= 0.8 + 0.4 * next().abs();
+                                }
+                            }
+                            let block = |b: usize| {
+                                let r = b * n..(b + 1) * n;
+                                RankOneDiagQp { c: c[b], d: &d[r.clone()], g: &g[r], ..e.block(b) }
+                            };
                             let mut x = vec![0.0; dim];
                             let mut scratch = vec![0.0; 4 * n];
                             let (evals, converged, res) = solve_blocks_into(
-                                &c, &e.k, &e.d, &e.g, &e.lo, &e.hi, &mut x, &mut scratch, 1e-7, max_evals,
+                                &c, &e.k, &d, &g, &e.lo, &e.hi, &mut x, &mut scratch, 1e-7, max_evals,
                                 Some(&mut warm),
                             );
+                            let mut x_f = vec![0.0; dim];
+                            let solve_f = fixed.solve_into(&d, &g, &mut x_f, &mut scratch, 1e-7, max_evals, Some(&mut warm_f));
                             let mut x_s = vec![0.0; dim];
                             let (mut evals_s, mut converged_s, mut res_s) = (0, true, 0.0_f64);
                             for (b, hint_b) in warm_s.iter_mut().enumerate() {
                                 let y = &mut x_s[b * n..(b + 1) * n];
                                 let mut iterates = Vec::new();
                                 let s = block(b).solve_scalar(y, 1e-7, max_evals, Some(*hint_b), &mut iterates);
-                                let cert = ClampCert::new(&block(b), &RootFind::new(&block(b), 1e-7, max_evals, Some(*hint_b)));
+                                let cert = block(b).cert(max_evals, Some(*hint_b));
                                 let mpc = shape == 1 && c[b] > 0.0;
                                 for &(u, slope) in &iterates {
                                     let hit = cert.answer(u).is_some();
@@ -1162,10 +1409,15 @@ mod tests {
                                 res_s = res_s.max(block(b).kkt_residual_scalar(y));
                             }
                             let at = format!("shape={shape} n={n} blocks={blocks} max_evals={max_evals} period={period}");
-                            prop_assert!(bits(&x) == bits(&x_s), "{at}: x");
-                            prop_assert!(bits(&warm) == bits(&warm_s), "{at}: u");
-                            prop_assert!((evals, converged) == (evals_s, converged_s), "{at}: evals");
-                            prop_assert!(res.to_bits() == res_s.to_bits(), "{at}: kkt");
+                            for (path, x, warm, (evals, converged, res)) in [
+                                ("per call", &x, &warm, (evals, converged, res)),
+                                ("fixed", &x_f, &warm_f, solve_f),
+                            ] {
+                                prop_assert!(bits(x) == bits(&x_s), "{at} {path}: x");
+                                prop_assert!(bits(warm) == bits(&warm_s), "{at} {path}: u");
+                                prop_assert!((evals, converged) == (evals_s, converged_s), "{at} {path}: evals");
+                                prop_assert!(res.to_bits() == res_s.to_bits(), "{at} {path}: kkt");
+                            }
                         }
                     }
                 }
@@ -1197,7 +1449,7 @@ mod tests {
                 let flat = RankOneDiagQp { d: &zeros, g: &zeros, ..random };
                 for (shape, block) in [e.block(0), random, flat].iter().enumerate() {
                     block.validate();
-                    let cert = ClampCert::new(block, &RootFind::new(block, 1e-7, 200, None));
+                    let cert = block.cert(200, None);
                     check_clamp_cert(block, &cert, far)?;
                     let refused = cert.left.is_nan() && cert.right.is_nan();
                     prop_assert!(refused || (shape != 2 && block.k.iter().all(|&k| k != 0.0)), "n={n} shape={shape}");
@@ -1212,7 +1464,8 @@ mod tests {
                         lo: &e.lo[j..=j],
                         hi: &e.hi[j..=j],
                     };
-                    let cert = ClampCert::verify(&lane, &RootFind::new(&lane, 1e-7, 200, None), u, u);
+                    let rf = RootFind::new(&lane.consts(), 1e-7, 200, None);
+                    let cert = ClampCert::verify(&lane, &rf, u, u);
                     check_clamp_cert(&lane, &cert, far)?;
                     let refused = cert.left.is_nan() && cert.right.is_nan();
                     prop_assert!(refused || e.k[j] != 0.0, "n={n} lane {j}: k = 0 was certified");

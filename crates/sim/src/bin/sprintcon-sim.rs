@@ -163,7 +163,13 @@ fn main() -> ExitCode {
     }
 
     println!("{}", summary_table(std::slice::from_ref(&summary)));
-    let qos = qos_report(&rec, &[args.slo_delay]);
+    let qos = match qos_report(&rec, &[args.slo_delay]) {
+        Ok(q) => q,
+        Err(e) => {
+            eprintln!("failed to report QoS: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
         "interactive QoS: mean delay {:.3}s  p95 {:.3}s  p99 {:.3}s  SLO({:.2}s) violations {:.1}% (longest {:.0}s)",
         qos.mean_delay_s,

@@ -594,7 +594,6 @@ pub fn run_datacenter(scenario: &DcScenario, exec: ExecConfig) -> Result<DcRunOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_policy, PolicyKind};
     use powersim::units::Seconds;
 
     fn quick_base(seed: u64) -> Scenario {
@@ -625,54 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn single_rack_datacenter_reproduces_the_standalone_digest() {
-        let base = quick_base(42);
-        let topo = DatacenterTopology::single_rack(Watts(4000.0)).unwrap();
-        let dc = DcScenario::new(base.clone(), topo).unwrap();
-        let out = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
-        assert_eq!(out.racks.len(), 1);
-        let standalone = run_policy(&base, PolicyKind::SprintCon);
-        assert_eq!(
-            run_digest(&out.racks[0]),
-            run_digest(&standalone),
-            "ample grants must be bit-transparent"
-        );
-        assert_eq!(out.rack_digests[0], run_digest(&standalone));
-    }
-
-    #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let dc = DcScenario::new(quick_base(7), small_topo(5)).unwrap();
         let seq = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
+        assert_eq!(seq.rounds.len(), 3, "90 s / 30 s epochs");
         for jobs in [2, 4] {
             let par = run_datacenter(&dc, ExecConfig::jobs(jobs)).unwrap();
             assert_eq!(seq.digest, par.digest, "jobs={jobs} diverged");
-        }
-    }
-
-    #[test]
-    fn market_rounds_conserve_the_feeder_budget() {
-        let dc = DcScenario::new(quick_base(3), small_topo(6)).unwrap();
-        let out = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
-        assert_eq!(out.rounds.len(), 3, "90 s / 30 s epochs");
-        for (i, round) in out.rounds.iter().enumerate() {
-            let total: f64 = round.grants.iter().map(|g| g.0).sum();
-            assert!(
-                total <= out.feeder_budget.0 + 1e-9,
-                "round {i}: {total} > {}",
-                out.feeder_budget
-            );
-            // Per-PDU conservation too.
-            for (p, cap) in out.pdu_caps.iter().enumerate() {
-                let pdu_sum: f64 = round
-                    .grants
-                    .iter()
-                    .zip(&out.pdu_of)
-                    .filter(|(_, &q)| q == p)
-                    .map(|(g, _)| g.0)
-                    .sum();
-                assert!(pdu_sum <= cap.0 + 1e-9, "PDU {p}: {pdu_sum} > {cap}");
-            }
         }
     }
 

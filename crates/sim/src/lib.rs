@@ -52,7 +52,7 @@ pub use metrics::{summary_table, RunSummary};
 pub use mode::ModeLabel;
 pub use policy::{FreqCommand, Policy, PolicyCommand, SgctSimPolicy, SimView, SprintConPolicy};
 pub use qos::{qos_report, QosReport, SloAttainment};
-pub use recorder::{Recorder, Sample, SimEvent};
+pub use recorder::{CsvError, Recorder, Sample, SamplesNotKept, SimEvent};
 pub use scenario::{Disturbances, Scenario, ScenarioBuilder, ScenarioError};
 // Workload-source vocabulary, re-exported so scenario construction and
 // open-loop result types don't force a direct `workloads` dependency.

@@ -8,7 +8,7 @@
 //! the request-level tail (p99 sojourn, drop fraction) from the
 //! engine's streaming latency sketch.
 
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, SamplesNotKept};
 
 /// Attainment of one SLO threshold over a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,21 +57,22 @@ pub struct QosReport {
 /// the top-level violation fields. The delay proxy for a period is its
 /// mean backlog (peak-core-seconds per core): the time a newly arriving
 /// request would wait for the queue ahead of it at peak service rate.
-pub fn qos_report(rec: &Recorder, slo_delays_s: &[f64]) -> QosReport {
+///
+/// The report reads every period's backlog, so a streaming recorder
+/// (a datacenter floor rack's) that was pushed samples is refused with
+/// [`SamplesNotKept`]; only a run with no ticks reports all-zero.
+pub fn qos_report(rec: &Recorder, slo_delays_s: &[f64]) -> Result<QosReport, SamplesNotKept> {
     assert!(!slo_delays_s.is_empty(), "at least one SLO threshold");
     for &slo in slo_delays_s {
         assert!(slo > 0.0, "SLO must be positive");
     }
+    let samples = rec.kept_samples()?;
     let tail = rec.tail();
     let request_p99_s = tail.map(|t| t.p99_s);
     let drop_fraction = tail.map(|t| t.drop_fraction);
-    let delays: Vec<f64> = rec
-        .samples()
-        .iter()
-        .map(|s| s.interactive_backlog)
-        .collect();
+    let delays: Vec<f64> = samples.iter().map(|s| s.interactive_backlog).collect();
     if delays.is_empty() {
-        return QosReport {
+        return Ok(QosReport {
             mean_delay_s: 0.0,
             p95_delay_s: 0.0,
             p99_delay_s: 0.0,
@@ -89,13 +90,13 @@ pub fn qos_report(rec: &Recorder, slo_delays_s: &[f64]) -> QosReport {
                 .collect(),
             request_p99_s,
             drop_fraction,
-        };
+        });
     }
     let mut sorted = delays.clone();
     sorted.sort_by(f64::total_cmp);
     let pct = |p: f64| sorted[((p * (sorted.len() - 1) as f64).round()) as usize];
-    let dt = if rec.samples().len() >= 2 {
-        rec.samples()[1].t.0 - rec.samples()[0].t.0
+    let dt = if samples.len() >= 2 {
+        samples[1].t.0 - samples[0].t.0
     } else {
         1.0
     };
@@ -122,7 +123,7 @@ pub fn qos_report(rec: &Recorder, slo_delays_s: &[f64]) -> QosReport {
             }
         })
         .collect();
-    QosReport {
+    Ok(QosReport {
         mean_delay_s: delays.iter().sum::<f64>() / delays.len() as f64,
         p95_delay_s: pct(0.95),
         p99_delay_s: pct(0.99),
@@ -134,7 +135,7 @@ pub fn qos_report(rec: &Recorder, slo_delays_s: &[f64]) -> QosReport {
         per_slo,
         request_p99_s,
         drop_fraction,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -154,7 +155,7 @@ mod tests {
     #[test]
     fn peak_frequency_keeps_qos_clean() {
         let rec = run_with_interactive_freq(1.0);
-        let q = qos_report(&rec, &[0.25]);
+        let q = qos_report(&rec, &[0.25]).expect("samples kept");
         assert!(q.violation_fraction < 0.05, "{q:?}");
         assert!(q.p99_delay_s < 1.0);
         assert!(q.mean_delay_s <= q.p95_delay_s);
@@ -171,7 +172,7 @@ mod tests {
         // show sustained violations — this is why SprintCon refuses to
         // throttle interactive cores.
         let rec = run_with_interactive_freq(0.4);
-        let q = qos_report(&rec, &[0.25]);
+        let q = qos_report(&rec, &[0.25]).expect("samples kept");
         assert!(q.violation_fraction > 0.5, "{q:?}");
         assert!(q.longest_violation_s > 30.0);
         assert!(q.max_delay_s > 1.0);
@@ -179,8 +180,8 @@ mod tests {
 
     #[test]
     fn report_is_monotone_in_service_quality() {
-        let good = qos_report(&run_with_interactive_freq(1.0), &[0.25]);
-        let bad = qos_report(&run_with_interactive_freq(0.5), &[0.25]);
+        let good = qos_report(&run_with_interactive_freq(1.0), &[0.25]).expect("samples kept");
+        let bad = qos_report(&run_with_interactive_freq(0.5), &[0.25]).expect("samples kept");
         assert!(bad.mean_delay_s > good.mean_delay_s);
         assert!(bad.violation_fraction >= good.violation_fraction);
     }
@@ -188,7 +189,7 @@ mod tests {
     #[test]
     fn slo_ladder_attainment_is_monotone_in_threshold() {
         let rec = run_with_interactive_freq(0.4);
-        let q = qos_report(&rec, &[0.1, 0.25, 1.0, 10.0]);
+        let q = qos_report(&rec, &[0.1, 0.25, 1.0, 10.0]).expect("samples kept");
         assert_eq!(q.per_slo.len(), 4);
         // A looser SLO can only be attained more often.
         for w in q.per_slo.windows(2) {
@@ -211,7 +212,7 @@ mod tests {
         let mut sim = sc.build();
         let mut p = FixedPolicy::new(NormFreq::PEAK, 0.3, Watts(1200.0));
         let rec = sim.run(&mut p, Seconds(120.0));
-        let q = qos_report(&rec, &[0.25]);
+        let q = qos_report(&rec, &[0.25]).expect("samples kept");
         let p99 = q.request_p99_s.expect("open-loop runs report p99");
         assert!(p99 > 0.0, "p99={p99}");
         let df = q.drop_fraction.expect("open-loop runs report drops");
@@ -220,7 +221,7 @@ mod tests {
 
     #[test]
     fn empty_recorder_is_all_zero() {
-        let q = qos_report(&Recorder::default(), &[0.25]);
+        let q = qos_report(&Recorder::default(), &[0.25]).expect("nothing was pushed");
         assert_eq!(q.mean_delay_s, 0.0);
         assert_eq!(q.violation_fraction, 0.0);
         assert_eq!(q.per_slo.len(), 1);
@@ -230,12 +231,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "SLO must be positive")]
     fn rejects_zero_slo() {
-        qos_report(&Recorder::default(), &[0.0]);
+        let _ = qos_report(&Recorder::default(), &[0.0]);
     }
 
     #[test]
     #[should_panic(expected = "at least one SLO threshold")]
     fn rejects_empty_slo_ladder() {
-        qos_report(&Recorder::default(), &[]);
+        let _ = qos_report(&Recorder::default(), &[]);
     }
 }

@@ -19,7 +19,10 @@
 //!   the same trajectory.
 //!
 //! Both keep the events and the open-loop tail summary (both are
-//! bounded and both feed the digest tail).
+//! bounded and both feed the digest tail). The readers of the whole
+//! series, [`Recorder::write_csv`] and [`crate::qos_report`], take it
+//! from `Recorder::kept_samples`, so on a streaming recorder they
+//! return [`SamplesNotKept`] instead of answering for an empty run.
 //!
 //! [`run_digest`]: crate::exec::run_digest
 
@@ -65,6 +68,67 @@ pub struct Sample {
     /// closed-loop path (and then contributes nothing to run digests).
     pub queue: Option<QueueObservation>,
     pub mode_label: ModeLabel,
+}
+
+/// A whole-run trajectory was asked of a recorder that folded its
+/// samples instead of keeping them: a streaming recorder, which every
+/// datacenter floor rack has. Its summary aggregates, events and digest
+/// stay exact; only the per-sample series is gone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SamplesNotKept {
+    /// Samples the recorder was pushed and did not keep.
+    pub pushed: usize,
+}
+
+impl std::fmt::Display for SamplesNotKept {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the recorder streamed {} samples without keeping them",
+            self.pushed
+        )
+    }
+}
+
+impl std::error::Error for SamplesNotKept {}
+
+/// Why [`Recorder::write_csv`] failed.
+#[derive(Debug)]
+pub enum CsvError {
+    /// The recorder kept no samples to write; no file was created.
+    SamplesNotKept(SamplesNotKept),
+    /// Creating or writing the file failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for CsvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsvError::SamplesNotKept(e) => e.fmt(f),
+            CsvError::Io(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CsvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CsvError::SamplesNotKept(e) => Some(e),
+            CsvError::Io(e) => Some(e),
+        }
+    }
+}
+
+impl From<SamplesNotKept> for CsvError {
+    fn from(e: SamplesNotKept) -> Self {
+        CsvError::SamplesNotKept(e)
+    }
+}
+
+impl From<std::io::Error> for CsvError {
+    fn from(e: std::io::Error) -> Self {
+        CsvError::Io(e)
+    }
 }
 
 /// A discrete event worth indexing a run by.
@@ -274,6 +338,17 @@ impl Recorder {
         &self.samples
     }
 
+    /// Every sample pushed, for the readers that need the whole series.
+    /// A streaming recorder that was pushed samples refuses, where
+    /// [`Self::samples`] would answer as if the run had no ticks.
+    pub(crate) fn kept_samples(&self) -> Result<&[Sample], SamplesNotKept> {
+        if self.samples.len() == self.len() {
+            Ok(&self.samples)
+        } else {
+            Err(SamplesNotKept { pushed: self.len() })
+        }
+    }
+
     /// Total energy delivered by the UPS over the run, Wh.
     pub fn ups_energy_wh(&self) -> f64 {
         self.totals.ups_energy_wh
@@ -299,8 +374,10 @@ impl Recorder {
         self.totals.mean(self.totals.sum_freq_batch)
     }
 
-    /// Write the full recording as CSV.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
+    /// Write the full recording as CSV. A streaming recorder that was
+    /// pushed samples refuses before creating the file.
+    pub fn write_csv(&self, path: &Path) -> Result<(), CsvError> {
+        let samples = self.kept_samples()?;
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -312,7 +389,7 @@ impl Recorder {
              p_batch_target_w,freq_interactive,freq_batch,backlog,queue_depth,queue_p99_s,\
              queue_dropped,mode"
         )?;
-        for s in &self.samples {
+        for s in samples {
             writeln!(
                 out,
                 "{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{:.4},{:.4},{},{},{:.4},{:.4},{:.4},{},{},{},{}",

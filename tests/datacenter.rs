@@ -14,8 +14,8 @@ use powersim::grid::{GridEventKind, GridPlan};
 use powersim::units::{Seconds, Watts};
 use proptest::prelude::*;
 use simkit::{
-    run_datacenter, run_digest, run_policy, DcRunOutput, DcScenario, ExecConfig, PolicyKind,
-    Scenario,
+    qos_report, run_datacenter, run_digest, run_policy, CsvError, DcRunOutput, DcScenario,
+    ExecConfig, PolicyKind, SamplesNotKept, Scenario,
 };
 use sprintcon::{
     allocate_headroom_two_level, allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace,
@@ -160,6 +160,33 @@ fn single_rack_datacenter_matches_the_standalone_engine() {
     // rack: the map runs it on the calling thread).
     let par = run_datacenter(&dc, ExecConfig::jobs(2)).unwrap();
     assert_eq!(out.digest, par.digest);
+}
+
+/// A floor rack streams its samples, so the readers of a whole series
+/// refuse it with a typed error instead of answering as if the run had
+/// no ticks (a header-only CSV, and a QoS report of perfect attainment
+/// whatever backlog the rack had). The same rack run standalone keeps
+/// its samples and reports.
+#[test]
+fn floor_racks_refuse_whole_series_reports() {
+    let mut base = Scenario::paper_default(42);
+    base.duration = Seconds(90.0);
+    let topo = DatacenterTopology::single_rack(Watts(4000.0)).unwrap();
+    let dc = DcScenario::new(base.clone(), topo).unwrap();
+    let out = run_datacenter(&dc, ExecConfig::sequential()).unwrap();
+    let rec = &out.racks[0].recorder;
+    assert!(!rec.is_empty());
+    let refused = SamplesNotKept { pushed: rec.len() };
+    assert_eq!(qos_report(rec, &[0.25]), Err(refused));
+    let path =
+        std::env::temp_dir().join(format!("sprintcon_floor_rack_{}.csv", std::process::id()));
+    match rec.write_csv(&path) {
+        Err(CsvError::SamplesNotKept(e)) => assert_eq!(e, refused),
+        other => panic!("a streaming recorder wrote its CSV: {other:?}"),
+    }
+    assert!(!path.exists(), "a refused CSV must not be created");
+    let standalone = run_policy(&base, PolicyKind::SprintCon);
+    assert!(qos_report(&standalone.recorder, &[0.25]).is_ok());
 }
 
 #[test]

@@ -14,6 +14,9 @@
 //!   response deadline and stays there, with zero breaker trips; the
 //!   run's digest is pinned, so the trajectory under the cap cannot
 //!   drift unnoticed either.
+//! * **A cap below idle power degrades, it does not fail**: the run
+//!   completes with the state of charge in [0, 1], the UPS bridges until
+//!   it runs dry, and the periods above the cap count as violations.
 //! * **Grid events compose with faults**: concurrent fault and grid
 //!   plans produce finite, replayable trajectories.
 
@@ -134,6 +137,46 @@ fn sprintcon_complies_with_curtailment_before_the_deadline() {
             .iter()
             .any(|s| s.mode_label == simkit::ModeLabel::GridCurtail),
         "grid-curtail mode never engaged"
+    );
+}
+
+/// The documented degradation of `GridPlan::curtailment` below the
+/// rack's idle draw (≈2.9 kW here): a 100 W cap from t = 60 s with a
+/// 30 s deadline cannot be met from the grid, and is not rejected,
+/// because a short curtailment is survivable. The UPS bridges, and
+/// every period once it runs dry breaks the cap.
+#[test]
+fn curtailment_below_idle_power_degrades_without_panicking() {
+    let sc = Scenario::builder(7)
+        .duration(Seconds(600.0))
+        .deadline(Seconds(600.0))
+        .grid(GridPlan::curtailment(
+            Seconds(60.0),
+            Seconds(600.0),
+            Watts(100.0),
+            Seconds(30.0),
+        ))
+        .build()
+        .expect("a cap below idle power is a valid scenario");
+    let out = run_policy(&sc, PolicyKind::SprintCon);
+    let samples = out.recorder.samples();
+    assert_eq!(samples.len(), 600, "the run completes");
+    for s in samples {
+        assert!(
+            (0.0..=1.0).contains(&s.ups_soc),
+            "t={}: SoC {}",
+            s.t,
+            s.ups_soc
+        );
+    }
+    assert!(out.summary.grid_violations > 0, "the cap cannot be met");
+    let dry = samples
+        .iter()
+        .position(|s| s.ups_soc <= 1e-9)
+        .expect("a 100 W cap drains the UPS");
+    assert!(
+        samples[dry + 1..].iter().all(|s| s.cb_power.0 > 100.0),
+        "once the UPS is dry the grid carries the rack"
     );
 }
 

@@ -112,14 +112,14 @@ fn open_loop_scenario(seed: u64, secs: f64) -> Scenario {
 #[test]
 fn open_loop_runs_surface_tail_metrics_and_closed_loop_stays_clean() {
     let ol = run_policy(&open_loop_scenario(5, 90.0), PolicyKind::SprintCon);
-    let q = qos_report(&ol.recorder, &[0.25, 1.0]);
+    let q = qos_report(&ol.recorder, &[0.25, 1.0]).expect("a standalone run keeps its samples");
     assert!(q.request_p99_s.expect("open loop reports p99") > 0.0);
     assert!(q.drop_fraction.is_some());
     assert_eq!(q.per_slo.len(), 2);
     assert!(ol.recorder.samples().iter().all(|s| s.queue.is_some()));
 
     let cl = run_policy(&Scenario::paper_default(5), PolicyKind::SprintCon);
-    let qc = qos_report(&cl.recorder, &[0.25]);
+    let qc = qos_report(&cl.recorder, &[0.25]).expect("a standalone run keeps its samples");
     assert_eq!(qc.request_p99_s, None);
     assert_eq!(qc.drop_fraction, None);
     assert!(cl.recorder.samples().iter().all(|s| s.queue.is_none()));
