@@ -1,13 +1,13 @@
 //! Small dense linear algebra.
 //!
-//! The MPC and stability machinery needs matrices of a few hundred
-//! elements at most (decision dimension = batch cores × control horizon).
+//! The stability analysis and the dense QP form of the MPC problem
+//! (decision dimension = batch cores × control horizon), which the
+//! tests use to certify the structured solver, need small matrices.
 //! No offline linalg crate is available, so this module provides exactly
 //! what the rest of the crate uses: row-major dense matrices, the
-//! matrix–vector products of the dense QP and the stability analysis,
-//! and Cholesky factorization for SPD solves. Everything is `f64`,
-//! allocation-explicit, and panics on shape errors — shape bugs are
-//! programmer errors, not runtime conditions.
+//! matrix–vector product, and Cholesky factorization for SPD solves.
+//! Everything is `f64`, allocation-explicit, and panics on shape errors
+//! — shape bugs are programmer errors, not runtime conditions.
 
 use std::ops::{Add, Index, IndexMut};
 
@@ -88,21 +88,6 @@ impl Mat {
             *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
         y
-    }
-
-    /// Write-into matrix–vector product over the unrolled
-    /// [`dot_unrolled`] kernel: no allocation, four independent
-    /// accumulators per row so the compiler can keep the dot product in
-    /// SIMD lanes. Numerically equivalent to [`Mat::matvec`] but *not*
-    /// bit-identical (the accumulation order differs) — use it on
-    /// tolerance-compared paths (the `DenseFista` oracle), never on
-    /// digest-frozen ones.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(self.cols, x.len(), "matvec shape mismatch");
-        assert_eq!(self.rows, y.len(), "matvec output shape mismatch");
-        for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *yi = dot_unrolled(row, x);
-        }
     }
 
     /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
@@ -229,28 +214,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Dot product with four independent accumulators. Breaking the serial
-/// add chain lets the compiler vectorize and the CPU pipeline the FMAs
-/// — worth ~2–4× on the MPC-sized rows the dense oracle multiplies.
-/// Not bit-identical to [`dot`] (different accumulation order).
-pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot shape mismatch");
-    let mut qa = a.chunks_exact(4);
-    let mut qb = b.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0_f64, 0.0_f64, 0.0_f64, 0.0_f64);
-    for (ca, cb) in (&mut qa).zip(&mut qb) {
-        s0 += ca[0] * cb[0];
-        s1 += ca[1] * cb[1];
-        s2 += ca[2] * cb[2];
-        s3 += ca[3] * cb[3];
-    }
-    let mut s = (s0 + s2) + (s1 + s3);
-    for (x, y) in qa.remainder().iter().zip(qb.remainder()) {
-        s += x * y;
-    }
-    s
-}
-
 /// Infinity norm.
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -337,33 +300,6 @@ mod tests {
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-    }
-
-    #[test]
-    fn unrolled_kernels_match_naive_within_fp_tolerance() {
-        // Deterministic awkward sizes: exercise the 4-chunk body and
-        // every remainder length 0..=3.
-        for n in [1usize, 3, 4, 5, 8, 11, 16, 19] {
-            let m = 7;
-            let mut a = Mat::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    a[(i, j)] = ((i * n + j) as f64 * 0.7).sin() * 3.0;
-                }
-            }
-            let x: Vec<f64> = (0..n).map(|j| ((j as f64) * 1.3).cos() * 2.0).collect();
-
-            let naive = a.matvec(&x);
-            let mut fast = vec![0.0; m];
-            a.matvec_into(&x, &mut fast);
-            for (u, v) in naive.iter().zip(&fast) {
-                assert!((u - v).abs() <= 1e-12 * (1.0 + u.abs()), "{u} vs {v}");
-            }
-
-            assert!(
-                (dot_unrolled(&x, &x) - dot(&x, &x)).abs() <= 1e-12 * (1.0 + dot(&x, &x).abs())
-            );
-        }
     }
 
     #[test]

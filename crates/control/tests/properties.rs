@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sprint_control::kalman::Kalman1d;
 use sprint_control::linalg::Mat;
-use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
+use sprint_control::mpc::{MpcConfig, MpcController};
 use sprint_control::qp::QpProblem;
 use sprint_control::qp_structured::RankOneDiagQp;
 use sprint_control::reference::ExpReference;
@@ -26,11 +26,11 @@ fn spd_from(entries: &[f64], n: usize) -> Mat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// FISTA and coordinate descent agree on random box QPs, both produce
-    /// feasible points, and the reported objective is a true minimum
-    /// against random feasible perturbations.
+    /// Coordinate descent, the reference solver, returns a feasible
+    /// point that the projected-KKT certificate accepts, and random
+    /// feasible points never beat its objective.
     #[test]
-    fn qp_solvers_agree_and_minimize(
+    fn coordinate_descent_is_feasible_certified_and_minimal(
         entries in proptest::collection::vec(-1.0f64..1.0, 16),
         g in proptest::collection::vec(-5.0f64..5.0, 4),
         lo_v in -2.0f64..0.0,
@@ -40,19 +40,16 @@ proptest! {
         let n = 4;
         let h = spd_from(&entries, n);
         let p = QpProblem::new(h, g, vec![lo_v; n], vec![hi_v; n]);
-        let a = p.solve(1e-9, 50_000);
-        let b = p.solve_coordinate_descent(1e-9, 50_000);
-        prop_assert!(a.converged && b.converged);
-        for (x, y) in a.x.iter().zip(&b.x) {
+        let sol = p.solve_coordinate_descent(1e-9, 50_000);
+        prop_assert!(sol.converged);
+        prop_assert!(p.kkt_residual(&sol.x) < 1e-9);
+        for x in &sol.x {
             prop_assert!((lo_v..=hi_v).contains(x));
-            prop_assert!((x - y).abs() < 1e-5, "{x} vs {y}");
         }
-        let fa = p.objective(&a.x);
-        // Random feasible points never beat the solver.
-        for chunk in probes.chunks(n) {
-            if chunk.len() < n { break; }
+        let best = p.objective(&sol.x);
+        for chunk in probes.chunks_exact(n) {
             let cand: Vec<f64> = chunk.iter().map(|t| lo_v + t * (hi_v - lo_v)).collect();
-            prop_assert!(p.objective(&cand) >= fa - 1e-7);
+            prop_assert!(p.objective(&cand) >= best - 1e-7);
         }
     }
 
@@ -177,31 +174,6 @@ proptest! {
         let err = (p_of(&f) - target).abs();
         // Within a couple of watts + the tiny peak-pull offset.
         prop_assert!(err < 3.0 + 0.02 * (hi - lo), "err={err}");
-    }
-
-    /// The two MPC backends produce the same decision vector for any
-    /// single control period (random gains, feedback, target, start).
-    #[test]
-    fn mpc_backends_agree_single_period(
-        k in 5.0f64..40.0,
-        p_fb in 0.0f64..200.0,
-        target in 0.0f64..200.0,
-        f in 0.2f64..1.0,
-        n in 2usize..6,
-    ) {
-        let mk = |backend| MpcController::with_backend(
-            MpcConfig::paper_default(),
-            vec![k; n],
-            vec![0.2; n],
-            vec![1.0; n],
-            backend,
-        );
-        let da = mk(MpcBackend::Structured).compute(p_fb, target, &vec![f; n]);
-        let db = mk(MpcBackend::DenseFista).compute(p_fb, target, &vec![f; n]);
-        prop_assert!(da.qp.converged && db.qp.converged);
-        for (x, y) in da.qp.x.iter().zip(&db.qp.x) {
-            prop_assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
     }
 
     /// Scalar closed-loop pole: stable for any gain ratio inside the

@@ -137,8 +137,7 @@ pub fn allocate_headroom_two_level(
     }
 }
 
-/// Reusable scratch for [`allocate_headroom_two_level_with`] — the
-/// market-round analogue of `control::qp::QpWorkspace`. Every Vec a
+/// Reusable scratch for [`allocate_headroom_two_level_with`]. Every Vec a
 /// two-level round needs lives here, cleared and refilled per round but
 /// never shrunk, so a long campaign's market clearing allocates only on
 /// the first round (or when the fleet grows). Reuse is semantically

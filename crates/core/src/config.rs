@@ -4,7 +4,7 @@ use powersim::breaker::BreakerSpec;
 use powersim::server::ServerSpec;
 use powersim::units::{Seconds, Watts};
 use powersim::ups::UpsSpec;
-use sprint_control::mpc::{MpcBackend, MpcConfig};
+use sprint_control::mpc::MpcConfig;
 
 /// Full system configuration.
 #[derive(Debug, Clone)]
@@ -43,12 +43,10 @@ pub struct SprintConConfig {
     pub allocator_period: Seconds,
 
     // --- server power controller (§V-B) ---
+    /// The MPC's horizons and weights. Its `period` must equal
+    /// `control_period`: the Eq. (7) reference decays read the first,
+    /// the allocator window and the fallback PID the second.
     pub mpc: MpcConfig,
-    /// Which QP backend the MPC runs each period. The structured default
-    /// exploits the Eq. (8) block-separable diagonal-plus-rank-one
-    /// Hessian (O(n) per period); the dense FISTA path is the
-    /// cross-validation reference.
-    pub mpc_backend: MpcBackend,
     /// Assumed batch-core utilization when fitting the linear model, in
     /// (0, 1].
     pub assumed_batch_util: f64,
@@ -147,6 +145,9 @@ pub enum ConfigError {
         trip: Seconds,
     },
     InvalidDegradedMode(&'static str),
+    /// The MPC configuration fails [`MpcConfig::validate`], or its
+    /// period differs from `control_period`.
+    InvalidMpc(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -218,6 +219,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidDegradedMode(what) => {
                 write!(f, "degraded-mode config invalid: {what}")
             }
+            ConfigError::InvalidMpc(what) => write!(f, "MPC config invalid: {what}"),
         }
     }
 }
@@ -241,7 +243,6 @@ impl SprintConConfig {
             control_period: Seconds(1.0),
             allocator_period: Seconds(30.0),
             mpc: MpcConfig::paper_default(),
-            mpc_backend: MpcBackend::default(),
             assumed_batch_util: 0.95,
             inter_pressure_high: 0.9,
             inter_pressure_low: 0.4,
@@ -315,6 +316,12 @@ impl SprintConConfig {
         }
         if self.control_period.0 <= 0.0 {
             return Err(ConfigError::NonPositiveControlPeriod(self.control_period.0));
+        }
+        self.mpc.validate().map_err(ConfigError::InvalidMpc)?;
+        if self.mpc.period != self.control_period.0 {
+            return Err(ConfigError::InvalidMpc(
+                "mpc.period must equal control_period",
+            ));
         }
         if self.allocator_period.0 < 10.0 * self.control_period.0 {
             return Err(ConfigError::AllocatorTooFast {

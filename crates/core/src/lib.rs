@@ -68,6 +68,5 @@ pub use bidding::{
 pub use config::{ConfigError, SprintConConfig};
 pub use powersim::grid::ActiveGrid;
 pub use server_controller::ServerPowerController;
-pub use sprint_control::mpc::MpcBackend;
 pub use supervisor::{QueueMeasurement, SprintCon, SprintConInputs, SprintConOutputs, SprintMode};
 pub use ups_controller::UpsPowerController;

@@ -7,7 +7,6 @@ use powersim::server::{InteractivePowerModel, LinearServerModel};
 use powersim::units::{NormFreq, Seconds, Utilization, Watts};
 use sprint_control::mpc::{MpcController, MpcDecision};
 use sprint_control::pid::{Pid, PidConfig};
-use sprint_control::qp::QpSolution;
 use workloads::batch::BatchJob;
 
 /// MPC-based server power controller for one rack.
@@ -78,7 +77,7 @@ impl ServerPowerController {
             period: cfg.control_period.0,
         });
         ServerPowerController {
-            mpc: MpcController::with_backend(cfg.mpc, gains, fmin, fmax, cfg.mpc_backend),
+            mpc: MpcController::new(cfg.mpc, gains, fmin, fmax),
             inter_models,
             batch_models,
             batch_cores_per_server: m,
@@ -188,7 +187,9 @@ impl ServerPowerController {
 
     /// Rung-3 fallback: uniform-frequency PID on the aggregate batch
     /// power. Deliberately does NOT call `mpc.compute`, so QP telemetry
-    /// (`qp_solve_total`) keeps counting real solves only.
+    /// (`qp_solve_total`) keeps counting real solves only. The decision
+    /// reports no solve: 0 iterations, `converged: false` and a NaN KKT
+    /// residual.
     fn control_pid_fallback(&mut self, p_batch_target: Watts) -> MpcDecision {
         telemetry::counter_add("server_ctrl_pid_fallback", 1);
         self.fallback_was_active = true;
@@ -200,20 +201,15 @@ impl ServerPowerController {
         let f = self.fallback_pid.step(target, self.last_finite_p_fb);
         let mut freqs = vec![f; self.num_channels()];
         self.ladder.diffuse(&mut freqs);
-        let predicted_power = self.model_predicted_batch_power(&freqs).0;
         // Open-loop estimate: assume the plant lands where the model
         // says, so consecutive blind periods don't integrate on a frozen
         // measurement.
-        self.last_finite_p_fb = predicted_power;
+        self.last_finite_p_fb = self.model_predicted_batch_power(&freqs).0;
         MpcDecision {
             freqs,
-            predicted_power,
-            qp: QpSolution {
-                x: vec![],
-                kkt_residual: 0.0,
-                iterations: 0,
-                converged: false,
-            },
+            iterations: 0,
+            converged: false,
+            kkt_residual: f64::NAN,
         }
     }
 
@@ -394,19 +390,19 @@ mod tests {
         let n = ctrl.num_channels();
         // Prime the fallback state with one healthy period.
         let healthy = ctrl.control(Watts(4200.0), &utils, Watts(1700.0), &vec![0.6; n]);
-        assert!(healthy.qp.converged, "nominal path must run the QP");
+        assert!(healthy.converged, "nominal path must run the QP");
         // Sensor dropout: NaN total power must never reach the QP.
         let mut freqs = healthy.freqs.clone();
         for _ in 0..20 {
             let d = ctrl.control(Watts(f64::NAN), &utils, Watts(1700.0), &freqs);
-            assert!(!d.qp.converged, "fallback must not fabricate a QP solve");
-            assert!(d.qp.iterations == 0 && d.qp.x.is_empty());
+            assert!(!d.converged, "fallback must not fabricate a QP solve");
+            assert!(d.iterations == 0 && d.kkt_residual.is_nan());
             assert!(d.freqs.iter().all(|f| f.is_finite()));
             for &f in &d.freqs {
                 let (lo, hi) = (c.server.freq_scale.min.0, c.server.freq_scale.max.0);
                 assert!((lo - 1e-9..=hi + 1e-9).contains(&f), "f={f}");
             }
-            assert!(d.predicted_power.is_finite());
+            assert!(ctrl.last_finite_p_fb.is_finite());
             freqs = d.freqs;
         }
         // Blind tracking: the open-loop PID should settle near the target
@@ -418,41 +414,7 @@ mod tests {
         );
         // Recovery: finite inputs go straight back through the MPC.
         let back = ctrl.control(Watts(4200.0), &utils, Watts(1700.0), &freqs);
-        assert!(back.qp.converged, "recovered path must use the QP again");
-    }
-
-    #[test]
-    fn dense_backend_tracks_like_the_structured_default() {
-        // The full controller (nonlinear plant, quantized DVFS) under
-        // each MPC backend: both loops must settle on the same target.
-        // DVFS snapping can flip individual P-state steps between the
-        // two, so the comparison is on tracking power, not per-core bits.
-        let run = |backend| {
-            let mut c = cfg();
-            c.mpc_backend = backend;
-            let mut ctrl = ServerPowerController::new(&c);
-            let mut rk = rack(&c);
-            for id in rk.cores_with_role(CoreRole::Interactive) {
-                rk.set_util(id, Utilization(0.65));
-            }
-            for id in rk.cores_with_role(CoreRole::Batch) {
-                rk.set_util(id, Utilization(0.95));
-            }
-            let utils = interactive_utils(&rk);
-            for _ in 0..40 {
-                let p_total = rk.power();
-                let d = ctrl.control(p_total, &utils, Watts(1700.0), &batch_freqs(&rk));
-                apply(&mut rk, &ctrl, &d.freqs);
-            }
-            ctrl.feedback_power(rk.power(), &utils).0
-        };
-        let structured = run(sprint_control::mpc::MpcBackend::Structured);
-        let dense = run(sprint_control::mpc::MpcBackend::DenseFista);
-        assert!(
-            (structured - dense).abs() < 5.0,
-            "structured={structured} dense={dense}"
-        );
-        assert!((structured - 1700.0).abs() < 100.0, "p_fb={structured}");
+        assert!(back.converged, "recovered path must use the QP again");
     }
 
     #[test]

@@ -719,6 +719,29 @@ mod tests {
                 "{util}"
             );
         }
+        // MPC settings the controller cannot build or solve with, and an
+        // MPC period that disagrees with the control period.
+        type Break = fn(&mut SprintConConfig);
+        let mpc_cases: [(&str, Break); 8] = [
+            ("lc > lp", |c| c.mpc.lc = c.mpc.lp + 1),
+            ("q = 0", |c| c.mpc.q = 0.0),
+            ("q = ∞", |c| c.mpc.q = f64::INFINITY),
+            ("tau_r = NaN", |c| c.mpc.tau_r = f64::NAN),
+            ("r_scale = −1", |c| c.mpc.r_scale = -1.0),
+            ("r_scale = 0", |c| c.mpc.r_scale = 0.0),
+            ("mpc.period = 2 s", |c| c.mpc.period = 2.0),
+            ("control_period = 2 s", |c| c.control_period = Seconds(2.0)),
+        ];
+        for (case, break_it) in mpc_cases {
+            let mut c = cfg();
+            break_it(&mut c);
+            let err = SprintCon::try_new(c).err();
+            assert!(
+                matches!(err, Some(ConfigError::InvalidMpc(_))),
+                "{case}: {err:?}"
+            );
+            assert!(err.unwrap().to_string().starts_with("MPC config invalid"));
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ WHITELIST = {
         "determinism.bit_identical",
         "mpc_hot_path.channels",
         "mpc_hot_path.periods",
-        "mpc_hot_path.agreement.pass",
     ],
     "BENCH_datacenter.json": [
         "racks",
