@@ -1,11 +1,12 @@
 //! Open-loop rack power estimation — the model knowledge the
 //! *uncontrolled* SGCT baseline is allowed.
 //!
-//! SGCT plans sprint assignments against a static linear model (idle →
-//! full interpolated over per-core `f·u`), with no feedback correction.
-//! The model systematically *underestimates* the real plant: it knows
-//! nothing about the cooling fans, and the plant's non-CPU power is
-//! concave in throughput (partial loads draw disproportionately much).
+//! SGCT plans sprint assignments against a static model calibrated from
+//! the datasheet ([`CalibratedRackEstimator`]), with no feedback
+//! correction. The model systematically *underestimates* the real
+//! plant: it knows nothing about the cooling fans, and the plant's
+//! non-CPU power is concave in throughput (partial loads draw
+//! disproportionately much).
 //! That gap is exactly why Fig. 5 shows SGCT's actual CB power riding
 //! slightly above its budget and tripping the breaker — no artificial
 //! error is injected anywhere.
@@ -14,50 +15,6 @@ use powersim::cpu::CoreRole;
 use powersim::rack::{server_power, Rack, RoleView};
 use powersim::server::ServerSpec;
 use powersim::units::{NormFreq, Watts};
-
-/// Linear idle↔full interpolation estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearRackEstimator {
-    /// Idle power per server, W.
-    pub idle_per_server: f64,
-    /// Dynamic span attributed to each core at peak frequency and full
-    /// utilization, W.
-    pub span_per_core: f64,
-}
-
-impl LinearRackEstimator {
-    /// Build from the server spec the operator would read off the
-    /// datasheet (idle/full wall power, core count).
-    pub fn from_spec(spec: &powersim::server::ServerSpec) -> Self {
-        LinearRackEstimator {
-            idle_per_server: spec.idle_watts,
-            span_per_core: (spec.full_watts - spec.idle_watts) / spec.num_cores as f64,
-        }
-    }
-
-    /// Estimate rack power for a candidate per-core frequency vector
-    /// (rack order: server-major), using the rack's *current measured*
-    /// utilizations.
-    pub fn estimate(&self, rack: &Rack, freqs: &[NormFreq]) -> Watts {
-        assert_eq!(freqs.len(), rack.num_cores(), "one frequency per core");
-        let iv = rack.role(CoreRole::Interactive);
-        let bv = rack.role(CoreRole::Batch);
-        let cps = rack.cores_per_server();
-        let mut total = 0.0;
-        for s in 0..rack.num_servers() {
-            total += self.idle_per_server;
-            // Candidate freqs are in core order (interactive block first
-            // within each server — the rack's core numbering).
-            let base = s * cps;
-            let utils = iv.server_utils(s).iter().chain(bv.server_utils(s));
-            for (k, &u) in utils.enumerate() {
-                let f = freqs[base + k];
-                total += self.span_per_core * f.0.clamp(0.0, 1.0) * u.clamp(0.0, 1.0);
-            }
-        }
-        Watts(total)
-    }
-}
 
 /// DVFS-aware open-loop estimator — what a careful operator calibrates
 /// from the CPU's published P-state power table.
@@ -338,8 +295,8 @@ mod tests {
             .expect("valid rack")
     }
 
-    fn est() -> LinearRackEstimator {
-        LinearRackEstimator::from_spec(&ServerSpec::paper_default())
+    fn est() -> CalibratedRackEstimator {
+        CalibratedRackEstimator::from_spec(&ServerSpec::paper_default())
     }
 
     #[test]
@@ -364,8 +321,8 @@ mod tests {
     #[test]
     fn underestimates_partial_utilization_at_peak_frequency() {
         // Part of the Fig. 5 mechanism: the plant's non-CPU power is
-        // concave in throughput, so at partial utilization the linear
-        // estimate sits below the true plant power. (The other, larger
+        // concave in throughput, so at partial utilization the estimate's
+        // linear non-CPU term sits below the true plant power. (The other, larger
         // part of SGCT's blind spot — cooling-fan power — is added by the
         // simulation on top of the rack.)
         let mut rk = rack();
@@ -380,27 +337,6 @@ mod tests {
         assert!(
             truth.0 > estimate.0 * 1.01,
             "truth={truth} estimate={estimate}"
-        );
-    }
-
-    #[test]
-    fn overestimates_deeply_throttled_cores() {
-        // The flip side: the linear model charges throttled cores f·u
-        // while the real cubic DVFS law makes them much cheaper — so
-        // SGCT's estimate is not uniformly biased, it is simply *wrong*
-        // open-loop, which is the paper's point about needing feedback.
-        let mut rk = rack();
-        for role in [CoreRole::Interactive, CoreRole::Batch] {
-            for id in rk.cores_with_role(role) {
-                rk.set_util(id, Utilization(1.0));
-            }
-        }
-        let freqs = vec![NormFreq(0.4); 32];
-        let estimate = est().estimate(&rk, &freqs);
-        let truth = oracle_power(&rk, &freqs);
-        assert!(
-            estimate.0 > truth.0 * 1.02,
-            "estimate={estimate} truth={truth}"
         );
     }
 

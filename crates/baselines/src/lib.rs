@@ -22,8 +22,7 @@ pub mod game;
 pub mod sgct;
 
 pub use estimate::{
-    oracle_power, CalibratedRackEstimator, EstimateProbe, LinearRackEstimator, OracleProbe,
-    PowerProbe, ProbeBuffers,
+    oracle_power, CalibratedRackEstimator, EstimateProbe, OracleProbe, PowerProbe, ProbeBuffers,
 };
 pub use game::{cooperative_threshold, rank_cores, Assignment, SprintRanking};
 pub use sgct::{SgctCommand, SgctConfig, SgctPolicy, SgctVariant};

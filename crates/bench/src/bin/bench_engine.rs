@@ -97,6 +97,7 @@ fn bench_mpc(channels: usize, periods: usize) -> f64 {
     let target = 1700.0;
     let mut mpc = MpcController::new(
         MpcConfig::paper_default(),
+        1.0,
         vec![15.0; channels],
         vec![0.2; channels],
         vec![1.0; channels],

@@ -8,9 +8,10 @@
 //! The same schedule is then replayed on the rack server's power model
 //! to draw the power wave the breaker/UPS pair must ride through.
 
-use powersim::server::{Server, ServerSpec};
+use powersim::rack::server_power;
+use powersim::server::ServerSpec;
 use powersim::thermal::{periodic_sprint_duty, ThermalModel};
-use powersim::units::{NormFreq, Utilization};
+use powersim::units::NormFreq;
 use simkit::ascii_plot::line_chart;
 use sprintcon_bench::{banner, write_csv};
 
@@ -25,10 +26,7 @@ fn main() {
         chip.sustainable_power()
     );
     let spec = ServerSpec::paper_default();
-    let mut server = Server::new(spec, 4);
-    for c in server.cores.iter_mut() {
-        c.util = Utilization(0.9);
-    }
+    let utils = vec![0.9; spec.num_cores];
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for t in 0..120 {
@@ -38,10 +36,11 @@ fn main() {
         } else {
             NormFreq(0.3)
         };
-        for ci in 0..server.cores.len() {
-            server.set_core_freq(ci, f);
-        }
-        let p = server.power().0;
+        let freqs = vec![spec.freq_scale.quantize(f).0; spec.num_cores];
+        let p = server_power(
+            &spec,
+            [(&freqs[..4], &utils[..4]), (&freqs[4..], &utils[4..])],
+        );
         rows.push(vec![t as f64, f.0, p]);
         series.push(p);
     }

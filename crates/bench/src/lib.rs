@@ -1,8 +1,9 @@
 //! # sprintcon-bench — figure regeneration harness
 //!
-//! One binary per paper artifact (see DESIGN.md §4's experiment index);
-//! each prints the series/rows as aligned text and writes CSV under
-//! `target/figures/`.
+//! One binary per paper artifact, except `paper_figures`, which draws
+//! Figs. 5–8 and the headline from one campaign (see DESIGN.md §4's
+//! experiment index); each prints the series/rows as aligned text and
+//! writes CSV under `target/figures/`.
 
 #![forbid(unsafe_code)]
 

@@ -81,8 +81,6 @@ pub struct MpcConfig {
     pub lc: usize,
     /// Reference-trajectory time constant `τ_r`, seconds.
     pub tau_r: f64,
-    /// Control period `Ts`, seconds.
-    pub period: f64,
     /// Tracking weight `Q` (uniform over the horizon).
     pub q: f64,
     /// Scale applied to the per-channel penalty weights `Rⱼ`.
@@ -91,23 +89,22 @@ pub struct MpcConfig {
 
 impl MpcConfig {
     /// The configuration used throughout the evaluation: an 8-step
-    /// prediction horizon, 2-step control horizon, 1 s period, and a
-    /// reference that closes ~63% of the gap every 4 s.
+    /// prediction horizon, 2-step control horizon, and a reference that
+    /// closes ~63% of the gap every 4 s.
     pub fn paper_default() -> Self {
         MpcConfig {
             lp: 8,
             lc: 2,
             tau_r: 4.0,
-            period: 1.0,
             q: 1.0,
             r_scale: 8.0,
         }
     }
 
-    /// Check what [`MpcController::new`] requires: `1 ≤ Lc ≤ Lp`, and a
-    /// positive, finite `τ_r`, `Ts`, `r_scale` and `q`, with the largest
-    /// coupling weight `2q·Lp` finite too. `Err` names the first broken
-    /// requirement.
+    /// Check what [`MpcController::new`] requires of the configuration:
+    /// `1 ≤ Lc ≤ Lp`, and a positive, finite `τ_r`, `r_scale` and `q`,
+    /// with the largest coupling weight `2q·Lp` finite too. `Err` names
+    /// the first broken requirement.
     pub fn validate(&self) -> Result<(), &'static str> {
         let positive = |v: f64| v > 0.0 && v.is_finite();
         if self.lp < 1 {
@@ -118,9 +115,6 @@ impl MpcConfig {
         }
         if !positive(self.tau_r) {
             return Err("tau_r must be positive and finite");
-        }
-        if !positive(self.period) {
-            return Err("period must be positive and finite");
         }
         if !(positive(self.q) && positive(2.0 * self.q * self.lp as f64)) {
             return Err("q must be positive, with 2q·Lp finite");
@@ -137,6 +131,8 @@ impl MpcConfig {
 pub struct MpcController {
     /// Private so that `decays` cannot go stale.
     cfg: MpcConfig,
+    /// Control period `Ts`, seconds: the step of the Eq. (7) reference.
+    period: f64,
     /// Eq. (7) decay for each prediction step `1..=Lp` (index `step − 1`),
     /// computed once from `cfg`.
     decays: Vec<f64>,
@@ -196,14 +192,26 @@ pub struct MpcDecision {
 }
 
 impl MpcController {
-    /// Build a controller over `gains.len()` channels with the Eq. (9)
-    /// box `[fmin, fmax]` per channel. Panics on an invalid `cfg` (see
-    /// [`MpcConfig::validate`]), on a shape mismatch, on a gain that is
-    /// not positive and finite, and on a non-finite or crossed box.
-    pub fn new(cfg: MpcConfig, gains: Vec<f64>, fmin: Vec<f64>, fmax: Vec<f64>) -> Self {
+    /// Build a controller over `gains.len()` channels, sampled every
+    /// `period` seconds, with the Eq. (9) box `[fmin, fmax]` per channel.
+    /// Panics on an invalid `cfg` (see [`MpcConfig::validate`]), on a
+    /// period that is not positive and finite, on a shape mismatch, on a
+    /// gain that is not positive and finite, and on a non-finite or
+    /// crossed box.
+    pub fn new(
+        cfg: MpcConfig,
+        period: f64,
+        gains: Vec<f64>,
+        fmin: Vec<f64>,
+        fmax: Vec<f64>,
+    ) -> Self {
         if let Err(what) = cfg.validate() {
             panic!("invalid MPC config: {what}");
         }
+        assert!(
+            period > 0.0 && period.is_finite(),
+            "invalid MPC config: period must be positive and finite"
+        );
         let n = gains.len();
         assert!(n > 0, "controller needs at least one channel");
         assert!(fmin.len() == n && fmax.len() == n, "bound shape mismatch");
@@ -228,8 +236,9 @@ impl MpcController {
             .collect();
         MpcController {
             cfg,
+            period,
             decays: (1..=cfg.lp)
-                .map(|step| reference_decay(step, cfg.period, cfg.tau_r))
+                .map(|step| reference_decay(step, period, cfg.tau_r))
                 .collect(),
             blocks: FixedBlocks::new(c, gains, lo, hi),
             fmax,
@@ -254,9 +263,20 @@ impl MpcController {
     }
 
     /// Update the per-channel progress weights `Rⱼ` (allocator/§V-B).
+    ///
+    /// Each weight must be non-negative with a finite penalty diagonal
+    /// `2·r_scale·max(Rⱼ, R_FLOOR)`, which the solve needs; this panics,
+    /// naming the channel, on one that is not, so a bad weight fails
+    /// here rather than inside a later [`Self::compute`].
     pub fn set_penalty_weights(&mut self, r: &[f64]) {
         assert_eq!(r.len(), self.num_channels());
-        assert!(r.iter().all(|v| v.is_finite() && *v >= 0.0));
+        for (j, &v) in r.iter().enumerate() {
+            let diagonal = 2.0 * self.cfg.r_scale * v.max(R_FLOOR);
+            assert!(
+                v >= 0.0 && diagonal.is_finite(),
+                "penalty weight {v} of channel {j} needs 2·r_scale·max(r, R_FLOOR) finite and r >= 0"
+            );
+        }
         self.r.copy_from_slice(r);
     }
 
@@ -267,7 +287,7 @@ impl MpcController {
     /// Reference trajectory (Eq. (7)): the power the controller wants at
     /// `x` periods ahead, given feedback `p_fb` and set point `target`.
     pub fn reference(&self, target: f64, p_fb: f64, x: usize) -> f64 {
-        reference_at(target, p_fb, x, self.cfg.period, self.cfg.tau_r)
+        reference_at(target, p_fb, x, self.period, self.cfg.tau_r)
     }
 
     /// Solve one control period: measured feedback power `p_fb`
@@ -379,6 +399,7 @@ mod tests {
     fn controller(n: usize) -> MpcController {
         MpcController::new(
             MpcConfig::paper_default(),
+            1.0,
             vec![15.0; n],
             vec![0.2; n],
             vec![1.0; n],
@@ -524,9 +545,9 @@ mod tests {
     #[test]
     fn larger_tau_slows_the_approach() {
         let mut cfg = MpcConfig::paper_default();
-        let ctrl_fast = MpcController::new(cfg, vec![15.0], vec![0.2], vec![1.0]);
+        let ctrl_fast = MpcController::new(cfg, 1.0, vec![15.0], vec![0.2], vec![1.0]);
         cfg.tau_r = 16.0;
-        let ctrl_slow = MpcController::new(cfg, vec![15.0], vec![0.2], vec![1.0]);
+        let ctrl_slow = MpcController::new(cfg, 1.0, vec![15.0], vec![0.2], vec![1.0]);
         // After 4 periods the fast reference is much closer to target.
         let f = ctrl_fast.reference(100.0, 0.0, 4);
         let s = ctrl_slow.reference(100.0, 0.0, 4);
@@ -575,7 +596,7 @@ mod tests {
         ];
         for (i, (gains, fmin, fmax)) in cases.into_iter().enumerate() {
             let built = std::panic::catch_unwind(|| {
-                MpcController::new(MpcConfig::paper_default(), gains, fmin, fmax)
+                MpcController::new(MpcConfig::paper_default(), 1.0, gains, fmin, fmax)
             });
             let err = built.expect_err(&format!("case {i} was accepted"));
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -591,14 +612,13 @@ mod tests {
     fn validate_rejects_what_the_solver_cannot_run() {
         assert_eq!(MpcConfig::paper_default().validate(), Ok(()));
         type Break = fn(&mut MpcConfig);
-        let cases: [(Break, &str); 9] = [
+        let cases: [(Break, &str); 8] = [
             (|c| c.lc = 9, "control horizon"),
             (|c| (c.lp, c.lc) = (0, 0), "prediction horizon"),
             (|c| c.q = 0.0, "q must"),
             (|c| c.q = f64::INFINITY, "q must"),
             (|c| c.q = 1e308, "q must"),
             (|c| c.tau_r = f64::NAN, "tau_r"),
-            (|c| c.period = 0.0, "period"),
             (|c| c.r_scale = -1.0, "r_scale"),
             (|c| c.r_scale = 0.0, "r_scale"),
         ];
@@ -608,12 +628,39 @@ mod tests {
             let err = cfg.validate().expect_err(&format!("{cfg:?} passed"));
             assert!(err.contains(expected), "{cfg:?}: {err}");
             let built = std::panic::catch_unwind(|| {
-                MpcController::new(cfg, vec![15.0], vec![0.2], vec![1.0])
+                MpcController::new(cfg, 1.0, vec![15.0], vec![0.2], vec![1.0])
             });
             let panic = built.expect_err(&format!("{cfg:?} was built"));
             let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
             assert_eq!(msg, format!("invalid MPC config: {err}"));
         }
+        for period in [0.0, f64::NAN, f64::INFINITY] {
+            let cfg = MpcConfig::paper_default();
+            let built = std::panic::catch_unwind(|| {
+                MpcController::new(cfg, period, vec![15.0], vec![0.2], vec![1.0])
+            });
+            let panic = built.expect_err(&format!("period {period} was built"));
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(
+                msg,
+                "invalid MPC config: period must be positive and finite"
+            );
+        }
+    }
+
+    /// An `r_scale` that `validate` accepts can still overflow a penalty
+    /// diagonal `2·r_scale·max(rⱼ, R_FLOOR)`; the weight that does is
+    /// refused where it is set, not inside the next solve.
+    #[test]
+    #[should_panic(expected = "penalty weight 3 of channel 0 needs")]
+    fn set_penalty_weights_refuses_an_infinite_diagonal() {
+        let cfg = MpcConfig {
+            r_scale: 1e308,
+            ..MpcConfig::paper_default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        let mut ctrl = MpcController::new(cfg, 1.0, vec![15.0; 4], vec![0.2; 4], vec![1.0; 4]);
+        ctrl.set_penalty_weights(&[3.0; 4]);
     }
 
     /// Over a closed loop with shifting progress weights, every period's
@@ -634,7 +681,7 @@ mod tests {
         let (lp, lc) = (cfg.lp, cfg.lc);
         let gains: Vec<f64> = (0..n).map(|j| 9.0 + (j % 5) as f64 * 2.5).collect();
         let (fmin, fmax) = (vec![0.2; n], vec![1.0; n]);
-        let mut ctrl = MpcController::new(cfg, gains.clone(), fmin.clone(), fmax.clone());
+        let mut ctrl = MpcController::new(cfg, 1.0, gains.clone(), fmin.clone(), fmax.clone());
         let mut plant = Plant {
             k: gains.iter().map(|k| 1.1 * k).collect(),
             base: 40.0,
@@ -705,7 +752,8 @@ mod tests {
     /// `q·(p_fb + kᵀ(y_b − f_now) − p_r(s))²` for the block `b` that
     /// holds at `t+s`, and each block adds the penalty
     /// `Rⱼ·(y_{b,j} − fmax_j)²` scaled by the share of the `Lp` steps it
-    /// held, where `Rⱼ = r_scale·max(rⱼ, R_FLOOR)`.
+    /// held, where `Rⱼ = r_scale·max(rⱼ, R_FLOOR)`. The reference steps
+    /// by the 1 s period the controllers under test sample at.
     fn dense_eq8(
         cfg: &MpcConfig,
         k: &[f64],
@@ -722,7 +770,7 @@ mod tests {
         for step in 1..=cfg.lp {
             let b = step.min(lc) - 1;
             held[b] += 1;
-            let wanted = reference_at(target, p_fb, step, cfg.period, cfg.tau_r);
+            let wanted = reference_at(target, p_fb, step, 1.0, cfg.tau_r);
             let offset = wanted - p_fb + kf;
             for j in 0..n {
                 g[b * n + j] -= 2.0 * cfg.q * offset * k[j];
@@ -765,7 +813,7 @@ mod tests {
                 lc,
                 ..MpcConfig::paper_default()
             };
-            let mut ctrl = MpcController::new(cfg, gains.clone(), fmin.clone(), fmax.clone());
+            let mut ctrl = MpcController::new(cfg, 1.0, gains.clone(), fmin.clone(), fmax.clone());
             let mut plant = Plant {
                 k: gains.iter().map(|k| 1.1 * k).collect(),
                 base: 1000.0,

@@ -154,6 +154,7 @@ proptest! {
     ) {
         let mut ctrl = MpcController::new(
             MpcConfig::paper_default(),
+            1.0,
             vec![k; n],
             vec![0.2; n],
             vec![1.0; n],

@@ -8,8 +8,8 @@
 //!
 //! This module runs the auction one and two levels up: racks bid watts
 //! of *overload headroom* against the shared PDU and feeder edges
-//! ([`HeadroomBid`] / [`allocate_headroom`] /
-//! [`allocate_headroom_two_level`]). Each level is greedy by value, ties
+//! ([`HeadroomBid`] / [`allocate_headroom_two_level_with`]). Each level
+//! is greedy by value, ties
 //! broken by id, with the marginal bidder granted the exact fraction that
 //! exhausts the budget, so a market round is a pure function of its
 //! inputs and safe to run at supervisor boundaries between parallel rack
@@ -37,38 +37,13 @@ impl HeadroomBid {
     }
 }
 
-/// Result of one headroom auction round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeadroomAllocation {
-    /// Granted watts, in bid input order. `Σ grants ≤ budget` always.
-    pub grants: Vec<Watts>,
-    /// Total watts handed out.
-    pub spent: Watts,
-    /// Bidders that received a positive grant.
-    pub granted: usize,
-}
-
-/// Auction `budget` watts of shared headroom across the bidders: greedy
-/// full grants down the value ranking (ties broken by `id`), with the
-/// marginal bidder receiving the exact fraction that exhausts the
-/// budget.
-pub fn allocate_headroom(bids: &[HeadroomBid], budget: Watts) -> HeadroomAllocation {
-    let mut order = Vec::new();
-    let mut grants = Vec::new();
-    let (spent, granted) = allocate_headroom_core(bids, budget, &mut order, &mut grants);
-    HeadroomAllocation {
-        grants,
-        spent,
-        granted,
-    }
-}
-
-/// The single-level greedy auction over caller-owned scratch: `order`
-/// and `grants` are cleared and refilled, never shrunk, so a reused
-/// workspace round allocates nothing once warm. Returns
-/// `(spent, granted)`; the grants land in `grants` in bid input order.
-/// [`allocate_headroom`] is this plus a fresh pair of Vecs, so the
-/// ranking and tie-break semantics are one piece of code, not two.
+/// The single-level greedy auction: `budget` watts of shared headroom
+/// go down the value ranking (ties broken by `id`) as full grants, with
+/// the marginal bidder receiving the exact fraction that exhausts the
+/// budget. `order` and `grants` are caller-owned scratch, cleared and
+/// refilled, never shrunk, so a reused workspace round allocates nothing
+/// once warm. Returns `(spent, granted)`; the grants land in `grants` in
+/// bid input order.
 fn allocate_headroom_core(
     bids: &[HeadroomBid],
     budget: Watts,
@@ -110,31 +85,6 @@ fn allocate_headroom_core(
         }
     }
     (Watts(budget.0.max(0.0) - remaining), granted)
-}
-
-/// The two-level feeder → PDU → rack market round. `pdu_of[i]` names
-/// the PDU that feeds the rack behind `bids[i]`; `pdu_caps[p]` is the
-/// headroom PDU `p`'s own edge can carry. Level 1 auctions the feeder
-/// budget across PDUs (each PDU bids the sum of its racks' requests,
-/// capped at its edge headroom, at their demand-weighted mean
-/// priority); level 2 re-auctions each PDU's grant across its own
-/// racks. Grants come back in bid input order with
-/// `Σ grants ≤ feeder_budget` and per-PDU sums within both the PDU's
-/// cap and its level-1 grant — the conservation invariant the
-/// datacenter engine asserts at every supervisor boundary.
-pub fn allocate_headroom_two_level(
-    bids: &[HeadroomBid],
-    pdu_of: &[usize],
-    pdu_caps: &[Watts],
-    feeder_budget: Watts,
-) -> HeadroomAllocation {
-    let mut ws = MarketWorkspace::new();
-    let outcome = allocate_headroom_two_level_with(&mut ws, bids, pdu_of, pdu_caps, feeder_budget);
-    HeadroomAllocation {
-        grants: std::mem::take(&mut ws.grants),
-        spent: outcome.spent,
-        granted: outcome.granted,
-    }
 }
 
 /// Reusable scratch for [`allocate_headroom_two_level_with`]. Every Vec a
@@ -187,11 +137,17 @@ pub struct MarketOutcome {
     pub granted: usize,
 }
 
-/// [`allocate_headroom_two_level`] over a reusable [`MarketWorkspace`]:
-/// identical auction semantics (same aggregation, ranking, tie-breaks,
-/// and fractional marginal grants — the Vec-returning entry point
-/// delegates here), but a warm workspace makes the round allocation-
-/// free. Grants land in `ws.grants()` in bid input order.
+/// The two-level feeder → PDU → rack market round. `pdu_of[i]` names
+/// the PDU that feeds the rack behind `bids[i]`; `pdu_caps[p]` is the
+/// headroom PDU `p`'s own edge can carry. Level 1 auctions the feeder
+/// budget across PDUs (each PDU bids the sum of its racks' requests,
+/// capped at its edge headroom, at their demand-weighted mean
+/// priority); level 2 re-auctions each PDU's grant across its own
+/// racks. Grants land in `ws.grants()` in bid input order with
+/// `Σ grants ≤ feeder_budget` and per-PDU sums within both the PDU's
+/// cap and its level-1 grant — the conservation invariant the
+/// datacenter engine asserts at every supervisor boundary. A warm
+/// workspace makes the round allocation-free.
 pub fn allocate_headroom_two_level_with(
     ws: &mut MarketWorkspace,
     bids: &[HeadroomBid],
@@ -285,6 +241,25 @@ mod tests {
         }
     }
 
+    /// One single-level round: the grants, `spent` and `granted`.
+    fn flat(bids: &[HeadroomBid], budget: f64) -> (Vec<Watts>, Watts, usize) {
+        let (mut order, mut grants) = (Vec::new(), Vec::new());
+        let (spent, granted) = allocate_headroom_core(bids, Watts(budget), &mut order, &mut grants);
+        (grants, spent, granted)
+    }
+
+    /// One two-level round through a fresh workspace.
+    fn two_level(
+        bids: &[HeadroomBid],
+        pdu_of: &[usize],
+        caps: &[Watts],
+        budget: f64,
+    ) -> (Vec<Watts>, MarketOutcome) {
+        let mut ws = MarketWorkspace::new();
+        let out = allocate_headroom_two_level_with(&mut ws, bids, pdu_of, caps, Watts(budget));
+        (ws.grants().to_vec(), out)
+    }
+
     #[test]
     fn headroom_greedy_grants_and_fractional_marginal() {
         let b = [
@@ -292,24 +267,24 @@ mod tests {
             hbid(1, 800.0, 2.0),
             hbid(2, 800.0, 0.5),
         ];
-        let a = allocate_headroom(&b, Watts(1200.0));
-        assert_eq!(a.grants[1], Watts(800.0), "highest value wins first");
-        assert_eq!(a.grants[0], Watts(400.0), "marginal fractional grant");
-        assert_eq!(a.grants[2], Watts::ZERO);
-        assert_eq!(a.spent, Watts(1200.0));
-        assert_eq!(a.granted, 2);
+        let (grants, spent, granted) = flat(&b, 1200.0);
+        assert_eq!(grants[1], Watts(800.0), "highest value wins first");
+        assert_eq!(grants[0], Watts(400.0), "marginal fractional grant");
+        assert_eq!(grants[2], Watts::ZERO);
+        assert_eq!(spent, Watts(1200.0));
+        assert_eq!(granted, 2);
     }
 
     #[test]
     fn headroom_ties_break_by_id_and_budget_is_conserved() {
         let b: Vec<HeadroomBid> = (0..4).map(|i| hbid(i, 500.0, 1.0)).collect();
         for budget in [0.0, 250.0, 777.0, 2000.0, 1e6] {
-            let a = allocate_headroom(&b, Watts(budget));
-            let total: f64 = a.grants.iter().map(|g| g.0).sum();
+            let (grants, spent, _) = flat(&b, budget);
+            let total: f64 = grants.iter().map(|g| g.0).sum();
             assert!(total <= budget + 1e-9, "budget {budget}: spent {total}");
-            assert!((total - a.spent.0).abs() < 1e-9);
+            assert!((total - spent.0).abs() < 1e-9);
             // Lower ids fill first on equal value.
-            for w in a.grants.windows(2) {
+            for w in grants.windows(2) {
                 assert!(w[0].0 >= w[1].0);
             }
         }
@@ -318,10 +293,10 @@ mod tests {
     #[test]
     fn headroom_zero_requests_get_nothing() {
         let b = [hbid(0, 0.0, 5.0), hbid(1, 100.0, 1.0)];
-        let a = allocate_headroom(&b, Watts(1000.0));
-        assert_eq!(a.grants[0], Watts::ZERO);
-        assert_eq!(a.grants[1], Watts(100.0));
-        assert_eq!(a.granted, 1);
+        let (grants, _, granted) = flat(&b, 1000.0);
+        assert_eq!(grants[0], Watts::ZERO);
+        assert_eq!(grants[1], Watts(100.0));
+        assert_eq!(granted, 1);
     }
 
     #[test]
@@ -331,10 +306,10 @@ mod tests {
             hbid(1, 800.0, 2.0),
             hbid(2, 800.0, 0.5),
         ];
-        let flat = allocate_headroom(&b, Watts(1200.0));
-        let two = allocate_headroom_two_level(&b, &[0, 0, 0], &[Watts(1e9)], Watts(1200.0));
-        assert_eq!(flat.grants, two.grants);
-        assert_eq!(flat.spent, two.spent);
+        let (grants, spent, _) = flat(&b, 1200.0);
+        let (two, out) = two_level(&b, &[0, 0, 0], &[Watts(1e9)], 1200.0);
+        assert_eq!(grants, two);
+        assert_eq!(spent, out.spent);
     }
 
     #[test]
@@ -347,17 +322,13 @@ mod tests {
             hbid(1, 800.0, 1.0),
             hbid(2, 1000.0, 2.0),
         ];
-        let a = allocate_headroom_two_level(
-            &b,
-            &[0, 0, 1],
-            &[Watts(500.0), Watts(2000.0)],
-            Watts(1200.0),
-        );
-        assert_eq!(a.grants[2], Watts(1000.0));
+        let caps = [Watts(500.0), Watts(2000.0)];
+        let (grants, _) = two_level(&b, &[0, 0, 1], &caps, 1200.0);
+        assert_eq!(grants[2], Watts(1000.0));
         // PDU 0's 200 W goes to the lower id on the value tie.
-        assert_eq!(a.grants[0], Watts(200.0));
-        assert_eq!(a.grants[1], Watts::ZERO);
-        let total: f64 = a.grants.iter().map(|g| g.0).sum();
+        assert_eq!(grants[0], Watts(200.0));
+        assert_eq!(grants[1], Watts::ZERO);
+        let total: f64 = grants.iter().map(|g| g.0).sum();
         assert!(total <= 1200.0 + 1e-9);
     }
 
@@ -365,8 +336,7 @@ mod tests {
     fn workspace_reuse_is_deterministic() {
         // The same bid set cleared through a fresh workspace and through
         // one warmed on a differently-shaped round must produce
-        // bit-identical grants — and both must match the Vec-returning
-        // entry point.
+        // bit-identical grants.
         let b: Vec<HeadroomBid> = (0..9)
             .map(|i| hbid(i, 150.0 + 37.5 * (i as f64), 0.25 + 0.4 * (i % 4) as f64))
             .collect();
@@ -388,14 +358,10 @@ mod tests {
         let mut fresh = MarketWorkspace::new();
         let out_fresh = allocate_headroom_two_level_with(&mut fresh, &b, &pdu_of, &caps, budget);
         let out_warm = allocate_headroom_two_level_with(&mut warm, &b, &pdu_of, &caps, budget);
-        let vec_api = allocate_headroom_two_level(&b, &pdu_of, &caps, budget);
 
         assert_eq!(out_fresh, out_warm);
-        assert_eq!(fresh.grants(), warm.grants());
-        assert_eq!(vec_api.grants.as_slice(), fresh.grants());
-        assert_eq!(vec_api.spent.0.to_bits(), out_fresh.spent.0.to_bits());
-        assert_eq!(vec_api.granted, out_fresh.granted);
-        for (a, b) in vec_api.grants.iter().zip(fresh.grants()) {
+        assert_eq!(out_fresh.spent.0.to_bits(), out_warm.spent.0.to_bits());
+        for (a, b) in warm.grants().iter().zip(fresh.grants()) {
             assert_eq!(a.0.to_bits(), b.0.to_bits());
         }
     }
@@ -410,12 +376,11 @@ mod tests {
         let pdu_of = [0, 0, 1, 1, 2, 2];
         let caps = [Watts(700.0), Watts(400.0), Watts(5000.0)];
         for budget in [0.0, 300.0, 900.0, 1500.0, 1e5] {
-            let a = allocate_headroom_two_level(&b, &pdu_of, &caps, Watts(budget));
-            let total: f64 = a.grants.iter().map(|g| g.0).sum();
+            let (grants, _) = two_level(&b, &pdu_of, &caps, budget);
+            let total: f64 = grants.iter().map(|g| g.0).sum();
             assert!(total <= budget + 1e-9);
             for (p, cap) in caps.iter().enumerate() {
-                let pdu_sum: f64 = a
-                    .grants
+                let pdu_sum: f64 = grants
                     .iter()
                     .zip(&pdu_of)
                     .filter(|(_, &q)| q == p)

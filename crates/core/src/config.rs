@@ -5,6 +5,7 @@ use powersim::server::ServerSpec;
 use powersim::units::{Seconds, Watts};
 use powersim::ups::UpsSpec;
 use sprint_control::mpc::MpcConfig;
+use workloads::batch::MAX_CONTROL_WEIGHT;
 
 /// Full system configuration.
 #[derive(Debug, Clone)]
@@ -43,9 +44,7 @@ pub struct SprintConConfig {
     pub allocator_period: Seconds,
 
     // --- server power controller (§V-B) ---
-    /// The MPC's horizons and weights. Its `period` must equal
-    /// `control_period`: the Eq. (7) reference decays read the first,
-    /// the allocator window and the fallback PID the second.
+    /// The MPC's horizons and weights; it samples at `control_period`.
     pub mpc: MpcConfig,
     /// Assumed batch-core utilization when fitting the linear model, in
     /// (0, 1].
@@ -146,7 +145,8 @@ pub enum ConfigError {
     },
     InvalidDegradedMode(&'static str),
     /// The MPC configuration fails [`MpcConfig::validate`], or its
-    /// period differs from `control_period`.
+    /// `r_scale` overflows the penalty diagonal of a job weight at
+    /// [`MAX_CONTROL_WEIGHT`].
     InvalidMpc(&'static str),
 }
 
@@ -177,7 +177,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "trip_margin_stop must be in [0, 1], got {m}")
             }
             ConfigError::NonPositiveControlPeriod(p) => {
-                write!(f, "control period must be positive, got {p}")
+                write!(f, "control period must be positive and finite, got {p}")
             }
             ConfigError::AllocatorTooFast {
                 allocator_period,
@@ -314,13 +314,15 @@ impl SprintConConfig {
         if !(0.0..=1.0).contains(&self.trip_margin_stop) {
             return Err(ConfigError::InvalidTripMarginStop(self.trip_margin_stop));
         }
-        if self.control_period.0 <= 0.0 {
+        if !(self.control_period.0 > 0.0 && self.control_period.0.is_finite()) {
             return Err(ConfigError::NonPositiveControlPeriod(self.control_period.0));
         }
         self.mpc.validate().map_err(ConfigError::InvalidMpc)?;
-        if self.mpc.period != self.control_period.0 {
+        // Every weight the supervisor sets is at most MAX_CONTROL_WEIGHT,
+        // and the MPC's penalty diagonal is 2·r_scale·weight.
+        if !(2.0 * self.mpc.r_scale * MAX_CONTROL_WEIGHT).is_finite() {
             return Err(ConfigError::InvalidMpc(
-                "mpc.period must equal control_period",
+                "2·r_scale·MAX_CONTROL_WEIGHT must be finite",
             ));
         }
         if self.allocator_period.0 < 10.0 * self.control_period.0 {

@@ -61,10 +61,7 @@ pub mod supervisor;
 pub mod ups_controller;
 
 pub use allocator::{AllocatorTargets, CbScheduler, PowerLoadAllocator, ScheduleKind};
-pub use bidding::{
-    allocate_headroom, allocate_headroom_two_level, allocate_headroom_two_level_with,
-    HeadroomAllocation, HeadroomBid, MarketOutcome, MarketWorkspace,
-};
+pub use bidding::{allocate_headroom_two_level_with, HeadroomBid, MarketOutcome, MarketWorkspace};
 pub use config::{ConfigError, SprintConConfig};
 pub use powersim::grid::ActiveGrid;
 pub use server_controller::ServerPowerController;

@@ -77,7 +77,7 @@ impl ServerPowerController {
             period: cfg.control_period.0,
         });
         ServerPowerController {
-            mpc: MpcController::new(cfg.mpc, gains, fmin, fmax),
+            mpc: MpcController::new(cfg.mpc, cfg.control_period.0, gains, fmin, fmax),
             inter_models,
             batch_models,
             batch_cores_per_server: m,

@@ -636,6 +636,7 @@ impl SprintCon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::batch::MAX_CONTROL_WEIGHT;
     use workloads::progress_model::ProgressModel;
 
     fn cfg() -> SprintConConfig {
@@ -656,17 +657,27 @@ mod tests {
     }
 
     fn step_once(sc: &mut SprintCon, margin: f64, closed: bool, soc: f64) -> SprintConOutputs {
-        let n = sc.server_controller().num_channels();
+        let js = jobs(sc.server_controller().num_channels());
+        step_with(sc, margin, closed, soc, &js)
+    }
+
+    /// One period at 4.2 kW, with every core at 0.6, over the jobs `js`.
+    fn step_with(
+        sc: &mut SprintCon,
+        margin: f64,
+        closed: bool,
+        soc: f64,
+        js: &[BatchJob],
+    ) -> SprintConOutputs {
         let utils = vec![Utilization(0.6); sc.cfg.num_servers];
-        let freqs = vec![0.6; n];
-        let js = jobs(n);
+        let freqs = vec![0.6; js.len()];
         sc.step(
             Seconds(1.0),
             SprintConInputs {
                 p_total: Watts(4200.0),
                 interactive_util: &utils,
                 batch_freqs: &freqs,
-                jobs: &js,
+                jobs: js,
                 breaker_margin: margin,
                 breaker_closed: closed,
                 ups_soc: soc,
@@ -719,18 +730,17 @@ mod tests {
                 "{util}"
             );
         }
-        // MPC settings the controller cannot build or solve with, and an
-        // MPC period that disagrees with the control period.
+        // MPC settings the controller cannot build or solve with; an
+        // r_scale of 1e308 overflows the penalty diagonal of a weight.
         type Break = fn(&mut SprintConConfig);
-        let mpc_cases: [(&str, Break); 8] = [
+        let mpc_cases: [(&str, Break); 7] = [
             ("lc > lp", |c| c.mpc.lc = c.mpc.lp + 1),
             ("q = 0", |c| c.mpc.q = 0.0),
             ("q = ∞", |c| c.mpc.q = f64::INFINITY),
             ("tau_r = NaN", |c| c.mpc.tau_r = f64::NAN),
             ("r_scale = −1", |c| c.mpc.r_scale = -1.0),
             ("r_scale = 0", |c| c.mpc.r_scale = 0.0),
-            ("mpc.period = 2 s", |c| c.mpc.period = 2.0),
-            ("control_period = 2 s", |c| c.control_period = Seconds(2.0)),
+            ("r_scale = 1e308", |c| c.mpc.r_scale = 1e308),
         ];
         for (case, break_it) in mpc_cases {
             let mut c = cfg();
@@ -742,6 +752,54 @@ mod tests {
             );
             assert!(err.unwrap().to_string().starts_with("MPC config invalid"));
         }
+        for period in [0.0, f64::NAN, f64::INFINITY] {
+            let mut c = cfg();
+            c.control_period = Seconds(period);
+            assert!(matches!(
+                SprintCon::try_new(c).err(),
+                Some(ConfigError::NonPositiveControlPeriod(_))
+            ));
+        }
+    }
+
+    /// The largest `r_scale` that `validate` accepts runs a control
+    /// period with every job overdue, so with every weight at the cap.
+    #[test]
+    fn the_largest_accepted_r_scale_runs_with_every_weight_at_the_cap() {
+        let accepts = |r_scale: f64| {
+            let mut c = cfg();
+            c.mpc.r_scale = r_scale;
+            c.validate().is_ok()
+        };
+        assert!(!accepts(f64::MAX));
+        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut r_scale = f64::MAX / (2.0 * MAX_CONTROL_WEIGHT);
+        while !accepts(r_scale) {
+            r_scale = f64::from_bits(r_scale.to_bits() - 1);
+        }
+        while accepts(next(r_scale)) {
+            r_scale = next(r_scale);
+        }
+        let mut c = cfg();
+        c.mpc.r_scale = r_scale;
+        let mut sc = SprintCon::try_new(c).expect("an accepted config builds");
+        let n = sc.server_controller().num_channels();
+        let overdue: Vec<BatchJob> = (0..n)
+            .map(|i| {
+                BatchJob::new(
+                    format!("j{i}"),
+                    ProgressModel::new(0.2),
+                    400.0,
+                    Seconds(0.5),
+                )
+            })
+            .collect();
+        let out = step_with(&mut sc, 0.1, true, 1.0, &overdue);
+        assert!(overdue
+            .iter()
+            .all(|j| j.control_weight(sc.now) == MAX_CONTROL_WEIGHT));
+        assert_eq!(out.mode, SprintMode::Sprinting);
+        assert!(out.batch_freqs.iter().all(|f| f.is_finite()));
     }
 
     #[test]

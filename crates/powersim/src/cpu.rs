@@ -128,32 +128,6 @@ impl CorePowerLaw {
     }
 }
 
-/// Mutable state of one core inside the simulated plant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreState {
-    pub role: CoreRole,
-    /// Commanded (and, after quantization, actual) frequency.
-    pub freq: NormFreq,
-    /// Fraction of cycles doing useful work in the last period.
-    pub util: Utilization,
-}
-
-impl CoreState {
-    pub fn new(role: CoreRole) -> Self {
-        CoreState {
-            role,
-            freq: NormFreq::PEAK,
-            util: Utilization::IDLE,
-        }
-    }
-
-    /// Effective compute throughput of this core, in peak-core units:
-    /// a fully-utilized core at peak frequency scores 1.0.
-    pub fn throughput(&self) -> f64 {
-        self.freq.0 * self.util.0
-    }
-}
-
 /// Ladders with more P-states than this get no threshold table; their
 /// [`SnapLadder::diffuse`] snaps every lane through
 /// [`FreqScale::quantize`].
@@ -509,13 +483,5 @@ mod tests {
         let p_10 = law.active_power(NormFreq(1.0), Utilization::FULL);
         // +25% frequency must cost more than +25% power.
         assert!(p_10 / p_08 > 1.25);
-    }
-
-    #[test]
-    fn throughput_definition() {
-        let mut c = CoreState::new(CoreRole::Batch);
-        c.freq = NormFreq(0.5);
-        c.util = Utilization(0.8);
-        assert!((c.throughput() - 0.4).abs() < 1e-12);
     }
 }

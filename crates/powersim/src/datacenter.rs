@@ -162,21 +162,6 @@ impl DatacenterTopology {
     }
 }
 
-/// What the shared infrastructure did during one aggregation step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatacenterOutcome {
-    /// Load offered to each PDU breaker (Σ of its racks' breaker power).
-    pub pdu_loads: Vec<Watts>,
-    /// Power each PDU breaker actually delivered (zero while open).
-    pub pdu_delivered: Vec<Watts>,
-    /// PDU breakers that tripped during this step.
-    pub pdu_tripped: Vec<bool>,
-    /// Load offered to the feeder breaker (Σ of PDU deliveries).
-    pub feeder_load: Watts,
-    /// The feeder breaker tripped during this step.
-    pub feeder_tripped: bool,
-}
-
 /// The feeder-edge part of one aggregation step — what
 /// [`Datacenter::step_pdu_loads`] returns by value; the per-PDU outputs
 /// land in caller-owned slices so replay loops allocate nothing.
@@ -197,8 +182,6 @@ pub struct Datacenter {
     topo: DatacenterTopology,
     pdu_breakers: Vec<CircuitBreaker>,
     feeder_breaker: CircuitBreaker,
-    /// Scratch for per-PDU load sums, reused across steps.
-    pdu_loads: Vec<f64>,
 }
 
 impl Datacenter {
@@ -230,12 +213,10 @@ impl Datacenter {
             trip_after,
             recovery,
         ));
-        let n = topo.num_pdus();
         Ok(Datacenter {
             topo,
             pdu_breakers,
             feeder_breaker,
-            pdu_loads: vec![0.0; n],
         })
     }
 
@@ -258,52 +239,13 @@ impl Datacenter {
         &self.pdu_breakers[pdu]
     }
 
-    /// Aggregate one step: `rack_cb_power[r]` is the power rack `r` drew
-    /// through its own breaker during the interval (UPS contributions
-    /// never touch the shared tree). Per-PDU sums load the PDU breakers;
-    /// the sum of PDU deliveries loads the feeder breaker.
-    ///
-    /// Allocates the outcome vectors; replay loops that step the tree
-    /// every tick should precompute the per-PDU sums and use
-    /// [`Datacenter::step_pdu_loads`] instead.
-    pub fn step(&mut self, rack_cb_power: &[Watts], dt: Seconds) -> DatacenterOutcome {
-        assert_eq!(
-            rack_cb_power.len(),
-            self.topo.num_racks(),
-            "rack power vector shape mismatch"
-        );
-        self.pdu_loads.fill(0.0);
-        let mut start = 0;
-        for (p, pdu) in self.topo.pdus.iter().enumerate() {
-            for w in &rack_cb_power[start..start + pdu.num_racks] {
-                assert!(w.0 >= 0.0 && w.is_finite(), "invalid rack power");
-                self.pdu_loads[p] += w.0;
-            }
-            start += pdu.num_racks;
-        }
-        let n = self.pdu_breakers.len();
-        let mut pdu_delivered = vec![0.0; n];
-        let mut pdu_tripped = vec![false; n];
-        // Self-borrow dance: step_pdu_loads reads self.pdu_loads through
-        // its argument, so lend it out for the call.
-        let loads = std::mem::take(&mut self.pdu_loads);
-        let feeder = self.step_pdu_loads(&loads, dt, &mut pdu_delivered, &mut pdu_tripped);
-        self.pdu_loads = loads;
-        DatacenterOutcome {
-            pdu_loads: self.pdu_loads.iter().map(|&w| Watts(w)).collect(),
-            pdu_delivered: pdu_delivered.into_iter().map(Watts).collect(),
-            pdu_tripped,
-            feeder_load: feeder.feeder_load,
-            feeder_tripped: feeder.feeder_tripped,
-        }
-    }
-
-    /// One aggregation step from precomputed per-PDU load sums,
-    /// allocation-free: per-PDU deliveries and trip flags land in the
-    /// caller's slices, the feeder edge comes back by value. Breakers
-    /// are stepped in PDU order then the feeder — the exact operation
-    /// order of [`Datacenter::step`], which is implemented on top of
-    /// this and therefore bit-identical.
+    /// Aggregate one step: `pdu_loads[p]` is the power PDU `p`'s racks
+    /// drew through their own breakers during the interval, summed by the
+    /// caller (UPS contributions never touch the shared tree). Per-PDU
+    /// deliveries and trip flags land in the caller's slices, so the step
+    /// allocates nothing; the sum of PDU deliveries loads the feeder
+    /// breaker, whose edge comes back by value. Breakers are stepped in
+    /// PDU order, then the feeder.
     pub fn step_pdu_loads(
         &mut self,
         pdu_loads: &[f64],
@@ -391,15 +333,13 @@ mod tests {
         assert!(DatacenterTopology::single_rack(Watts(3200.0)).is_ok());
     }
 
-    #[test]
-    fn step_aggregates_rack_powers_per_pdu() {
-        let mut dc = Datacenter::paper_calibrated(topo_2x3()).expect("valid");
-        let racks: Vec<Watts> = (1..=6).map(|r| Watts(1000.0 * r as f64)).collect();
-        let out = dc.step(&racks, Seconds(1.0));
-        assert_eq!(out.pdu_loads, vec![Watts(6000.0), Watts(15_000.0)]);
-        assert_eq!(out.feeder_load, Watts(21_000.0));
-        assert!(!out.pdu_tripped.iter().any(|&t| t));
-        assert!(!out.feeder_tripped);
+    /// One 1 s step from per-PDU loads: deliveries, trip flags and the
+    /// feeder edge.
+    fn step(dc: &mut Datacenter, pdu_loads: &[f64]) -> (Vec<f64>, Vec<bool>, FeederTick) {
+        let n = pdu_loads.len();
+        let (mut delivered, mut tripped) = (vec![0.0; n], vec![false; n]);
+        let feeder = dc.step_pdu_loads(pdu_loads, Seconds(1.0), &mut delivered, &mut tripped);
+        (delivered, tripped, feeder)
     }
 
     #[test]
@@ -407,18 +347,11 @@ mod tests {
         let mut dc = Datacenter::paper_calibrated(topo_2x3()).expect("valid");
         // PDU 0 at 1.5 × rated, PDU 1 idle: PDU 0 trips on the curve,
         // PDU 1 and the feeder stay closed.
-        let racks = [
-            Watts(6000.0),
-            Watts(6000.0),
-            Watts(6000.0),
-            Watts::ZERO,
-            Watts::ZERO,
-            Watts::ZERO,
-        ];
+        let loads = [18_000.0, 0.0];
         let mut tripped_at = None;
         for s in 0..600 {
-            let out = dc.step(&racks, Seconds(1.0));
-            if out.pdu_tripped[0] {
+            let (_, tripped, _) = step(&mut dc, &loads);
+            if tripped[0] {
                 tripped_at = Some(s);
                 break;
             }
@@ -428,9 +361,9 @@ mod tests {
         assert!(dc.pdu_breaker(1).is_closed());
         assert!(dc.feeder_breaker().is_closed());
         // Open PDU delivers nothing, so the feeder load collapses.
-        let out = dc.step(&racks, Seconds(1.0));
-        assert_eq!(out.pdu_delivered[0], Watts::ZERO);
-        assert_eq!(out.feeder_load, Watts::ZERO);
+        let (delivered, _, feeder) = step(&mut dc, &loads);
+        assert_eq!(delivered[0], 0.0);
+        assert_eq!(feeder.feeder_load, Watts::ZERO);
     }
 
     #[test]
@@ -441,50 +374,15 @@ mod tests {
         let t = DatacenterTopology::uniform(2, 1, Watts(10_000.0), Watts(16_000.0))
             .expect("valid tree");
         let mut dc = Datacenter::paper_calibrated(t).expect("valid");
-        let racks = [Watts(10_500.0), Watts(10_500.0)];
         let mut feeder_tripped = false;
         for _ in 0..2000 {
-            let out = dc.step(&racks, Seconds(1.0));
-            assert!(!out.pdu_tripped.iter().any(|&t| t), "PDUs must hold");
-            if out.feeder_tripped {
+            let (_, tripped, feeder) = step(&mut dc, &[10_500.0, 10_500.0]);
+            assert!(!tripped.iter().any(|&t| t), "PDUs must hold");
+            if feeder.feeder_tripped {
                 feeder_tripped = true;
                 break;
             }
         }
         assert!(feeder_tripped, "the shared feeder must be the binding edge");
-    }
-
-    #[test]
-    fn step_pdu_loads_is_bitwise_identical_to_step() {
-        // Drive two clones of the same tree through a stressy trajectory,
-        // one via `step`, one via precomputed PDU sums through the
-        // allocation-free path; every output must agree bitwise.
-        let t = topo_2x3();
-        let mut via_step = Datacenter::paper_calibrated(t.clone()).expect("valid");
-        let mut via_loads = via_step.clone();
-        let n = t.num_pdus();
-        let mut delivered = vec![0.0; n];
-        let mut tripped = vec![false; n];
-        for s in 0..400 {
-            let racks: Vec<Watts> = (0..t.num_racks())
-                .map(|r| Watts(4_000.0 + 600.0 * ((s + r) % 5) as f64))
-                .collect();
-            let out = via_step.step(&racks, Seconds(1.0));
-            // Same per-PDU summation order as `step`: racks ascending.
-            let mut sums = vec![0.0; n];
-            for (r, w) in racks.iter().enumerate() {
-                sums[t.pdu_of_rack(r)] += w.0;
-            }
-            let feeder =
-                via_loads.step_pdu_loads(&sums, Seconds(1.0), &mut delivered, &mut tripped);
-            assert_eq!(out.feeder_load.0.to_bits(), feeder.feeder_load.0.to_bits());
-            assert_eq!(out.feeder_tripped, feeder.feeder_tripped);
-            for p in 0..n {
-                assert_eq!(out.pdu_loads[p].0.to_bits(), sums[p].to_bits());
-                assert_eq!(out.pdu_delivered[p].0.to_bits(), delivered[p].to_bits());
-                assert_eq!(out.pdu_tripped[p], tripped[p]);
-            }
-        }
-        assert_eq!(via_step.feeder_breaker(), via_loads.feeder_breaker());
     }
 }

@@ -50,7 +50,7 @@ pub mod ups;
 
 pub use breaker::{BreakerSpec, CircuitBreaker};
 pub use cpu::{CoreRole, FreqScale, SnapLadder};
-pub use datacenter::{Datacenter, DatacenterOutcome, DatacenterTopology, PduSpec, TopologyError};
+pub use datacenter::{Datacenter, DatacenterTopology, PduSpec, TopologyError};
 pub use faults::{ActiveFaults, FaultEvent, FaultInjector, FaultKind, FaultPlan, StochasticFault};
 pub use grid::{
     ActiveGrid, GridEvent, GridEventKind, GridInjector, GridPlan, GridPlanError,
@@ -59,7 +59,7 @@ pub use grid::{
 pub use rack::{
     CoreId, PowerMonitor, Rack, RackBuilder, RackConfigError, RackState, RoleView, RoleViewMut,
 };
-pub use server::{InteractivePowerModel, LinearServerModel, Server, ServerSpec};
+pub use server::{InteractivePowerModel, LinearServerModel, ServerSpec};
 pub use supercap::{HybridStorage, Supercap, SupercapSpec};
 pub use thermal::{periodic_sprint_duty, ThermalModel};
 pub use topology::{FeedOutcome, PowerFeed};

@@ -2,7 +2,7 @@
 //!
 //! Two distinct model classes coexist by design (§V-A, §VI-A of the paper):
 //!
-//! * [`ServerSpec`]/[`Server`] — the *plant*: a nonlinear
+//! * [`ServerSpec`] with [`crate::rack::server_power`] — the *plant*: a nonlinear
 //!   Horvath–Skadron-style measurement model (power as a function of both
 //!   per-core frequency **and** utilization, with a cubic CPU component and
 //!   throughput-coupled non-CPU power). This is what the simulated power
@@ -12,7 +12,8 @@
 //!   The controller never sees the plant equations; the gap between the two
 //!   is the modeling error the feedback design must absorb.
 
-use crate::cpu::{CorePowerLaw, CoreRole, CoreState, FreqScale};
+use crate::cpu::{CorePowerLaw, CoreRole, FreqScale};
+use crate::rack::server_power;
 use crate::units::{NormFreq, Utilization, Watts};
 
 /// Static description of one server.
@@ -88,91 +89,43 @@ impl ServerSpec {
     }
 }
 
-/// One simulated server: a spec plus mutable per-core state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Server {
-    pub spec: ServerSpec,
-    pub cores: Vec<CoreState>,
+/// One server's `(freq, util)` lanes for calibrating the controller's
+/// models against the plant: the first `interactive` lanes are the
+/// interactive cores, and every lane starts at peak frequency, idle.
+struct Probe<'a> {
+    spec: &'a ServerSpec,
+    interactive: usize,
+    freqs: Vec<f64>,
+    utils: Vec<f64>,
 }
 
-impl Server {
-    /// Create a server with `interactive` cores of the first role and the
-    /// remainder batch (the paper's mixed-placement case runs 4 + 4).
-    pub fn new(spec: ServerSpec, interactive_cores: usize) -> Self {
-        assert!(interactive_cores <= spec.num_cores);
-        let cores = (0..spec.num_cores)
-            .map(|i| {
-                CoreState::new(if i < interactive_cores {
-                    CoreRole::Interactive
-                } else {
-                    CoreRole::Batch
-                })
-            })
-            .collect();
-        Server { spec, cores }
-    }
-
-    /// Plant power model: Horvath–Skadron-style, frequency × utilization.
-    ///
-    /// This is what the simulated rack power monitor measures; it is
-    /// deliberately *not* the linear model the controller uses.
-    pub fn power(&self) -> Watts {
-        let cpu_active: f64 = self
-            .cores
-            .iter()
-            .map(|c| self.spec.core_law.active_power(c.freq, c.util))
-            .sum();
-        let mean_tp =
-            self.cores.iter().map(|c| c.throughput()).sum::<f64>() / self.spec.num_cores as f64;
-        Watts(self.spec.idle_watts + cpu_active + self.spec.noncpu_power(mean_tp))
-    }
-
-    /// Indices of cores with the given role.
-    pub fn cores_with_role(&self, role: CoreRole) -> impl Iterator<Item = usize> + '_ {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(move |(_, c)| c.role == role)
-            .map(|(i, _)| i)
-    }
-
-    pub fn count_role(&self, role: CoreRole) -> usize {
-        self.cores.iter().filter(|c| c.role == role).count()
-    }
-
-    /// Set (and quantize) the frequency of one core.
-    pub fn set_core_freq(&mut self, core: usize, f: NormFreq) {
-        let q = self.spec.freq_scale.quantize(f);
-        self.cores[core].freq = q;
-    }
-
-    /// Set every core of `role` to frequency `f`.
-    pub fn set_role_freq(&mut self, role: CoreRole, f: NormFreq) {
-        let q = self.spec.freq_scale.quantize(f);
-        for c in self.cores.iter_mut().filter(|c| c.role == role) {
-            c.freq = q;
+impl<'a> Probe<'a> {
+    fn new(spec: &'a ServerSpec, interactive: usize) -> Self {
+        assert!(interactive <= spec.num_cores);
+        let n = spec.num_cores;
+        Probe {
+            spec,
+            interactive,
+            freqs: vec![NormFreq::PEAK.0; n],
+            utils: vec![Utilization::IDLE.0; n],
         }
     }
 
-    /// Mean frequency over cores of `role` (the `f_i` of Eq. (2));
-    /// `None` if the server has no such cores.
-    pub fn mean_freq(&self, role: CoreRole) -> Option<NormFreq> {
-        let (sum, n) = self
-            .cores
-            .iter()
-            .filter(|c| c.role == role)
-            .fold((0.0, 0usize), |(s, n), c| (s + c.freq.0, n + 1));
-        (n > 0).then(|| NormFreq(sum / n as f64))
+    /// Run every core of `role` at frequency `f` and utilization `u`.
+    fn set(&mut self, role: CoreRole, f: f64, u: f64) {
+        let lanes = match role {
+            CoreRole::Interactive => 0..self.interactive,
+            CoreRole::Batch => self.interactive..self.freqs.len(),
+        };
+        self.freqs[lanes.clone()].fill(f);
+        self.utils[lanes].fill(u);
     }
 
-    /// Mean utilization over cores of `role` (the `u_i` of Eq. (5)).
-    pub fn mean_util(&self, role: CoreRole) -> Option<Utilization> {
-        let (sum, n) = self
-            .cores
-            .iter()
-            .filter(|c| c.role == role)
-            .fold((0.0, 0usize), |(s, n), c| (s + c.util.0, n + 1));
-        (n > 0).then(|| Utilization(sum / n as f64))
+    /// Plant power, W ([`server_power`]).
+    fn power(&self) -> f64 {
+        let (fi, fb) = self.freqs.split_at(self.interactive);
+        let (ui, ub) = self.utils.split_at(self.interactive);
+        server_power(self.spec, [(fi, ui), (fb, ub)])
     }
 }
 
@@ -198,21 +151,14 @@ impl LinearServerModel {
     /// from wall-power measurements.
     pub fn fit(spec: &ServerSpec, batch_cores: usize, assumed_util: Utilization) -> Self {
         assert!(batch_cores <= spec.num_cores);
-        let mut pts: Vec<(f64, f64)> = Vec::new();
-        let mut probe = Server::new(spec.clone(), spec.num_cores - batch_cores);
         // Interactive cores silent during calibration.
-        for c in probe.cores.iter_mut() {
-            c.util = Utilization::IDLE;
-        }
-        let baseline = probe.power().0;
+        let mut probe = Probe::new(spec, spec.num_cores - batch_cores);
+        let baseline = probe.power();
         let static_share = spec.idle_watts * batch_cores as f64 / spec.num_cores as f64;
+        let mut pts: Vec<(f64, f64)> = Vec::new();
         for f in sample_freqs(&spec.freq_scale) {
-            for ci in probe.cores_with_role(CoreRole::Batch).collect::<Vec<_>>() {
-                probe.cores[ci].freq = f;
-                probe.cores[ci].util = assumed_util;
-            }
-            let p_batch = probe.power().0 - baseline + static_share;
-            pts.push((f.0, p_batch));
+            probe.set(CoreRole::Batch, f.0, assumed_util.0);
+            pts.push((f.0, probe.power() - baseline + static_share));
         }
         let (k, c) = least_squares_line(&pts);
         LinearServerModel { k, c }
@@ -244,31 +190,16 @@ impl InteractivePowerModel {
     /// The fitted model predicts the *interactive-attributable* component
     /// used in Eq. (6): `p_fb = p_total − p_inter`.
     pub fn fit(spec: &ServerSpec, interactive_cores: usize) -> Self {
-        let mut probe = Server::new(spec.clone(), interactive_cores);
         // Batch cores idle during calibration; their power is accounted by
         // the batch model.
-        for ci in probe.cores_with_role(CoreRole::Batch).collect::<Vec<_>>() {
-            probe.cores[ci].util = Utilization::IDLE;
-        }
-        let mut pts = Vec::new();
-        let baseline = {
-            let mut p = probe.clone();
-            for ci in p.cores_with_role(CoreRole::Interactive).collect::<Vec<_>>() {
-                p.cores[ci].util = Utilization::IDLE;
-            }
-            p.power().0
-        };
+        let mut probe = Probe::new(spec, interactive_cores);
+        let baseline = probe.power();
         let static_share = spec.idle_watts * interactive_cores as f64 / spec.num_cores as f64;
+        let mut pts = Vec::new();
         for step in 0..=10 {
-            let u = Utilization(step as f64 / 10.0);
-            for ci in probe
-                .cores_with_role(CoreRole::Interactive)
-                .collect::<Vec<_>>()
-            {
-                probe.cores[ci].freq = NormFreq::PEAK;
-                probe.cores[ci].util = u;
-            }
-            pts.push((u.0, probe.power().0 - baseline + static_share));
+            let u = step as f64 / 10.0;
+            probe.set(CoreRole::Interactive, NormFreq::PEAK.0, u);
+            pts.push((u, probe.power() - baseline + static_share));
         }
         let (k, c) = least_squares_line(&pts);
         InteractivePowerModel { k, c }
@@ -311,61 +242,30 @@ mod tests {
 
     #[test]
     fn calibration_hits_paper_endpoints() {
-        let mut s = Server::new(spec(), 4);
+        let sp = spec();
+        let mut s = Probe::new(&sp, 4);
         // All idle → exactly 150 W.
-        assert!((s.power().0 - 150.0).abs() < 1e-9);
+        assert!((s.power() - 150.0).abs() < 1e-9);
         // All cores peak frequency, fully utilized → exactly 300 W.
-        for c in s.cores.iter_mut() {
-            c.freq = NormFreq::PEAK;
-            c.util = Utilization::FULL;
+        for role in [CoreRole::Interactive, CoreRole::Batch] {
+            s.set(role, NormFreq::PEAK.0, Utilization::FULL.0);
         }
-        assert!((s.power().0 - 300.0).abs() < 1e-9);
+        assert!((s.power() - 300.0).abs() < 1e-9);
     }
 
     #[test]
     fn power_monotone_in_batch_freq() {
-        let mut s = Server::new(spec(), 4);
-        for c in s.cores.iter_mut() {
-            c.util = Utilization(0.9);
-        }
+        let sp = spec();
+        let mut s = Probe::new(&sp, 4);
+        s.set(CoreRole::Interactive, NormFreq::PEAK.0, 0.9);
         let mut prev = 0.0;
         for i in 0..=8 {
-            let f = NormFreq(0.2 + 0.1 * i as f64);
-            s.set_role_freq(CoreRole::Batch, f);
-            let p = s.power().0;
+            let f = sp.freq_scale.quantize(NormFreq(0.2 + 0.1 * i as f64));
+            s.set(CoreRole::Batch, f.0, 0.9);
+            let p = s.power();
             assert!(p > prev);
             prev = p;
         }
-    }
-
-    #[test]
-    fn role_partition() {
-        let s = Server::new(spec(), 4);
-        assert_eq!(s.count_role(CoreRole::Interactive), 4);
-        assert_eq!(s.count_role(CoreRole::Batch), 4);
-        assert_eq!(s.cores_with_role(CoreRole::Interactive).count(), 4);
-    }
-
-    #[test]
-    fn freq_quantization_applied_on_set() {
-        let mut s = Server::new(spec(), 4);
-        s.set_core_freq(5, NormFreq(0.63));
-        // 0.63 snaps to 0.65 on the 0.05 ladder.
-        assert!((s.cores[5].freq.0 - 0.65).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_freq_and_util() {
-        let mut s = Server::new(spec(), 4);
-        s.set_role_freq(CoreRole::Batch, NormFreq(0.5));
-        s.set_role_freq(CoreRole::Interactive, NormFreq::PEAK);
-        for ci in s.cores_with_role(CoreRole::Interactive).collect::<Vec<_>>() {
-            s.cores[ci].util = Utilization(0.6);
-        }
-        assert!((s.mean_freq(CoreRole::Batch).unwrap().0 - 0.5).abs() < 1e-12);
-        assert!((s.mean_util(CoreRole::Interactive).unwrap().0 - 0.6).abs() < 1e-12);
-        let none = Server::new(spec(), 0);
-        assert!(none.mean_freq(CoreRole::Interactive).is_none());
     }
 
     #[test]
@@ -376,19 +276,13 @@ mod tests {
         // Prediction error vs the plant stays within ~12% of the batch
         // dynamic range across the DVFS span — the modeling error MPC must
         // tolerate, not a perfect fit.
-        let mut probe = Server::new(sp.clone(), 4);
-        for c in probe.cores.iter_mut() {
-            c.util = Utilization::IDLE;
-        }
-        let baseline = probe.power().0;
+        let mut probe = Probe::new(&sp, 4);
+        let baseline = probe.power();
         let static_share = sp.idle_watts * 0.5;
         for i in 0..=8 {
             let f = NormFreq(0.2 + 0.1 * i as f64);
-            for ci in probe.cores_with_role(CoreRole::Batch).collect::<Vec<_>>() {
-                probe.cores[ci].freq = f;
-                probe.cores[ci].util = Utilization(0.9);
-            }
-            let actual = probe.power().0 - baseline + static_share;
+            probe.set(CoreRole::Batch, f.0, 0.9);
+            let actual = probe.power() - baseline + static_share;
             let pred = m.predict(f).0;
             assert!(
                 (actual - pred).abs() < 12.0,

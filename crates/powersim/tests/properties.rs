@@ -2,8 +2,8 @@
 
 use powersim::breaker::{BreakerSpec, CircuitBreaker};
 use powersim::cpu::FreqScale;
-use powersim::rack::{CoreId, Rack};
-use powersim::server::{LinearServerModel, Server, ServerSpec};
+use powersim::rack::{server_power, CoreId, Rack};
+use powersim::server::{LinearServerModel, ServerSpec};
 use powersim::supercap::{HybridStorage, Supercap, SupercapSpec};
 use powersim::units::{NormFreq, Seconds, Utilization, Watts};
 use powersim::ups::{DutyCycleDischarger, UpsBattery, UpsSpec};
@@ -21,21 +21,12 @@ proptest! {
         bump in 0.0f64..0.3,
     ) {
         let spec = ServerSpec::paper_default();
-        let mut s = Server::new(spec, 4);
-        for (i, (&f, &u)) in freqs.iter().zip(&utils).enumerate() {
-            s.spec.freq_scale = FreqScale::continuous();
-            s.set_core_freq(i, NormFreq(f));
-            s.cores[i].util = Utilization(u);
-        }
-        let p = s.power().0;
+        let power = |f: &[f64]| server_power(&spec, [(&f[..4], &utils[..4]), (&f[4..], &utils[4..])]);
+        let p = power(&freqs);
         prop_assert!((150.0 - 1e-9..=300.0 + 1e-9).contains(&p), "p={p}");
         // Raise every core's frequency: power must not decrease.
-        let mut s2 = s.clone();
-        for i in 0..8 {
-            let f = s2.cores[i].freq.0;
-            s2.set_core_freq(i, NormFreq((f + bump).min(1.0)));
-        }
-        prop_assert!(s2.power().0 >= p - 1e-9);
+        let raised: Vec<f64> = freqs.iter().map(|f| (f + bump).min(1.0)).collect();
+        prop_assert!(power(&raised) >= p - 1e-9);
     }
 
     /// The linear controller model brackets the plant within a bounded
@@ -108,11 +99,11 @@ proptest! {
             "sourced {sourced} must cover delivered {delivered}");
     }
 
-    /// The batched SoA power pass is bit-identical to the pre-rework
-    /// AoS path: per-server `Server` models built from the same lane
-    /// state, summed in server order.
+    /// The batched SoA power pass, `server_power` per server, is
+    /// bit-identical to the rack's scalar per-core reference over the
+    /// same lane state.
     #[test]
-    fn rack_power_is_bit_identical_to_aos_servers(
+    fn rack_power_is_bit_identical_to_its_scalar_reference(
         utils in proptest::collection::vec(0.0f64..=1.0, 32),
         freqs in proptest::collection::vec(0.2f64..=1.0, 32),
     ) {
@@ -132,19 +123,6 @@ proptest! {
             }
         }
         let total = rack.power().0;
-        // Mirror the lanes into AoS servers and sum — the old substrate.
-        let mut by_server = Watts::ZERO;
-        for s in 0..4 {
-            let mut srv = Server::new(rack.spec().clone(), 4);
-            for c in 0..8 {
-                let id = CoreId { server: s, core: c };
-                srv.cores[c].freq = rack.freq(id);
-                srv.cores[c].util = rack.util(id);
-            }
-            by_server += srv.power();
-        }
-        prop_assert_eq!(total.to_bits(), by_server.0.to_bits());
-        // And the retained scalar reference agrees bitwise too.
         prop_assert_eq!(total.to_bits(), rack.power_reference().0.to_bits());
     }
 

@@ -419,8 +419,8 @@ impl DatacenterSim {
     /// breaker powers rack-ascending into contiguous per-PDU tick lanes
     /// (`lanes[p · ticks + k]`), then step the shared breakers tick by
     /// tick from the precomputed sums. Addition order per (PDU, tick)
-    /// is racks ascending — exactly the order `Datacenter::step` sums —
-    /// so the replay is bit-identical to the historical per-tick gather.
+    /// is racks ascending, so the replay is bit-identical to the
+    /// historical per-tick gather.
     #[allow(clippy::too_many_arguments)]
     fn replay_epoch(
         &mut self,

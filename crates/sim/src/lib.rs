@@ -25,6 +25,9 @@
 //!   with deterministic, input-ordered, sequential-bit-identical
 //!   results, and [`exec::ExecConfig`], whose one switch turns per-run
 //!   telemetry on.
+//! * [`paper`] — the §VII evaluation as one campaign of twelve runs and
+//!   one table of the paper's claims, each with its measured value and
+//!   check.
 //! * [`ascii_plot`] — terminal charts for the examples and figure bins.
 
 #![forbid(unsafe_code)]
@@ -37,6 +40,7 @@ pub mod exec;
 pub mod experiment;
 pub mod metrics;
 pub mod mode;
+pub mod paper;
 pub mod policy;
 pub mod qos;
 pub mod recorder;

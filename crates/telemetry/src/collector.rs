@@ -1,16 +1,11 @@
-//! The [`Collector`] pairs a metrics registry with a trace sink, and the
-//! installation machinery decides which collector (if any) instrumentation
-//! reaches:
+//! The [`Collector`] pairs a metrics registry with a trace sink, and
+//! [`with_collector`] installs one for the calling thread: this is how
+//! the experiment harness isolates per-run metrics inside parallel
+//! sweeps, and how the CLI traces its run. Instrumentation reaches the
+//! innermost collector installed on its own thread, and nothing else.
 //!
-//! * a **scoped** collector, installed per thread with
-//!   [`with_collector`] — this is how the experiment harness isolates
-//!   per-run metrics inside parallel sweeps, and
-//! * a **global** collector, installed process-wide with [`set_global`] —
-//!   how the CLI turns tracing on for a whole invocation.
-//!
-//! The scoped collector shadows the global one. When neither is installed,
-//! the fast path is a thread-local read plus one relaxed atomic load. An
-//! installed collector is not free: its spans read the clock and every
+//! With no collector installed, the fast path is one thread-local read.
+//! An installed collector is not free: its spans read the clock and every
 //! by-name update takes a read-locked hash lookup, about a tenth of a
 //! SprintCon rack tick in all (see the crate docs for the measurement),
 //! so the simulator installs one only for traced runs.
@@ -19,7 +14,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::{NullSink, Record, Sink, Value};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A metrics registry plus a trace sink, with a sequence counter stamping
@@ -73,18 +68,8 @@ impl Collector {
     }
 }
 
-static GLOBAL_SET: AtomicU64 = AtomicU64::new(0);
-static GLOBAL: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
-
 thread_local! {
     static SCOPED: RefCell<Option<Arc<Collector>>> = const { RefCell::new(None) };
-}
-
-/// Install (or clear) the process-wide collector.
-pub fn set_global(c: Option<Arc<Collector>>) {
-    let mut g = GLOBAL.write().expect("telemetry global poisoned");
-    GLOBAL_SET.store(c.is_some() as u64, Ordering::Release);
-    *g = c;
 }
 
 /// Run `f` with `c` installed as this thread's collector, restoring the
@@ -104,27 +89,15 @@ pub fn with_collector<R>(c: Arc<Collector>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Apply `f` to the active collector, if any. This is the single gate all
-/// instrumentation goes through; with nothing installed it costs a
-/// thread-local borrow and one relaxed load.
+/// Apply `f` to this thread's collector, if any. This is the single gate
+/// all instrumentation goes through; with nothing installed it costs a
+/// thread-local borrow.
 #[inline]
 pub fn with_active<R>(f: impl FnOnce(&Collector) -> R) -> Option<R> {
-    SCOPED.with(|s| {
-        if let Some(c) = s.borrow().as_ref() {
-            return Some(f(c));
-        }
-        if GLOBAL_SET.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        GLOBAL
-            .read()
-            .expect("telemetry global poisoned")
-            .as_ref()
-            .map(|c| f(c))
-    })
+    SCOPED.with(|s| s.borrow().as_deref().map(f))
 }
 
-/// True if any collector (scoped or global) is installed.
+/// True if a collector is installed on this thread.
 #[inline]
 pub fn enabled() -> bool {
     with_active(|_| ()).is_some()

@@ -17,12 +17,11 @@
 //! # Installation model
 //!
 //! Instrumentation is *free-function* style — `telemetry::counter_add(...)`
-//! from anywhere — and routes to whichever [`Collector`] is installed:
-//! a thread-scoped one ([`with_collector`], used by the experiment harness
-//! to isolate per-run metrics inside traced parallel sweeps) or a
-//! process-global one ([`set_global`], used by the CLI). With neither
-//! installed every call is a cheap early-out (a thread-local read and one
-//! relaxed atomic load). An installed collector is not free: its spans
+//! from anywhere — and routes to the [`Collector`] installed on the
+//! calling thread with [`with_collector`], which the experiment harness
+//! uses to isolate per-run metrics inside traced parallel sweeps and the
+//! CLI to trace its run. With none installed every call is a cheap
+//! early-out (one thread-local read). An installed collector is not free: its spans
 //! and by-name metric updates cost about 0.8 µs of a 7.4 µs SprintCon
 //! rack tick, measured on a 2-vCPU Xeon VM as 135–136k rack-ticks/s with
 //! a `NullSink` collector per run against 152–153k without. That is why
@@ -53,7 +52,7 @@ pub mod collector;
 pub mod metrics;
 pub mod sink;
 
-pub use collector::{enabled, set_global, with_collector, Collector, Span};
+pub use collector::{enabled, with_collector, Collector, Span};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonlSink, MemorySink, NullSink, Record, Sink, Value};
 
@@ -153,20 +152,6 @@ mod tests {
         let mut counts: Vec<u64> = snapshots.iter().map(|s| s.counter("runs")).collect();
         counts.sort_unstable();
         assert_eq!(counts, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn global_collector_catches_unscoped_threads() {
-        // Serialize against other tests that might set the global.
-        let c = Arc::new(Collector::null());
-        set_global(Some(Arc::clone(&c)));
-        counter_add("global_hits", 1);
-        std::thread::spawn(|| counter_add("global_hits", 1))
-            .join()
-            .unwrap();
-        set_global(None);
-        counter_add("global_hits", 100); // after teardown: dropped
-        assert_eq!(c.snapshot().counter("global_hits"), 2);
     }
 
     #[test]

@@ -157,8 +157,8 @@ impl Record {
 }
 
 /// Destination for trace records. Implementations must be thread-safe:
-/// parallel sweeps run one collector per worker, but a single collector may
-/// also be installed globally and hit from several threads.
+/// parallel sweeps run one collector per worker, but one collector may
+/// also be installed on several threads at once.
 pub trait Sink: Send + Sync {
     fn record(&self, rec: &Record);
     fn flush(&self) {}

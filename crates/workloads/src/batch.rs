@@ -14,6 +14,10 @@
 use crate::progress_model::ProgressModel;
 use powersim::units::Seconds;
 
+/// The MPC control-penalty weight of an overdue job, and the cap on
+/// every weight [`BatchJob::control_weight`] returns.
+pub const MAX_CONTROL_WEIGHT: f64 = 100.0;
+
 /// A batch job bound to one core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchJob {
@@ -112,7 +116,6 @@ impl BatchJob {
     /// `R = 0.2 / (4/10) = 0.5`. Falls back to a large weight when the
     /// deadline has passed with work outstanding.
     pub fn control_weight(&self, now: Seconds) -> f64 {
-        const OVERDUE_WEIGHT: f64 = 100.0;
         if self.is_done() {
             // First run met (or at least finished): repeats are pure
             // background work with no urgency.
@@ -121,14 +124,14 @@ impl BatchJob {
         let remaining_t = self.deadline.0 - now.0;
         if remaining_t <= 0.0 {
             return if self.remaining_work() > 0.0 {
-                OVERDUE_WEIGHT
+                MAX_CONTROL_WEIGHT
             } else {
                 0.0
             };
         }
         let denom = remaining_t / (self.elapsed.0 + remaining_t);
         let w = (1.0 - self.progress()) / denom.max(1e-9);
-        w.min(OVERDUE_WEIGHT)
+        w.min(MAX_CONTROL_WEIGHT)
     }
 
     /// Advance the job by `dt` at normalized frequency `f`. Returns the
@@ -256,7 +259,7 @@ mod tests {
         let w_late = slow.control_weight(Seconds(500.0));
         assert!(w_late > w_early, "late={w_late} early={w_early}");
         // Overdue with work left → the large fallback weight.
-        assert!(slow.control_weight(Seconds(601.0)) >= 100.0);
+        assert_eq!(slow.control_weight(Seconds(601.0)), MAX_CONTROL_WEIGHT);
     }
 
     #[test]

@@ -77,6 +77,7 @@ proptest! {
     ) {
         let mut ctrl = MpcController::new(
             MpcConfig::paper_default(),
+            1.0,
             vec![15.0; 8],
             vec![0.2; 8],
             vec![1.0; 8],

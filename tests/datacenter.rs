@@ -17,9 +17,7 @@ use simkit::{
     qos_report, run_datacenter, run_digest, run_policy, CsvError, DcRunOutput, DcScenario,
     ExecConfig, PolicyKind, SamplesNotKept, Scenario,
 };
-use sprintcon::{
-    allocate_headroom_two_level, allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace,
-};
+use sprintcon::{allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace};
 
 /// A rack template with an *active* stochastic fault plan: monitor
 /// dropouts force the degraded-mode supervisor paths, which must be just
@@ -207,7 +205,7 @@ fn rack_zero_matches_standalone_even_in_a_multi_rack_floor() {
 /// Workspace reuse across differently shaped auctions is a pure
 /// optimization: a warm [`MarketWorkspace`] (scratch sized by earlier,
 /// larger markets) must clear every auction bit-identically to a fresh
-/// one and to the allocating Vec API. This is the integration-level
+/// one. This is the integration-level
 /// twin of the engine's internal per-epoch reuse — `market_conserves`
 /// and the digest tests above only see the engine's own workspace, so
 /// this drives the API shape directly.
@@ -234,7 +232,6 @@ fn market_workspace_reuse_is_deterministic_across_shapes() {
         let warm_out = allocate_headroom_two_level_with(&mut warm, &bids, &pdu_of, &caps, budget);
         let mut fresh = MarketWorkspace::new();
         let fresh_out = allocate_headroom_two_level_with(&mut fresh, &bids, &pdu_of, &caps, budget);
-        let vec_api = allocate_headroom_two_level(&bids, &pdu_of, &caps, budget);
         assert_eq!(warm_out.spent.0.to_bits(), fresh_out.spent.0.to_bits());
         assert_eq!(warm_out.granted, fresh_out.granted);
         assert_eq!(warm.grants().len(), n);
@@ -243,13 +240,6 @@ fn market_workspace_reuse_is_deterministic_across_shapes() {
                 w.0.to_bits(),
                 f.0.to_bits(),
                 "n={n} salt={salt}: warm grant {i} diverged from fresh"
-            );
-        }
-        for (i, (w, v)) in warm.grants().iter().zip(&vec_api.grants).enumerate() {
-            assert_eq!(
-                w.0.to_bits(),
-                v.0.to_bits(),
-                "n={n} salt={salt}: workspace grant {i} diverged from Vec API"
             );
         }
     }

@@ -1,87 +1,53 @@
-//! Integration tests asserting the paper's qualitative results end to
-//! end across all crates (plant + workloads + controllers + engine).
-//!
-//! Full 15-minute, 16-server runs of the MPC-driven policy are exercised
-//! by the figure binaries in release mode (`cargo run -p sprintcon-bench
-//! --bin ...`); here the SprintCon runs use shortened windows or a scaled
-//! rack so the suite stays fast in debug.
+//! The paper's evaluation (§VII), checked end to end: the paper
+//! campaign (`simkit::paper`) runs once per test binary, and each
+//! figure's test checks that figure's rows of the claims table, which
+//! `paper_figures` prints. The remaining tests run other scenarios: a
+//! scaled rack, two seeds, and a short V1 run for energy conservation.
 
 use powersim::units::Seconds;
-use simkit::{run_policy, PolicyKind, Scenario};
+use simkit::paper::{Claim, Figure, PaperCampaign};
+use simkit::{run_policy, ExecConfig, PolicyKind, Scenario};
+use std::sync::OnceLock;
 
-/// Uncontrolled SGCT: the Fig. 5 failure sequence — trips inside the
-/// first overload window, drains the UPS carrying the rack, browns out
-/// for good mid-run.
-#[test]
-fn sgct_uncontrolled_trips_drains_and_dies() {
-    let scenario = Scenario::paper_default(2019);
-    let run = run_policy(&scenario, PolicyKind::Sgct);
-    let (rec, summary) = (&run.recorder, &run.summary);
-    assert!(summary.trips >= 1);
-    let first_trip = rec.samples().iter().position(|s| s.tripped).unwrap();
-    assert!(first_trip <= 150, "tripped at {first_trip}s");
-    // After the trip the breaker is open and the UPS carries everything.
-    let after = &rec.samples()[first_trip + 1];
-    assert_eq!(after.cb_power.0, 0.0);
-    assert!(after.ups_power.0 > 3000.0);
-    // Eventually: blackout, frequencies to zero (Fig. 5(b)).
-    assert!(summary.shutdown);
-    let down_min = summary.shutdown_at.unwrap().as_minutes();
-    assert!((8.0..=13.0).contains(&down_min), "down at {down_min} min");
-    let last = rec.samples().last().unwrap();
-    assert_eq!(last.mean_freq_interactive, 0.0);
-    assert_eq!(last.mean_freq_batch, 0.0);
-    // And the interactive tier lost a visible chunk of its traffic.
-    assert!(summary.service_ratio < 0.9);
+fn claims() -> &'static [Claim] {
+    static CLAIMS: OnceLock<Vec<Claim>> = OnceLock::new();
+    CLAIMS.get_or_init(|| PaperCampaign::run(ExecConfig::sequential()).claims())
 }
 
-/// The idealized baselines keep their no-trip promise over the full run
-/// and land their characteristic frequency split (Fig. 7(b)(c)).
-#[test]
-fn ideal_baselines_never_trip_and_split_frequencies() {
-    let scenario = Scenario::paper_default(2019);
-    let v1 = run_policy(&scenario, PolicyKind::SgctV1).summary;
-    let v2 = run_policy(&scenario, PolicyKind::SgctV2).summary;
-    assert_eq!(v1.trips, 0);
-    assert_eq!(v2.trips, 0);
-    assert!(!v1.shutdown && !v2.shutdown);
-    // V1 (utilization ranking) favours batch; V2 flips it.
-    assert!(v1.avg_freq_batch > v1.avg_freq_interactive);
-    assert!(v2.avg_freq_interactive > v2.avg_freq_batch);
-    assert!(v2.avg_freq_interactive > v1.avg_freq_interactive);
-    // Both spend a similar, substantial amount of stored energy.
-    assert!((v1.ups_energy_wh - v2.ups_energy_wh).abs() < 30.0);
-    assert!(v1.ups_energy_wh > 80.0);
-}
-
-/// SprintCon on a shortened (4-minute) window covering one full
-/// overload + recovery cycle: interactive pinned at peak, CB within
-/// budget, no trips, batch frequency stepping with the phase.
-#[test]
-fn sprintcon_first_cycle_behaviour() {
-    let mut scenario = Scenario::paper_default(2019);
-    scenario.duration = Seconds::minutes(4.0);
-    let run = run_policy(&scenario, PolicyKind::SprintCon);
-    let (rec, summary) = (&run.recorder, &run.summary);
-    assert_eq!(summary.trips, 0);
-    assert!((summary.avg_freq_interactive - 1.0).abs() < 1e-9);
-    // Budget discipline: excursions above the published CB budget are
-    // rare one-period transients.
-    let above = rec
-        .samples()
-        .iter()
-        .filter(|s| s.cb_power.0 > s.p_cb_target.unwrap().0 + 60.0)
-        .count();
-    assert!(above * 100 < rec.len() * 5, "{above} excursions");
-    // Phase structure: batch faster during the first overload window
-    // than during the recovery that follows.
-    let fb: Vec<f64> = rec.samples().iter().map(|s| s.mean_freq_batch).collect();
-    let over: f64 = fb[30..145].iter().sum::<f64>() / 115.0;
-    let recov: f64 = fb[180..235].iter().sum::<f64>() / 55.0;
+/// Every checked row of `figure` holds, and there is at least one.
+fn assert_claims_hold(figure: Figure) {
+    let rows: Vec<&Claim> = claims().iter().filter(|c| c.figure == figure).collect();
     assert!(
-        over > recov + 0.15,
-        "overload {over:.2} vs recovery {recov:.2}"
+        rows.iter().any(|c| c.holds.is_some()),
+        "{figure:?} has no checked claim"
     );
+    let failed: Vec<&&Claim> = rows.iter().filter(|c| c.failed()).collect();
+    assert!(failed.is_empty(), "{figure:?}: failed claims {failed:#?}");
+}
+
+#[test]
+fn fig5_uncontrolled_sprinting_trips_and_dies() {
+    assert_claims_hold(Figure::Fig5);
+}
+
+#[test]
+fn fig6_sprintcon_rides_its_budget_and_nothing_trips() {
+    assert_claims_hold(Figure::Fig6);
+}
+
+#[test]
+fn fig7_frequency_orderings_and_phase_step() {
+    assert_claims_hold(Figure::Fig7);
+}
+
+#[test]
+fn fig8a_sprintcon_uses_most_of_each_deadline() {
+    assert_claims_hold(Figure::Fig8a);
+}
+
+#[test]
+fn fig8b_sprintcon_discharges_least() {
+    assert_claims_hold(Figure::Fig8b);
 }
 
 /// The headline comparison on a scaled rack (8 servers, proportionally
