@@ -3,10 +3,6 @@
 //! controlled-vs-uncontrolled gap in breaker trips, deadline misses and
 //! UPS depth of discharge, then exercise every scheduled fault class
 //! once and show which degraded-mode path it drives.
-//!
-//! With every fault disabled (intensity 0) the runs are bit-identical to
-//! the unperturbed scenario — checked below — so the fault subsystem
-//! costs nothing when off.
 
 use powersim::faults::{FaultKind, FaultPlan};
 use powersim::units::{Seconds, Watts};
@@ -43,8 +39,7 @@ fn main() {
     let mut run_it = sweep_runs.iter();
     for &intensity in &intensities {
         for kind in kinds {
-            let out = run_it.next().expect("grid is intensity-major").summary();
-            let s = out;
+            let s = run_it.next().expect("grid is intensity-major").summary();
             let missed = s.deadlines_total - s.deadlines_met;
             println!(
                 "{:>9.2}  {:>10}  {:>5}  {:>8}  {:>7.3}  {:>7.3}",
@@ -70,28 +65,6 @@ fn main() {
         &rows,
     );
     println!("wrote {}", path.display());
-
-    banner("Zero-drift check: empty fault plan == no fault subsystem");
-    let mut drift_runs = Campaign::new()
-        .add(Scenario::paper_default(SEED), PolicyKind::SprintCon)
-        .add(scenario_with(FaultPlan::none()), PolicyKind::SprintCon)
-        .run_with(args.exec);
-    let off = drift_runs.remove(1).output;
-    let base = drift_runs.remove(0).output;
-    let drift = base.recorder.samples().len() != off.recorder.samples().len()
-        || base
-            .recorder
-            .samples()
-            .iter()
-            .zip(off.recorder.samples())
-            .any(|(a, b)| {
-                a.p_total.0.to_bits() != b.p_total.0.to_bits()
-                    || a.ups_power.0.to_bits() != b.ups_power.0.to_bits()
-            });
-    println!(
-        "bitwise identical: {}",
-        if drift { "NO — DRIFT" } else { "yes" }
-    );
 
     banner("Scheduled fault classes under SprintCon (300 s window each)");
     let classes: &[(&str, FaultKind)] = &[

@@ -264,17 +264,18 @@ impl MpcController {
 
     /// Update the per-channel progress weights `Rⱼ` (allocator/§V-B).
     ///
-    /// Each weight must be non-negative with a finite penalty diagonal
-    /// `2·r_scale·max(Rⱼ, R_FLOOR)`, which the solve needs; this panics,
-    /// naming the channel, on one that is not, so a bad weight fails
+    /// Each weight must be non-negative with finite penalty terms: the
+    /// diagonal `2·r_scale·max(Rⱼ, R_FLOOR)` and the linear term, that
+    /// times `fmaxⱼ`, both of which the solve needs. This panics, naming
+    /// the channel, on a weight that breaks either, so a bad weight fails
     /// here rather than inside a later [`Self::compute`].
     pub fn set_penalty_weights(&mut self, r: &[f64]) {
         assert_eq!(r.len(), self.num_channels());
-        for (j, &v) in r.iter().enumerate() {
-            let diagonal = 2.0 * self.cfg.r_scale * v.max(R_FLOOR);
+        for (j, (&v, fmax)) in r.iter().zip(&self.fmax).enumerate() {
+            let penalty = 2.0 * self.cfg.r_scale * v.max(R_FLOOR) * fmax.abs().max(1.0);
             assert!(
-                v >= 0.0 && diagonal.is_finite(),
-                "penalty weight {v} of channel {j} needs 2·r_scale·max(r, R_FLOOR) finite and r >= 0"
+                v >= 0.0 && penalty.is_finite(),
+                "penalty weight {v} of channel {j} needs 2·r_scale·max(r, R_FLOOR)·max(1, |fmax|) finite and r >= 0"
             );
         }
         self.r.copy_from_slice(r);
@@ -649,18 +650,27 @@ mod tests {
     }
 
     /// An `r_scale` that `validate` accepts can still overflow a penalty
-    /// diagonal `2·r_scale·max(rⱼ, R_FLOOR)`; the weight that does is
-    /// refused where it is set, not inside the next solve.
+    /// term: the diagonal `2·r_scale·max(rⱼ, R_FLOOR)` or, on a box that
+    /// peaks above 1, the linear term, that times `fmaxⱼ`. The weight
+    /// that does is refused where it is set, not inside the next solve.
     #[test]
-    #[should_panic(expected = "penalty weight 3 of channel 0 needs")]
-    fn set_penalty_weights_refuses_an_infinite_diagonal() {
-        let cfg = MpcConfig {
-            r_scale: 1e308,
-            ..MpcConfig::paper_default()
-        };
-        assert_eq!(cfg.validate(), Ok(()));
-        let mut ctrl = MpcController::new(cfg, 1.0, vec![15.0; 4], vec![0.2; 4], vec![1.0; 4]);
-        ctrl.set_penalty_weights(&[3.0; 4]);
+    fn set_penalty_weights_refuses_an_infinite_penalty_term() {
+        // 1e308 overflows both channels' diagonal; f64::MAX / 8 only the
+        // linear term of the channel whose box peaks at 2.
+        for (r_scale, channel) in [(1e308, 0), (f64::MAX / 8.0, 1)] {
+            let cfg = MpcConfig {
+                r_scale,
+                ..MpcConfig::paper_default()
+            };
+            assert_eq!(cfg.validate(), Ok(()));
+            let (fmin, fmax) = (vec![0.2; 2], vec![1.0, 2.0]);
+            let mut ctrl = MpcController::new(cfg, 1.0, vec![15.0; 2], fmin, fmax);
+            let set = std::panic::catch_unwind(move || ctrl.set_penalty_weights(&[3.0; 2]));
+            let panic = set.expect_err(&format!("r_scale {r_scale} was accepted"));
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            let expected = format!("penalty weight 3 of channel {channel} needs");
+            assert!(msg.starts_with(&expected), "{msg}");
+        }
     }
 
     /// Over a closed loop with shifting progress weights, every period's

@@ -145,7 +145,8 @@ pub enum ConfigError {
     },
     InvalidDegradedMode(&'static str),
     /// The MPC configuration fails [`MpcConfig::validate`], or its
-    /// `r_scale` overflows the penalty diagonal of a job weight at
+    /// `r_scale` overflows a penalty term (the diagonal, or the linear
+    /// term at the top of the ladder) of a job weight at
     /// [`MAX_CONTROL_WEIGHT`].
     InvalidMpc(&'static str),
 }
@@ -319,10 +320,12 @@ impl SprintConConfig {
         }
         self.mpc.validate().map_err(ConfigError::InvalidMpc)?;
         // Every weight the supervisor sets is at most MAX_CONTROL_WEIGHT,
-        // and the MPC's penalty diagonal is 2·r_scale·weight.
-        if !(2.0 * self.mpc.r_scale * MAX_CONTROL_WEIGHT).is_finite() {
+        // and the MPC's penalty terms are 2·r_scale·weight on the
+        // diagonal and −2·r_scale·weight·fmax in the linear term.
+        let fmax = ladder.max.0.abs().max(1.0);
+        if !(2.0 * self.mpc.r_scale * MAX_CONTROL_WEIGHT * fmax).is_finite() {
             return Err(ConfigError::InvalidMpc(
-                "2·r_scale·MAX_CONTROL_WEIGHT must be finite",
+                "2·r_scale·MAX_CONTROL_WEIGHT·max(1, |freq_scale.max|) must be finite",
             ));
         }
         if self.allocator_period.0 < 10.0 * self.control_period.0 {

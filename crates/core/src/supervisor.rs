@@ -731,9 +731,11 @@ mod tests {
             );
         }
         // MPC settings the controller cannot build or solve with; an
-        // r_scale of 1e308 overflows the penalty diagonal of a weight.
+        // r_scale of 1e308 overflows the penalty diagonal of a weight,
+        // and the largest r_scale the diagonal allows overflows the
+        // linear term on a ladder that peaks at 2.
         type Break = fn(&mut SprintConConfig);
-        let mpc_cases: [(&str, Break); 7] = [
+        let mpc_cases: [(&str, Break); 8] = [
             ("lc > lp", |c| c.mpc.lc = c.mpc.lp + 1),
             ("q = 0", |c| c.mpc.q = 0.0),
             ("q = ∞", |c| c.mpc.q = f64::INFINITY),
@@ -741,6 +743,10 @@ mod tests {
             ("r_scale = −1", |c| c.mpc.r_scale = -1.0),
             ("r_scale = 0", |c| c.mpc.r_scale = 0.0),
             ("r_scale = 1e308", |c| c.mpc.r_scale = 1e308),
+            ("fmax = 2", |c| {
+                c.mpc.r_scale = f64::MAX / (2.0 * MAX_CONTROL_WEIGHT);
+                c.server.freq_scale.max = NormFreq(2.0);
+            }),
         ];
         for (case, break_it) in mpc_cases {
             let mut c = cfg();
@@ -763,43 +769,48 @@ mod tests {
     }
 
     /// The largest `r_scale` that `validate` accepts runs a control
-    /// period with every job overdue, so with every weight at the cap.
+    /// period with every job overdue, so with every weight at the cap,
+    /// on the paper ladder and on one that peaks at 2, whose penalty
+    /// linear term `−2·r_scale·weight·fmax` is the larger of the two.
     #[test]
     fn the_largest_accepted_r_scale_runs_with_every_weight_at_the_cap() {
-        let accepts = |r_scale: f64| {
-            let mut c = cfg();
-            c.mpc.r_scale = r_scale;
-            c.validate().is_ok()
-        };
-        assert!(!accepts(f64::MAX));
-        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
-        let mut r_scale = f64::MAX / (2.0 * MAX_CONTROL_WEIGHT);
-        while !accepts(r_scale) {
-            r_scale = f64::from_bits(r_scale.to_bits() - 1);
+        for fmax in [1.0, 2.0] {
+            let with = |r_scale: f64| {
+                let mut c = cfg();
+                c.server.freq_scale.max = NormFreq(fmax);
+                c.mpc.r_scale = r_scale;
+                c
+            };
+            let accepts = |r_scale: f64| with(r_scale).validate().is_ok();
+            // `validate`'s bound lies within a few ulps of where
+            // 2·r_scale·MAX_CONTROL_WEIGHT·fmax overflows.
+            let overflow = f64::MAX / (2.0 * MAX_CONTROL_WEIGHT * fmax);
+            let ulps = |i: i64| f64::from_bits(overflow.to_bits().wrapping_add_signed(i));
+            assert!(
+                accepts(ulps(-8)) && !accepts(ulps(8)),
+                "fmax {fmax}: the accepted r_scale does not end at the overflow"
+            );
+            let r_scale = (-8..8).map(ulps).take_while(|&r| accepts(r)).last();
+            let r_scale = r_scale.expect("the window starts accepted");
+            let mut sc = SprintCon::try_new(with(r_scale)).expect("an accepted config builds");
+            let n = sc.server_controller().num_channels();
+            let overdue: Vec<BatchJob> = (0..n)
+                .map(|i| {
+                    BatchJob::new(
+                        format!("j{i}"),
+                        ProgressModel::new(0.2),
+                        400.0,
+                        Seconds(0.5),
+                    )
+                })
+                .collect();
+            let out = step_with(&mut sc, 0.1, true, 1.0, &overdue);
+            assert!(overdue
+                .iter()
+                .all(|j| j.control_weight(sc.now) == MAX_CONTROL_WEIGHT));
+            assert_eq!(out.mode, SprintMode::Sprinting, "fmax {fmax}");
+            assert!(out.batch_freqs.iter().all(|f| f.is_finite()), "fmax {fmax}");
         }
-        while accepts(next(r_scale)) {
-            r_scale = next(r_scale);
-        }
-        let mut c = cfg();
-        c.mpc.r_scale = r_scale;
-        let mut sc = SprintCon::try_new(c).expect("an accepted config builds");
-        let n = sc.server_controller().num_channels();
-        let overdue: Vec<BatchJob> = (0..n)
-            .map(|i| {
-                BatchJob::new(
-                    format!("j{i}"),
-                    ProgressModel::new(0.2),
-                    400.0,
-                    Seconds(0.5),
-                )
-            })
-            .collect();
-        let out = step_with(&mut sc, 0.1, true, 1.0, &overdue);
-        assert!(overdue
-            .iter()
-            .all(|j| j.control_weight(sc.now) == MAX_CONTROL_WEIGHT));
-        assert_eq!(out.mode, SprintMode::Sprinting);
-        assert!(out.batch_freqs.iter().all(|f| f.is_finite()));
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! bit-identical to [`Campaign::run_sequential`] for everything a run
 //! computes: recorder samples, events and summaries. [`run_digest`]
 //! hashes exactly those (the plant), so whether a collector was
-//! installed never changes a digest. CI enforces the contract by
-//! comparing digests of a sequential and a parallel pass
-//! (`bench_engine --check`, `tests/parallel.rs`).
+//! installed never changes a digest. `tests/parallel.rs` enforces the
+//! contract by comparing digests of a sequential and a parallel pass.
 //!
 //! ## Telemetry is opt-in
 //!
@@ -296,8 +295,8 @@ impl Campaign {
 /// adding a metric never moves a digest.
 ///
 /// Two runs of the same scenario/policy — sequential or parallel, on any
-/// thread, traced or not — must produce equal digests; `bench_engine
-/// --check` and `tests/parallel.rs` enforce this.
+/// thread, traced or not — must produce equal digests;
+/// `tests/parallel.rs` and `tests/telemetry.rs` enforce this.
 ///
 /// Composed from [`digest_sample`] (once per sample, in order) followed
 /// by [`digest_run_tail`]. A streaming recorder keeps no samples but

@@ -251,7 +251,8 @@ impl WorkloadSource {
     }
 
     /// Open-loop serving of the spiky regime-switching demand — the
-    /// flash-crowd scenario the tail-latency benchmark drives.
+    /// flash-crowd scenario whose request tails `tests/workload_api.rs`
+    /// and `tests/grid.rs` pin.
     pub fn open_loop_flash_crowd() -> Self {
         WorkloadSource::OpenLoop {
             arrivals: ArrivalProcess::new(DemandModel::Mmpp(MmppConfig::spiky_default()), 50.0),

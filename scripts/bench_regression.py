@@ -26,8 +26,6 @@ import sys
 WHITELIST = {
     "BENCH_engine.json": [
         "campaign.runs",
-        "determinism.checked",
-        "determinism.bit_identical",
         "mpc_hot_path.channels",
         "mpc_hot_path.periods",
     ],
@@ -39,23 +37,6 @@ WHITELIST = {
         "peak_feeder_w",
         "feeder_trip_periods",
         "conserved",
-    ],
-    "BENCH_grid.json": [
-        "seed",
-        "secs",
-        "separation.sprintcon_p99_s",
-        "separation.sgct_p99_s",
-    ],
-    "BENCH_tail_latency.json": [
-        "seed",
-        "secs",
-        "determinism",
-        "separation",
-    ]
-    + [
-        f"policies.{i}.{field}"
-        for i in range(3)
-        for field in ("policy", "request_p99_s", "drop_fraction")
     ],
 }
 

@@ -1,8 +1,8 @@
 //! Execution-layer contract tests: the parallel campaign engine must be
 //! bit-identical to sequential execution (including under active fault
 //! injection), and the scoped map behind it must return results in
-//! input order. CI runs this suite plus `bench_engine --check` on every
-//! push. Per-run telemetry isolation is `tests/telemetry.rs`'s job.
+//! input order. Per-run telemetry isolation is `tests/telemetry.rs`'s
+//! job.
 
 use powersim::faults::FaultPlan;
 use powersim::units::Seconds;

@@ -11,7 +11,9 @@
 //!   (arrivals = completed + dropped + still queued) for any seed,
 //!   frequency, and duration;
 //! * open-loop runs are bit-identical between sequential and parallel
-//!   execution, both in the campaign engine and the datacenter engine.
+//!   execution, both in the campaign engine and the datacenter engine;
+//! * under an open-loop flash crowd, SprintCon's request tail beats
+//!   frequency-throttling SGCT's, with every tail pinned.
 
 mod golden;
 
@@ -101,10 +103,15 @@ fn non_finite_demand_trace_fails_scenario_validation() {
 }
 
 fn open_loop_scenario(seed: u64, secs: f64) -> Scenario {
-    let mut sc = Scenario::paper_default(seed);
-    sc.workload = WorkloadSource::open_loop_wiki();
-    sc.duration = Seconds(secs);
-    sc
+    with_source(WorkloadSource::open_loop_wiki(), seed, secs)
+}
+
+fn with_source(workload: WorkloadSource, seed: u64, secs: f64) -> Scenario {
+    Scenario {
+        workload,
+        duration: Seconds(secs),
+        ..Scenario::paper_default(seed)
+    }
 }
 
 /// Open-loop runs populate the request-tail fields of the QoS report
@@ -127,25 +134,72 @@ fn open_loop_runs_surface_tail_metrics_and_closed_loop_stays_clean() {
 
 /// Open-loop campaigns are bit-identical between sequential and
 /// parallel execution — the queueing state is rack-private, so the
-/// sharded schedule cannot perturb it.
+/// sharded schedule cannot perturb it — for the wiki demand and the
+/// flash crowd alike.
 #[test]
 fn open_loop_campaign_parallel_matches_sequential() {
-    let mut c = Campaign::new();
-    c.add(open_loop_scenario(1, 60.0), PolicyKind::SprintCon);
-    c.add(open_loop_scenario(2, 60.0), PolicyKind::Sgct);
-    c.add(open_loop_scenario(3, 45.0), PolicyKind::SgctV2);
-    let seq = c.run_sequential();
-    for jobs in [2usize, 4, 0] {
-        let par = c.run_with(ExecConfig::jobs(jobs));
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(
-                p.digest(),
-                s.digest(),
-                "jobs={jobs}: {} diverged with queueing enabled",
-                p.label
-            );
+    let sources = [
+        (WorkloadSource::open_loop_wiki(), 1u64),
+        (WorkloadSource::open_loop_flash_crowd(), 2019),
+    ];
+    for (source, seed) in sources {
+        let sc = |offset, secs| with_source(source.clone(), seed + offset, secs);
+        let mut c = Campaign::new();
+        c.add(sc(0, 60.0), PolicyKind::SprintCon)
+            .add(sc(1, 60.0), PolicyKind::Sgct)
+            .add(sc(2, 45.0), PolicyKind::SgctV2);
+        let seq = c.run_sequential();
+        for jobs in [2usize, 4, 0] {
+            let par = c.run_with(ExecConfig::jobs(jobs));
+            for (p, s) in par.iter().zip(&seq) {
+                assert_eq!(
+                    p.digest(),
+                    s.digest(),
+                    "jobs={jobs}: {} diverged with queueing enabled",
+                    p.label
+                );
+            }
         }
     }
+}
+
+/// The paper's latency argument at request level: under a flash crowd
+/// served open loop, SprintCon's interactive cores hold peak frequency,
+/// so its request p99 beats frequency-throttling SGCT's without extra
+/// drops. The p99 and drop fraction of SprintCon, SGCT and SGCT-V2 are
+/// pinned at the seed-2019 180-s run.
+#[test]
+fn sprintcon_beats_sgct_on_request_tail_under_a_flash_crowd() {
+    let sc = with_source(WorkloadSource::open_loop_flash_crowd(), 2019, 180.0);
+    let kinds = [PolicyKind::SprintCon, PolicyKind::Sgct, PolicyKind::SgctV2];
+    let [sprintcon, sgct, sgct_v2] = kinds.map(|kind| {
+        let q = qos_report(&run_policy(&sc, kind).recorder, &[1.0])
+            .expect("a standalone run keeps its samples");
+        let p99 = q.request_p99_s.expect("open loop reports p99");
+        (p99, q.drop_fraction.expect("open loop reports drops"))
+    });
+    assert!(
+        sprintcon.0 < sgct.0,
+        "no p99 separation: SprintCon {:.6} s vs SGCT {:.6} s",
+        sprintcon.0,
+        sgct.0
+    );
+    assert!(
+        sprintcon.1 <= sgct.1,
+        "SprintCon drops more than SGCT: {:.6} vs {:.6}",
+        sprintcon.1,
+        sgct.1
+    );
+    let six = |(p99, drops): (f64, f64)| format!("{p99:.6} {drops:.6}");
+    assert_eq!(
+        [sprintcon, sgct, sgct_v2].map(six),
+        [
+            "0.020000 0.000000",
+            "0.026795 0.000000",
+            "0.020000 0.000000"
+        ],
+        "p99 (s) and drop fraction of SprintCon, SGCT and SGCT-V2"
+    );
 }
 
 /// Same contract through the datacenter engine: a floor of racks all
