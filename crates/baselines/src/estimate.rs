@@ -12,7 +12,7 @@
 //! error is injected anywhere.
 
 use powersim::cpu::CoreRole;
-use powersim::rack::{server_power, Rack, RoleView};
+use powersim::rack::{server_power, Rack};
 use powersim::server::ServerSpec;
 use powersim::units::{NormFreq, Watts};
 
@@ -68,10 +68,11 @@ pub fn oracle_power(rack: &Rack, freqs: &[NormFreq]) -> Watts {
 /// A probe holds one candidate frequency vector (rack order,
 /// server-major) over the utilizations of the rack it was built on.
 /// [`PowerProbe::reset`] evaluates a whole vector; [`PowerProbe::set`]
-/// moves one core, re-evaluates only that core's server, and refolds the
-/// rack total in the whole-vector association order. Both models are
-/// separable per server, so `set(i, f)` returns exactly the bits `reset`
-/// would for the updated vector. `set` requires a prior `reset`.
+/// moves one core, re-evaluates only that core's server, and resumes the
+/// rack total at that server in the whole-vector association order.
+/// Both models are separable per server, so `set(i, f)` returns exactly
+/// the bits `reset` would for the updated vector. `set` requires a prior
+/// `reset`.
 pub trait PowerProbe {
     /// Make `freqs` (one per core, rack order) the candidate; its power.
     fn reset(&mut self, freqs: &[NormFreq]) -> Watts;
@@ -80,10 +81,12 @@ pub trait PowerProbe {
 }
 
 /// Storage the probes evaluate in. Callers that probe a rack every
-/// control period keep one so a warm probe allocates nothing; `reset`
-/// overwrites whatever a previous probe left.
+/// control period keep one so a warm probe allocates nothing; building a
+/// probe overwrites whatever a previous probe left.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeBuffers {
+    /// Per core, rack order: the utilization the probe was built on.
+    util: Vec<f64>,
     /// Per core, rack order: the oracle's clamped frequency, the
     /// estimate's active CPU term.
     core: Vec<f64>,
@@ -91,78 +94,66 @@ pub struct ProbeBuffers {
     throughput: Vec<f64>,
     /// Per server: the oracle's plant power, the estimate's non-CPU term.
     server: Vec<f64>,
-    /// The estimate's running total before each server (`n + 1` slots).
+    /// The running rack total before each server (`n + 1` slots).
     prefix: Vec<f64>,
 }
 
-/// Rack geometry and utilization rows the probes read.
-#[derive(Debug, Clone, Copy)]
-struct Rows<'a> {
-    servers: usize,
-    cps: usize,
-    ipc: usize,
-    iv: RoleView<'a>,
-    bv: RoleView<'a>,
-}
-
-impl<'a> Rows<'a> {
-    fn of(rack: &'a Rack) -> Self {
-        Rows {
-            servers: rack.num_servers(),
-            cps: rack.cores_per_server(),
-            ipc: rack.interactive_cores_per_server(),
-            iv: rack.role(CoreRole::Interactive),
-            bv: rack.role(CoreRole::Batch),
+impl ProbeBuffers {
+    /// Copy `rack`'s utilizations in rack order (each server's
+    /// interactive row, then its batch row) and size every buffer to it.
+    fn load(&mut self, rack: &Rack) {
+        let iv = rack.role(CoreRole::Interactive);
+        let bv = rack.role(CoreRole::Batch);
+        self.util.clear();
+        for s in 0..rack.num_servers() {
+            self.util.extend_from_slice(iv.server_utils(s));
+            self.util.extend_from_slice(bv.server_utils(s));
         }
-    }
-
-    /// Server `s`'s interactive and batch utilization rows.
-    fn server(&self, s: usize) -> (&'a [f64], &'a [f64]) {
-        (self.iv.server_utils(s), self.bv.server_utils(s))
-    }
-
-    /// Utilization of core `core` (rack order).
-    fn util(&self, core: usize) -> f64 {
-        let (s, k) = (core / self.cps, core % self.cps);
-        if k < self.ipc {
-            self.iv.server_utils(s)[k]
-        } else {
-            self.bv.server_utils(s)[k - self.ipc]
-        }
+        self.core.resize(self.util.len(), 0.0);
+        self.throughput.resize(self.util.len(), 0.0);
+        self.server.resize(rack.num_servers(), 0.0);
+        self.prefix.resize(rack.num_servers() + 1, 0.0);
+        self.prefix[0] = 0.0;
     }
 }
 
 /// [`PowerProbe`] over the exact plant ([`oracle_power`]): caches each
-/// server's power and recomputes only the touched server through
-/// [`powersim::rack::server_power`], then refolds the server powers from
-/// `0.0` in server order — the association [`Rack::power`] uses.
+/// core's clamped frequency and each server's power. A `set` recomputes
+/// only the touched server through [`powersim::rack::server_power`] (the
+/// plant law [`Rack::power`] uses), then resumes the fold of the server
+/// powers from `0.0` in server order at the stored total before it.
 #[derive(Debug)]
 pub struct OracleProbe<'a> {
     spec: &'a ServerSpec,
-    rows: Rows<'a>,
+    ipc: usize,
     buf: &'a mut ProbeBuffers,
 }
 
 impl<'a> OracleProbe<'a> {
     pub fn new(rack: &'a Rack, buf: &'a mut ProbeBuffers) -> Self {
+        buf.load(rack);
         OracleProbe {
             spec: rack.spec(),
-            rows: Rows::of(rack),
+            ipc: rack.interactive_cores_per_server(),
             buf,
         }
     }
 
     fn refresh_server(&mut self, s: usize) {
-        let (cps, ipc) = (self.rows.cps, self.rows.ipc);
-        let (fi, fb) = self.buf.core[s * cps..(s + 1) * cps].split_at(ipc);
-        let (ui, ub) = self.rows.server(s);
+        let lanes = s * self.spec.num_cores..(s + 1) * self.spec.num_cores;
+        let (fi, fb) = self.buf.core[lanes.clone()].split_at(self.ipc);
+        let (ui, ub) = self.buf.util[lanes].split_at(self.ipc);
         self.buf.server[s] = server_power(self.spec, [(fi, ui), (fb, ub)]);
     }
 
-    fn total(&self) -> Watts {
-        let mut total = 0.0;
-        for &p in &self.buf.server {
+    /// Resume the running total at server `from` and fold every later
+    /// server's power on top.
+    fn refold(&mut self, from: usize) -> Watts {
+        let buf = &mut *self.buf;
+        let mut total = buf.prefix[from];
+        for (s, &p) in buf.server.iter().enumerate().skip(from) {
             total += p;
+            buf.prefix[s + 1] = total;
         }
         Watts(total)
     }
@@ -170,28 +161,22 @@ impl<'a> OracleProbe<'a> {
 
 impl PowerProbe for OracleProbe<'_> {
     fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
-        let rows = self.rows;
-        assert_eq!(
-            freqs.len(),
-            rows.servers * rows.cps,
-            "one frequency per core"
-        );
+        assert_eq!(freqs.len(), self.buf.util.len(), "one frequency per core");
         // Ideal actuation: continuous frequencies, no ladder snap.
-        self.buf.core.clear();
-        self.buf
-            .core
-            .extend(freqs.iter().map(|f| f.0.clamp(0.0, 1.0)));
-        self.buf.server.resize(rows.servers, 0.0);
-        for s in 0..rows.servers {
+        for (c, f) in self.buf.core.iter_mut().zip(freqs) {
+            *c = f.0.clamp(0.0, 1.0);
+        }
+        for s in 0..self.buf.server.len() {
             self.refresh_server(s);
         }
-        self.total()
+        self.refold(0)
     }
 
     fn set(&mut self, core: usize, f: NormFreq) -> Watts {
         self.buf.core[core] = f.0.clamp(0.0, 1.0);
-        self.refresh_server(core / self.rows.cps);
-        self.total()
+        let s = core / self.spec.num_cores;
+        self.refresh_server(s);
+        self.refold(s)
     }
 }
 
@@ -203,15 +188,16 @@ impl PowerProbe for OracleProbe<'_> {
 #[derive(Debug)]
 pub struct EstimateProbe<'a> {
     est: CalibratedRackEstimator,
-    rows: Rows<'a>,
+    cps: usize,
     buf: &'a mut ProbeBuffers,
 }
 
 impl<'a> EstimateProbe<'a> {
-    pub fn new(est: CalibratedRackEstimator, rack: &'a Rack, buf: &'a mut ProbeBuffers) -> Self {
+    pub fn new(est: CalibratedRackEstimator, rack: &Rack, buf: &'a mut ProbeBuffers) -> Self {
+        buf.load(rack);
         EstimateProbe {
             est,
-            rows: Rows::of(rack),
+            cps: rack.cores_per_server(),
             buf,
         }
     }
@@ -219,14 +205,14 @@ impl<'a> EstimateProbe<'a> {
     fn refresh_core(&mut self, core: usize, f: NormFreq) {
         let est = &self.est;
         let f = f.0.clamp(0.0, 1.0);
-        let u = self.rows.util(core).clamp(0.0, 1.0);
+        let u = self.buf.util[core].clamp(0.0, 1.0);
         let shape = est.cubic_fraction * f.powi(3) + (1.0 - est.cubic_fraction) * f;
         self.buf.core[core] = est.cpu_peak_per_core * shape * u;
         self.buf.throughput[core] = f * u;
     }
 
     fn refresh_server(&mut self, s: usize) {
-        let cps = self.rows.cps;
+        let cps = self.cps;
         let mut tp = 0.0;
         for &t in &self.buf.throughput[s * cps..(s + 1) * cps] {
             tp += t;
@@ -238,10 +224,10 @@ impl<'a> EstimateProbe<'a> {
     /// Resume the running total at server `from` and fold every later
     /// server on top: idle, each core's active term, the non-CPU term.
     fn refold(&mut self, from: usize) -> Watts {
-        let cps = self.rows.cps;
+        let cps = self.cps;
         let buf = &mut *self.buf;
         let mut total = buf.prefix[from];
-        for s in from..self.rows.servers {
+        for s in from..buf.server.len() {
             total += self.est.idle_per_server;
             for &a in &buf.core[s * cps..(s + 1) * cps] {
                 total += a;
@@ -255,25 +241,18 @@ impl<'a> EstimateProbe<'a> {
 
 impl PowerProbe for EstimateProbe<'_> {
     fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
-        let rows = self.rows;
-        let n = rows.servers * rows.cps;
-        assert_eq!(freqs.len(), n, "one frequency per core");
-        self.buf.core.resize(n, 0.0);
-        self.buf.throughput.resize(n, 0.0);
-        self.buf.server.resize(rows.servers, 0.0);
-        self.buf.prefix.resize(rows.servers + 1, 0.0);
-        self.buf.prefix[0] = 0.0;
+        assert_eq!(freqs.len(), self.buf.util.len(), "one frequency per core");
         for (core, &f) in freqs.iter().enumerate() {
             self.refresh_core(core, f);
         }
-        for s in 0..rows.servers {
+        for s in 0..self.buf.server.len() {
             self.refresh_server(s);
         }
         self.refold(0)
     }
 
     fn set(&mut self, core: usize, f: NormFreq) -> Watts {
-        let s = core / self.rows.cps;
+        let s = core / self.cps;
         self.refresh_core(core, f);
         self.refresh_server(s);
         self.refold(s)

@@ -23,17 +23,18 @@ pub enum SprintRanking {
     InteractiveFirst,
 }
 
-/// One core's ranking key, computed once per epoch: ascending `u128`
+/// One run's ranking key, computed once per epoch: ascending `u128`
 /// order is priority order.
 ///
 /// From the top bit down: a NaN flag (a NaN utilization ranks after
 /// every other core), then class, utilization and tie, each complemented
-/// so that higher values rank first, then the rack index ascending — the
-/// `CoreId` tiebreak that makes the order total. Utilization enters as
-/// its order-preserving bit pattern with `-0.0` folded onto `+0.0`, so
+/// so that higher values rank first, then the run's number ascending.
+/// Runs are numbered in rack-index order, so the number is the `CoreId`
+/// tiebreak that makes the order total. Utilization enters as its
+/// order-preserving bit pattern with `-0.0` folded onto `+0.0`, so
 /// non-NaN values order exactly as `partial_cmp` orders them (which
 /// `f64::total_cmp` would not: it splits the two zeros).
-fn rank_key(class: u8, util: f64, tie: u8, index: usize) -> u128 {
+fn rank_key(class: u8, util: f64, tie: u8, run: usize) -> u128 {
     let nan = util.is_nan();
     let util_order = if nan {
         0
@@ -45,18 +46,21 @@ fn rank_key(class: u8, util: f64, tie: u8, index: usize) -> u128 {
             bits | 1 << 63
         }
     };
-    debug_assert!(index <= u32::MAX as usize, "rack index fits the key");
+    debug_assert!(run <= u32::MAX as usize, "run number fits the key");
     u128::from(nan) << 112
         | u128::from(!class) << 104
         | u128::from(!util_order) << 40
         | u128::from(!tie) << 32
-        | index as u128
+        | run as u128
 }
 
-/// Reusable ranking storage: per-core keys and the resulting order, kept
-/// across epochs so re-ranking allocates nothing once warm.
+/// Reusable ranking storage, kept across epochs so re-ranking allocates
+/// nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CoreRanking {
+    /// Each run's first core and length, in rack-index order.
+    runs: Vec<(CoreId, usize)>,
+    /// One key per run.
     keys: Vec<u128>,
     order: Vec<CoreId>,
 }
@@ -64,44 +68,51 @@ pub(crate) struct CoreRanking {
 impl CoreRanking {
     /// Rank every core of the rack for this epoch, highest priority
     /// first (see [`rank_cores`]).
+    ///
+    /// Consecutive cores of a server row with equal utilizations form a
+    /// run. Their per-core keys would agree above the index, so one key
+    /// per run is sorted. Runs are disjoint index ranges, so expanding
+    /// each sorted run in index order is exactly the per-core key order.
+    /// On paper traffic every row is one run; a batch row splits only
+    /// where a job has finished.
     pub(crate) fn rank(&mut self, rack: &Rack, ranking: SprintRanking) -> &[CoreId] {
-        let cps = rack.cores_per_server();
-        let iv = rack.role(CoreRole::Interactive);
-        let bv = rack.role(CoreRole::Batch);
+        let rows = [rack.role(CoreRole::Interactive), rack.role(CoreRole::Batch)];
+        // (class, tie) of the interactive and batch rows.
+        let classes = match ranking {
+            // §VI-B: utilization is the demand metric; batch cores (which
+            // never idle between requests) win *exact* ties only.
+            SprintRanking::ByUtilization => [(0, 0), (0, 1)],
+            // SGCT-V2: interactive cores outrank batch outright, each
+            // group utilization-ordered.
+            SprintRanking::InteractiveFirst => [(1, 0), (0, 0)],
+        };
+        self.runs.clear();
         self.keys.clear();
         for server in 0..rack.num_servers() {
-            let utils = iv
-                .server_utils(server)
-                .iter()
-                .chain(bv.server_utils(server));
-            for (core, &util) in utils.enumerate() {
-                let role = rack.role_of(CoreId { server, core });
-                let (class, tie) = match (ranking, role) {
-                    // §VI-B: utilization is the demand metric; batch cores
-                    // (which never idle between requests) win *exact* ties
-                    // only.
-                    (SprintRanking::ByUtilization, CoreRole::Batch) => (0, 1),
-                    (SprintRanking::ByUtilization, CoreRole::Interactive) => (0, 0),
-                    // SGCT-V2: interactive cores outrank batch outright,
-                    // each group utilization-ordered.
-                    (SprintRanking::InteractiveFirst, CoreRole::Interactive) => (1, 0),
-                    (SprintRanking::InteractiveFirst, CoreRole::Batch) => (0, 0),
-                };
-                self.keys
-                    .push(rank_key(class, util, tie, server * cps + core));
+            let mut core = 0;
+            for (view, (class, tie)) in rows.iter().zip(classes) {
+                // `==` keeps every NaN a run of its own, which is still
+                // exact: splitting a run never changes the order.
+                for run in view.server_utils(server).chunk_by(|a, b| a == b) {
+                    self.keys
+                        .push(rank_key(class, run[0], tie, self.runs.len()));
+                    self.runs.push((CoreId { server, core }, run.len()));
+                    core += run.len();
+                }
             }
         }
         // The keys are distinct, so the unstable sort yields the one
         // ranking.
         self.keys.sort_unstable();
         self.order.clear();
-        self.order.extend(self.keys.iter().map(|&k| {
-            let index = (k & u128::from(u32::MAX)) as usize;
-            CoreId {
-                server: index / cps,
-                core: index % cps,
-            }
-        }));
+        for &key in &self.keys {
+            let (first, len) = self.runs[(key & u128::from(u32::MAX)) as usize];
+            self.order
+                .extend((first.core..first.core + len).map(|core| CoreId {
+                    server: first.server,
+                    core,
+                }));
+        }
         &self.order
     }
 }

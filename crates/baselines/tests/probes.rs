@@ -17,6 +17,7 @@ use powersim::rack::{CoreId, Rack};
 use powersim::server::ServerSpec;
 use powersim::units::{NormFreq, Watts};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// The whole-vector calibrated estimate: one running sum over every
 /// server's idle, per-core active and non-CPU terms.
@@ -136,7 +137,8 @@ fn random_rack(servers: usize, ipc_raw: usize, utils: &[f64]) -> Rack {
 }
 
 /// The ranking as a comparator sort over per-comparison lane lookups:
-/// descending (class, utilization, tie), ascending `CoreId`.
+/// a NaN utilization after every comparable one, whatever the class;
+/// then descending (class, utilization, tie), ascending `CoreId`.
 fn reference_ranking(rack: &Rack, ranking: SprintRanking) -> Vec<CoreId> {
     let mut ids: Vec<CoreId> = (0..rack.num_servers())
         .flat_map(|server| (0..rack.cores_per_server()).map(move |core| CoreId { server, core }))
@@ -152,8 +154,11 @@ fn reference_ranking(rack: &Rack, ranking: SprintRanking) -> Vec<CoreId> {
     ids.sort_by(|a, b| {
         let (ca, ua, ta) = key(a);
         let (cb, ub, tb) = key(b);
-        cb.cmp(&ca)
-            .then(ub.partial_cmp(&ua).expect("finite utilization"))
+        // Two NaNs are the only incomparable pair: they tie on utilization.
+        ua.is_nan()
+            .cmp(&ub.is_nan())
+            .then(cb.cmp(&ca))
+            .then(ub.partial_cmp(&ua).unwrap_or(Ordering::Equal))
             .then(tb.cmp(&ta))
             .then(a.cmp(b))
     });
@@ -171,17 +176,17 @@ fn bits(a: &Assignment) -> (Vec<u64>, usize, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Ranking by precomputed keys orders every non-NaN rack exactly as
-    /// the comparator sort, ties and signed zeros included.
+    /// Ranking by precomputed keys orders every rack exactly as the
+    /// comparator sort, ties, signed zeros and NaN included.
     #[test]
     fn ranking_matches_comparator_order(
         servers in 1usize..=16,
         ipc_raw in 0usize..9,
-        picks in proptest::collection::vec(0usize..8, 1..64),
+        picks in proptest::collection::vec(0usize..9, 1..64),
         interactive_first in proptest::bool::ANY,
     ) {
         // Few distinct values, so exact ties (and -0.0 vs +0.0) are common.
-        const VALUES: [f64; 8] = [-0.0, 0.0, 0.3, 0.65, 0.97, 1.0, -0.2, 1.3];
+        const VALUES: [f64; 9] = [-0.0, 0.0, 0.3, 0.65, 0.97, 1.0, -0.2, 1.3, f64::NAN];
         let utils: Vec<f64> = picks.iter().map(|&k| VALUES[k]).collect();
         let rack = random_rack(servers, ipc_raw, &utils);
         let ranking = if interactive_first {

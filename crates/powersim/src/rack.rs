@@ -29,7 +29,7 @@
 //! loop alive as the executable spec of that ordering; property tests
 //! assert the batched pass is bit-identical to it.
 
-use crate::cpu::{CoreRole, FreqScale};
+use crate::cpu::{CorePowerLaw, CoreRole, FreqScale};
 use crate::noise::NoiseSource;
 use crate::server::ServerSpec;
 use crate::thermal::ThermalModel;
@@ -177,7 +177,7 @@ impl RackBuilder {
                 power: vec![idle; n],
                 temp_c: vec![ambient; n],
             },
-            scratch: PowerScratch::default(),
+            scratch: Scratch::default(),
         })
     }
 }
@@ -316,24 +316,26 @@ impl RoleViewMut<'_> {
     }
 }
 
-/// A rack of identical servers, stored as SoA slabs.
-/// Reusable buffers for the batched power pass
-/// ([`Rack::update_server_powers`]). Not semantic state: contents are
-/// transient by-products of the last pass, so equality ignores them.
+/// Reusable buffers for the batched passes ([`Rack::update_server_powers`],
+/// [`Rack::set_all_freqs`]). Not semantic state: contents are transient
+/// by-products of the last pass, so equality ignores them.
 #[derive(Debug, Clone, Default)]
-struct PowerScratch {
+struct Scratch {
     at: Vec<f64>,
     tt: Vec<f64>,
     act: Vec<f64>,
     tpv: Vec<f64>,
+    /// One role block's share of a rack-order frequency command.
+    want: Vec<f64>,
 }
 
-impl PartialEq for PowerScratch {
+impl PartialEq for Scratch {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
+/// A rack of identical servers, stored as SoA slabs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rack {
     spec: ServerSpec,
@@ -341,7 +343,7 @@ pub struct Rack {
     interactive_per_server: usize,
     thermal: ThermalModel,
     state: RackState,
-    scratch: PowerScratch,
+    scratch: Scratch,
 }
 
 impl Rack {
@@ -453,6 +455,26 @@ impl Rack {
         if f.0.is_finite() {
             self.state.freq[lane] = self.spec.freq_scale.quantize(f).0;
         }
+    }
+
+    /// Set every core's frequency from one command in rack order
+    /// (server-major, core order within a server), through the DVFS
+    /// ladder: each role block's share is gathered once and written by
+    /// one vectorized [`RoleViewMut::set_freqs`] pass. Every lane lands on
+    /// the bits [`Rack::set_freq`] would write, a non-finite request
+    /// included (it holds the lane).
+    pub fn set_all_freqs(&mut self, freqs: &[NormFreq]) {
+        assert_eq!(freqs.len(), self.num_cores(), "one frequency per core");
+        let (cps, ipc) = (self.spec.num_cores, self.interactive_per_server);
+        let mut want = std::mem::take(&mut self.scratch.want);
+        for (role, cols) in [(CoreRole::Interactive, 0..ipc), (CoreRole::Batch, ipc..cps)] {
+            want.clear();
+            for row in freqs.chunks_exact(cps) {
+                want.extend(row[cols.clone()].iter().map(|f| f.0));
+            }
+            self.role_mut(role).set_freqs(&want);
+        }
+        self.scratch.want = want;
     }
 
     /// Write a frequency lane without the DVFS ladder snap — ideal
@@ -632,16 +654,7 @@ impl Rack {
         let bpc = self.batch_cores_per_server();
         let ni = self.num_servers * ipc;
         let law = self.spec.core_law;
-        let lin = 1.0 - law.cubic_fraction;
         let cores = self.spec.num_cores as f64;
-        // `fh * fh * fh` is the exact expansion `powi(3)` lowers to —
-        // written out so the loop vectorizes (the `powi` intrinsic
-        // defeats the auto-vectorizer); bits are unchanged.
-        let term = |f: f64, u: f64| {
-            let fh = f.clamp(0.0, 1.0);
-            let shape = law.cubic_fraction * (fh * fh * fh) + lin * fh;
-            law.peak_active_watts * shape * u.clamp(0.0, 1.0)
-        };
         let scr = &mut self.scratch;
         let nlanes = self.state.freq.len();
         scr.at.resize(nlanes, 0.0);
@@ -654,8 +667,7 @@ impl Rack {
             .zip(scr.tt.iter_mut())
             .zip(self.state.freq.iter().zip(&self.state.util))
         {
-            *a = term(f, u);
-            *t = f * u;
+            (*a, *t) = lane_power(&law, f, u);
         }
         // Pass B, as two role sweeps over the per-server slots: the
         // first sweep folds each interactive row in registers and
@@ -832,30 +844,41 @@ impl Rack {
 /// Plant power of one server, W, from its `(freqs, utils)` rows in core
 /// order: the interactive row, then the batch row.
 ///
-/// Active power and throughput fold over both rows strictly in lane
-/// order, then the idle floor, the active sum and the non-CPU term are
-/// added. Every per-lane expression performs the identical operations, in
-/// the identical order, as `CorePowerLaw::active_power` — the bit-identity
-/// contract behind the committed golden digests. This is the single
-/// implementation of the per-server law behind [`Rack::power`]; callers
-/// that evaluate candidate frequencies one server at a time (the oracle
-/// baselines) use it directly.
+/// Each lane's active power and throughput (`lane_power`) fold over both
+/// rows strictly in lane order, then the idle floor, the active sum and
+/// the non-CPU term are added. This is the single implementation of the
+/// per-server law behind [`Rack::power`]; callers that evaluate
+/// candidate frequencies one server at a time (the oracle baselines) use
+/// it directly.
 #[inline]
 pub fn server_power(spec: &ServerSpec, rows: [(&[f64], &[f64]); 2]) -> f64 {
-    let law = spec.core_law;
-    let lin = 1.0 - law.cubic_fraction;
     let mut active = 0.0;
     let mut tp = 0.0;
     for (rf, ru) in rows {
         for (&f, &u) in rf.iter().zip(ru) {
-            let fh = f.clamp(0.0, 1.0);
-            let shape = law.cubic_fraction * fh.powi(3) + lin * fh;
-            active += law.peak_active_watts * shape * u.clamp(0.0, 1.0);
-            tp += f * u;
+            let (a, t) = lane_power(&spec.core_law, f, u);
+            active += a;
+            tp += t;
         }
     }
     let mean_tp = tp / spec.num_cores as f64;
     spec.idle_watts + active + spec.noncpu_power(mean_tp)
+}
+
+/// One lane's plant terms: its active CPU power, W, and its throughput
+/// `f·u` (raw `f` and `u`), shared by [`server_power`] and
+/// [`Rack::update_server_powers`].
+///
+/// The active term performs the identical operations, in the identical
+/// order, as `CorePowerLaw::active_power` — the bit-identity contract
+/// behind the committed golden digests. `fh * fh * fh` is the exact
+/// expansion `powi(3)` lowers to, written out so the batched pass
+/// vectorizes (the `powi` intrinsic defeats the auto-vectorizer).
+#[inline]
+fn lane_power(law: &CorePowerLaw, f: f64, u: f64) -> (f64, f64) {
+    let fh = f.clamp(0.0, 1.0);
+    let shape = law.cubic_fraction * (fh * fh * fh) + (1.0 - law.cubic_fraction) * fh;
+    (law.peak_active_watts * shape * u.clamp(0.0, 1.0), f * u)
 }
 
 fn mean(xs: &[f64]) -> Option<f64> {

@@ -1,7 +1,7 @@
 //! Property-based tests for the power-infrastructure models.
 
 use powersim::breaker::{BreakerSpec, CircuitBreaker};
-use powersim::cpu::FreqScale;
+use powersim::cpu::{CoreRole, FreqScale};
 use powersim::rack::{server_power, CoreId, Rack};
 use powersim::server::{LinearServerModel, ServerSpec};
 use powersim::supercap::{HybridStorage, Supercap, SupercapSpec};
@@ -124,6 +124,54 @@ proptest! {
         }
         let total = rack.power().0;
         prop_assert_eq!(total.to_bits(), rack.power_reference().0.to_bits());
+    }
+
+    /// `Rack::set_all_freqs`, the role-block write of a rack-order
+    /// command, lands every lane on the bits of one `Rack::set_freq` per
+    /// core: on every rack shape, on stepped, continuous and beyond-peak
+    /// ladders, and with NaN and ±∞ lanes, which hold.
+    #[test]
+    fn set_all_freqs_is_bitwise_per_core_set_freq(
+        servers in 1usize..=6,
+        ipc in 0usize..=8,
+        ladder in 0usize..3,
+        start in proptest::collection::vec(-0.5f64..=1.5, 1..16),
+        picks in proptest::collection::vec(0usize..12, 1..64),
+        wants in proptest::collection::vec(-0.5f64..=1.5, 1..64),
+    ) {
+        let mut rack = Rack::builder()
+            .num_servers(servers)
+            .interactive_cores_per_server(ipc)
+            .build()
+            .unwrap();
+        rack.set_freq_scale(match ladder {
+            0 => FreqScale::paper_default(),
+            1 => FreqScale::continuous(),
+            _ => FreqScale { min: NormFreq(0.1), max: NormFreq(1.3), step: 0.07, peak_mhz: 2600.0 },
+        });
+        // Distinct off-ladder lanes, so a held or misrouted lane shows.
+        for role in [CoreRole::Interactive, CoreRole::Batch] {
+            let offset = rack.role_range(role).start;
+            for (k, f) in rack.role_mut(role).freqs.iter_mut().enumerate() {
+                *f = start[(offset + k) % start.len()] + (offset + k) as f64 * 1e-6;
+            }
+        }
+        let cmd: Vec<NormFreq> = (0..rack.num_cores())
+            .map(|i| match picks[i % picks.len()] {
+                0 => NormFreq(f64::NAN),
+                1 => NormFreq(f64::INFINITY),
+                2 => NormFreq(f64::NEG_INFINITY),
+                _ => NormFreq(wants[i % wants.len()]),
+            })
+            .collect();
+        let mut want = rack.clone();
+        let cps = rack.cores_per_server();
+        for (i, &f) in cmd.iter().enumerate() {
+            want.set_freq(CoreId { server: i / cps, core: i % cps }, f);
+        }
+        rack.set_all_freqs(&cmd);
+        let bits = |r: &Rack| r.state().freq.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&rack), bits(&want));
     }
 
     /// Frequency quantization always lands on a representable state

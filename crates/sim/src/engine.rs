@@ -351,6 +351,9 @@ impl RackSim {
                     }
                 }
             }
+            // Healthy actuator: one vectorized pass per role block
+            // (non-finite lanes hold, as above).
+            FreqCommand::AllCores(freqs) if !faulty => self.rack.set_all_freqs(freqs),
             FreqCommand::AllCores(freqs) => {
                 let per_server = self.rack.cores_per_server();
                 assert_eq!(
@@ -363,12 +366,8 @@ impl RackSim {
                         server: idx / per_server,
                         core: idx % per_server,
                     };
-                    if !faulty && f.0.is_finite() {
-                        self.rack.set_freq(id, f);
-                    } else {
-                        let cur = self.rack.freq(id).0;
-                        self.rack.set_freq(id, NormFreq(shape(cur, f.0)));
-                    }
+                    let cur = self.rack.freq(id).0;
+                    self.rack.set_freq(id, NormFreq(shape(cur, f.0)));
                 }
             }
         }

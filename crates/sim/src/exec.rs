@@ -348,7 +348,7 @@ pub fn digest_sample(h: &mut DigestBuilder, s: &crate::recorder::Sample) {
         h.f64(q.completed);
         h.f64(q.dropped);
     }
-    h.str(&s.mode_label.to_string());
+    h.str(s.mode_label.as_str());
 }
 
 /// Fold everything [`run_digest`] hashes *after* the samples: the event
