@@ -266,12 +266,7 @@ mod tests {
     use powersim::units::Utilization;
 
     fn rack() -> Rack {
-        Rack::builder()
-            .server(ServerSpec::paper_default())
-            .num_servers(4)
-            .interactive_cores_per_server(4)
-            .build()
-            .expect("valid rack")
+        Rack::new(ServerSpec::paper_default(), 4, 4).expect("valid rack")
     }
 
     fn est() -> CalibratedRackEstimator {

@@ -224,12 +224,7 @@ mod tests {
     use powersim::units::Utilization;
 
     fn rack() -> Rack {
-        let mut rk = Rack::builder()
-            .server(ServerSpec::paper_default())
-            .num_servers(2)
-            .interactive_cores_per_server(4)
-            .build()
-            .expect("valid rack");
+        let mut rk = Rack::new(ServerSpec::paper_default(), 2, 4).expect("valid rack");
         // Interactive cores moderately busy, batch cores saturated.
         for id in rk.cores_with_role(CoreRole::Interactive) {
             rk.set_util(id, Utilization(0.6));

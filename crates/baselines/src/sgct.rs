@@ -18,6 +18,7 @@
 
 use crate::estimate::{CalibratedRackEstimator, EstimateProbe, OracleProbe, ProbeBuffers};
 use crate::game::{cooperative_threshold, CoreRanking, SprintRanking};
+use powersim::plant::PlantSpec;
 use powersim::rack::Rack;
 use powersim::units::{NormFreq, Seconds, Watts};
 
@@ -36,8 +37,10 @@ pub enum SgctVariant {
 #[derive(Debug, Clone)]
 pub struct SgctConfig {
     pub variant: SgctVariant,
-    /// Rated CB capacity.
-    pub rated: Watts,
+    /// The plant the baseline runs: it budgets against `plant.breaker`,
+    /// and the uncontrolled variant calibrates its estimator from
+    /// `plant.server`.
+    pub plant: PlantSpec,
     /// Overload degree (sprint budget = rated × degree).
     pub overload_degree: f64,
     /// Overload / recovery phase lengths (same as \[2\] / SprintCon).
@@ -45,9 +48,6 @@ pub struct SgctConfig {
     pub recovery_duration: Seconds,
     /// Frequency of non-sprinting cores.
     pub f_nom: NormFreq,
-    /// DVFS-aware (but fan/concavity-blind) estimator for the
-    /// uncontrolled variant.
-    pub estimator: CalibratedRackEstimator,
     /// Safety factor the *ideal* variants apply to the sprint budget so
     /// the breaker operates just inside the Fig. 2 curve rather than
     /// exactly on it (the \[2\] operating point is specified as safe).
@@ -64,14 +64,11 @@ impl SgctConfig {
     pub fn paper_default(variant: SgctVariant) -> Self {
         SgctConfig {
             variant,
-            rated: Watts(3200.0),
+            plant: PlantSpec::paper_default(),
             overload_degree: 1.25,
             overload_duration: Seconds(150.0),
             recovery_duration: Seconds(300.0),
             f_nom: NormFreq(0.7),
-            estimator: CalibratedRackEstimator::from_spec(
-                &powersim::server::ServerSpec::paper_default(),
-            ),
             ideal_safety: 0.995,
             ideal_recovery_margin: 0.99,
         }
@@ -79,7 +76,7 @@ impl SgctConfig {
 
     /// The constant total sprint budget.
     pub fn sprint_budget(&self) -> Watts {
-        Watts(self.rated.0 * self.overload_degree)
+        Watts(self.plant.breaker.rated.0 * self.overload_degree)
     }
 }
 
@@ -100,6 +97,9 @@ pub struct SgctCommand {
 #[derive(Debug, Clone)]
 pub struct SgctPolicy {
     pub cfg: SgctConfig,
+    /// DVFS-aware (but fan/concavity-blind) estimator for the
+    /// uncontrolled variant, calibrated from the plant's server.
+    estimator: CalibratedRackEstimator,
     /// Time into the current overload/recovery cycle.
     phase_clock: Seconds,
     /// Ranking and probe storage reused across epochs: a steady-state
@@ -112,6 +112,7 @@ impl SgctPolicy {
     pub fn new(cfg: SgctConfig) -> Self {
         assert!(cfg.overload_degree > 1.0);
         SgctPolicy {
+            estimator: CalibratedRackEstimator::from_spec(&cfg.plant.server),
             cfg,
             phase_clock: Seconds::ZERO,
             ranking: CoreRanking::default(),
@@ -160,7 +161,7 @@ impl SgctPolicy {
         let ranked = self.ranking.rank(rack, ranking);
         let assignment = match self.cfg.variant {
             SgctVariant::Uncontrolled => {
-                let mut probe = EstimateProbe::new(self.cfg.estimator, rack, &mut self.probe);
+                let mut probe = EstimateProbe::new(self.estimator, rack, &mut self.probe);
                 cooperative_threshold(rack, ranked, self.cfg.f_nom, budget, false, &mut probe)
             }
             SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
@@ -174,9 +175,10 @@ impl SgctPolicy {
         // excess. The ideal variants hold the breaker a hair below rated
         // so it actually cools; uncontrolled SGCT routes sloppily against
         // its raw rating.
+        let rated = self.cfg.plant.breaker.rated.0;
         let recovery_cb = match self.cfg.variant {
-            SgctVariant::Uncontrolled => self.cfg.rated.0,
-            _ => self.cfg.rated.0 * self.cfg.ideal_recovery_margin,
+            SgctVariant::Uncontrolled => rated,
+            _ => rated * self.cfg.ideal_recovery_margin,
         };
         let ups_target = if overloading {
             match self.cfg.variant {
@@ -208,16 +210,10 @@ mod tests {
     use crate::game::rank_cores;
     use powersim::cpu::CoreRole;
     use powersim::rack::CoreId;
-    use powersim::server::ServerSpec;
     use powersim::units::Utilization;
 
     fn rack() -> Rack {
-        let mut rk = Rack::builder()
-            .server(ServerSpec::paper_default())
-            .num_servers(16)
-            .interactive_cores_per_server(4)
-            .build()
-            .expect("valid rack");
+        let mut rk = PlantSpec::paper_default().rack().expect("valid rack");
         for id in rk.cores_with_role(CoreRole::Interactive) {
             rk.set_util(id, Utilization(0.65));
         }
@@ -250,7 +246,7 @@ mod tests {
         let mut p = SgctPolicy::new(SgctConfig::paper_default(SgctVariant::Uncontrolled));
         let rk = rack();
         let cmd = p.step(Seconds(1.0), &rk, Watts(4000.0), Watts::ZERO);
-        let believed = p.cfg.estimator.estimate(&rk, &cmd.freqs);
+        let believed = p.estimator.estimate(&rk, &cmd.freqs);
         let truth = oracle_power(&rk, &cmd.freqs);
         assert!(believed.0 <= p.cfg.sprint_budget().0 + 1e-9);
         // Fan power at this load (hot day, near-saturated rack).

@@ -121,12 +121,8 @@ fn reference_walk(
 /// each (0 to all 8), its raw utilization lanes written from `utils`
 /// (cycled), so they may lie outside `[0, 1]`.
 fn random_rack(servers: usize, ipc_raw: usize, utils: &[f64]) -> Rack {
-    let mut rack = Rack::builder()
-        .server(ServerSpec::paper_default())
-        .num_servers(servers)
-        .interactive_cores_per_server(ipc_raw % 9)
-        .build()
-        .expect("valid rack");
+    let mut rack =
+        Rack::new(ServerSpec::paper_default(), servers, ipc_raw % 9).expect("valid rack");
     for role in [CoreRole::Interactive, CoreRole::Batch] {
         let offset = rack.role_range(role).start;
         for (k, u) in rack.role_mut(role).utils.iter_mut().enumerate() {

@@ -16,12 +16,7 @@ use sprintcon::{ServerPowerController, SprintConConfig};
 use sprintcon_bench::{banner, write_csv};
 
 fn rack(cfg: &SprintConConfig) -> Rack {
-    let mut rk = Rack::builder()
-        .server(cfg.server.clone())
-        .num_servers(cfg.num_servers)
-        .interactive_cores_per_server(cfg.interactive_cores_per_server)
-        .build()
-        .expect("paper config is a valid rack");
+    let mut rk = cfg.plant.rack().expect("paper config is a valid rack");
     for id in rk.cores_with_role(CoreRole::Interactive) {
         rk.set_util(id, Utilization(0.6));
     }
@@ -131,7 +126,7 @@ fn main() {
 
     banner("§V-C analysis: closed-loop pole, gain margin, timing contract");
     let cfg = SprintConConfig::paper_default();
-    let kappa = 60.0 * cfg.num_servers as f64; // aggregate model gain
+    let kappa = 60.0 * cfg.plant.num_servers as f64; // aggregate model gain
     let params = LoopParams {
         lp: cfg.mpc.lp,
         q: cfg.mpc.q,

@@ -16,12 +16,7 @@ use sprintcon::{ServerPowerController, SprintConConfig};
 use sprintcon_bench::{banner, write_csv};
 
 fn rack(cfg: &SprintConConfig) -> Rack {
-    let mut rk = Rack::builder()
-        .server(cfg.server.clone())
-        .num_servers(cfg.num_servers)
-        .interactive_cores_per_server(cfg.interactive_cores_per_server)
-        .build()
-        .expect("paper config is a valid rack");
+    let mut rk = cfg.plant.rack().expect("paper config is a valid rack");
     for id in rk.cores_with_role(CoreRole::Interactive) {
         rk.set_util(id, Utilization(0.6));
     }

@@ -15,21 +15,16 @@ use workloads::batch::BatchJob;
 use workloads::progress_model::ProgressModel;
 
 fn setup(cfg: &SprintConConfig) -> (Rack, Vec<BatchJob>) {
-    let mut rk = Rack::builder()
-        .server(cfg.server.clone())
-        .num_servers(cfg.num_servers)
-        .interactive_cores_per_server(cfg.interactive_cores_per_server)
-        .build()
-        .expect("paper config is a valid rack");
+    let mut rk = cfg.plant.rack().expect("paper config is a valid rack");
     for id in rk.cores_with_role(CoreRole::Interactive) {
         rk.set_util(id, Utilization(0.6));
     }
     for id in rk.cores_with_role(CoreRole::Batch) {
         rk.set_util(id, Utilization(0.95));
     }
-    let m = cfg.batch_cores_per_server();
+    let m = cfg.plant.batch_cores_per_server();
     let mut jobs = Vec::new();
-    for s in 0..cfg.num_servers {
+    for s in 0..cfg.plant.num_servers {
         for c in 0..m {
             let mut j = BatchJob::new(
                 format!("job-{s}-{c}"),

@@ -262,9 +262,9 @@ pub struct PowerLoadAllocator {
 
 impl PowerLoadAllocator {
     pub fn new(cfg: &SprintConConfig, batch_models: Vec<LinearServerModel>) -> Self {
-        assert_eq!(batch_models.len(), cfg.num_servers);
-        let fmin = cfg.server.freq_scale.min;
-        let fmax = cfg.server.freq_scale.max;
+        assert_eq!(batch_models.len(), cfg.plant.num_servers);
+        let fmin = cfg.plant.server.freq_scale.min;
+        let fmax = cfg.plant.server.freq_scale.max;
         let p_min: f64 = batch_models.iter().map(|m| m.predict(fmin).0).sum();
         let p_max: f64 = batch_models.iter().map(|m| m.predict(fmax).0).sum();
         let window_len = (cfg.allocator_period.0 / cfg.control_period.0)
@@ -274,7 +274,7 @@ impl PowerLoadAllocator {
         PowerLoadAllocator {
             scheduler,
             batch_models,
-            batch_cores_per_server: cfg.batch_cores_per_server(),
+            batch_cores_per_server: cfg.plant.batch_cores_per_server(),
             deficit_window: SlidingWindow::new(window_len),
             p_inter_est: 0.0,
             fb_bias: 0.0,
@@ -522,13 +522,13 @@ mod tests {
     }
 
     fn models(c: &SprintConConfig) -> Vec<LinearServerModel> {
-        (0..c.num_servers)
+        (0..c.plant.num_servers)
             .map(|_| LinearServerModel { k: 60.0, c: 78.0 })
             .collect()
     }
 
     fn jobs(c: &SprintConConfig, deadline: Seconds, work: f64) -> Vec<BatchJob> {
-        (0..c.total_batch_cores())
+        (0..c.plant.num_servers * c.plant.batch_cores_per_server())
             .map(|i| BatchJob::new(format!("j{i}"), ProgressModel::new(0.2), work, deadline))
             .collect()
     }

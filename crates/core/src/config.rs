@@ -1,25 +1,16 @@
 //! SprintCon configuration: every knob of §IV–§VI in one place.
 
-use powersim::breaker::BreakerSpec;
-use powersim::server::ServerSpec;
+use powersim::plant::{PlantError, PlantSpec};
 use powersim::units::{Seconds, Watts};
-use powersim::ups::UpsSpec;
 use sprint_control::mpc::MpcConfig;
 use workloads::batch::MAX_CONTROL_WEIGHT;
 
 /// Full system configuration.
 #[derive(Debug, Clone)]
 pub struct SprintConConfig {
-    /// Servers behind the breaker (§VI-A: 16).
-    pub num_servers: usize,
-    /// Interactive cores per server (§VI-A mixed placement: 4 of 8).
-    pub interactive_cores_per_server: usize,
-    /// Server hardware description.
-    pub server: ServerSpec,
-    /// Circuit breaker protecting the rack.
-    pub breaker: BreakerSpec,
-    /// UPS energy storage.
-    pub ups: UpsSpec,
+    /// The plant the controller is built for: its models are fitted to
+    /// `plant.server` and it budgets against `plant.breaker`.
+    pub plant: PlantSpec,
 
     // --- CB overload schedule (§IV-A) ---
     /// Overload degree during the overload state (1.25).
@@ -92,9 +83,6 @@ pub struct SprintConConfig {
     /// the sensor is declared stuck. Gaussian monitor noise makes exact
     /// repeats vanishingly rare on a healthy sensor.
     pub stuck_sensor_periods: u32,
-    /// Readings above this are physically implausible for the plant and
-    /// rejected as sensor spikes.
-    pub spike_reject_above: Watts,
     /// Sustained blind operation bound: if no trustworthy reading has
     /// arrived for this long, the sprint is ended outright.
     pub blind_sprint_end: Seconds,
@@ -103,17 +91,8 @@ pub struct SprintConConfig {
 /// Why a [`SprintConConfig`] failed validation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    NoServers,
-    /// Interactive cores must leave at least one batch core per server.
-    TooManyInteractiveCores {
-        interactive: usize,
-        cores: usize,
-    },
-    /// The DVFS ladder must span a finite range: `min < max`.
-    InvalidFreqScale {
-        min: f64,
-        max: f64,
-    },
+    /// The plant fails [`PlantSpec::validate`].
+    Plant(PlantError),
     /// The batch model's calibration utilization must lie in (0, 1].
     InvalidAssumedBatchUtil(f64),
     /// "overload degree must exceed 1".
@@ -154,17 +133,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::NoServers => write!(f, "at least one server is required"),
-            ConfigError::TooManyInteractiveCores { interactive, cores } => write!(
-                f,
-                "{interactive} interactive cores leave no batch core on a {cores}-core server"
-            ),
-            ConfigError::InvalidFreqScale { min, max } => {
-                write!(
-                    f,
-                    "frequency ladder must satisfy min < max, both finite, got {min}..{max}"
-                )
-            }
+            ConfigError::Plant(e) => write!(f, "plant: {e}"),
             ConfigError::InvalidAssumedBatchUtil(u) => {
                 write!(f, "assumed batch utilization must be in (0, 1], got {u}")
             }
@@ -228,14 +197,10 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl SprintConConfig {
-    /// The paper's evaluation setup (§VI-A), end to end.
+    /// The paper's knobs (§IV–§VI) for the paper's plant (§VI-A).
     pub fn paper_default() -> Self {
         SprintConConfig {
-            num_servers: 16,
-            interactive_cores_per_server: 4,
-            server: ServerSpec::paper_default(),
-            breaker: BreakerSpec::paper_default(),
-            ups: UpsSpec::paper_default(),
+            plant: PlantSpec::paper_default(),
             overload_degree: 1.25,
             overload_duration: Seconds(150.0),
             recovery_duration: Seconds(300.0),
@@ -255,52 +220,24 @@ impl SprintConConfig {
             measurement_hold_max: Seconds(5.0),
             guard_band_widen: 0.15,
             stuck_sensor_periods: 5,
-            // Twice the overloaded rack power: no legitimate reading of
-            // the §VI-A plant (≲ 5 kW) ever comes close.
-            spike_reject_above: Watts(8000.0),
             blind_sprint_end: Seconds(30.0),
         }
     }
 
-    /// Batch cores per server.
-    pub fn batch_cores_per_server(&self) -> usize {
-        self.server.num_cores - self.interactive_cores_per_server
-    }
-
-    /// Total batch cores on the rack.
-    pub fn total_batch_cores(&self) -> usize {
-        self.num_servers * self.batch_cores_per_server()
-    }
-
     /// Rated breaker power.
     pub fn rated(&self) -> Watts {
-        self.breaker.rated
+        self.plant.breaker.rated
     }
 
     /// Breaker power during the overload state.
     pub fn overloaded(&self) -> Watts {
-        Watts(self.breaker.rated.0 * self.overload_degree)
+        Watts(self.plant.breaker.rated.0 * self.overload_degree)
     }
 
     /// Check every structural constraint; [`crate::SprintCon::try_new`]
     /// calls this once at construction.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.num_servers == 0 {
-            return Err(ConfigError::NoServers);
-        }
-        if self.interactive_cores_per_server >= self.server.num_cores {
-            return Err(ConfigError::TooManyInteractiveCores {
-                interactive: self.interactive_cores_per_server,
-                cores: self.server.num_cores,
-            });
-        }
-        let ladder = self.server.freq_scale;
-        if !(ladder.min.0 < ladder.max.0 && ladder.min.0.is_finite() && ladder.max.0.is_finite()) {
-            return Err(ConfigError::InvalidFreqScale {
-                min: ladder.min.0,
-                max: ladder.max.0,
-            });
-        }
+        self.plant.validate().map_err(ConfigError::Plant)?;
         if !(self.assumed_batch_util > 0.0 && self.assumed_batch_util <= 1.0) {
             return Err(ConfigError::InvalidAssumedBatchUtil(
                 self.assumed_batch_util,
@@ -322,7 +259,7 @@ impl SprintConConfig {
         // Every weight the supervisor sets is at most MAX_CONTROL_WEIGHT,
         // and the MPC's penalty terms are 2·r_scale·weight on the
         // diagonal and −2·r_scale·weight·fmax in the linear term.
-        let fmax = ladder.max.0.abs().max(1.0);
+        let fmax = self.plant.server.freq_scale.max.0.abs().max(1.0);
         if !(2.0 * self.mpc.r_scale * MAX_CONTROL_WEIGHT * fmax).is_finite() {
             return Err(ConfigError::InvalidMpc(
                 "2·r_scale·MAX_CONTROL_WEIGHT·max(1, |freq_scale.max|) must be finite",
@@ -364,7 +301,7 @@ impl SprintConConfig {
             return Err(ConfigError::InvalidSocReserve(self.soc_reserve));
         }
         // The planned overload must stay under the trip curve with margin.
-        let trip = self.breaker.trip_time(self.overload_degree);
+        let trip = self.plant.breaker.trip_time(self.overload_degree);
         if self.overload_duration.0 > trip.0 {
             return Err(ConfigError::OverloadBeyondTripCurve {
                 planned: self.overload_duration,
@@ -392,11 +329,6 @@ impl SprintConConfig {
                 "stuck_sensor_periods must be at least 2",
             ));
         }
-        if self.spike_reject_above.0 <= self.overloaded().0 {
-            return Err(ConfigError::InvalidDegradedMode(
-                "spike_reject_above must exceed the planned overloaded power",
-            ));
-        }
         Ok(())
     }
 }
@@ -409,8 +341,7 @@ mod tests {
     fn paper_default_is_consistent() {
         let c = SprintConConfig::paper_default();
         c.validate().expect("paper default must validate");
-        assert_eq!(c.total_batch_cores(), 64);
-        assert_eq!(c.num_servers * c.interactive_cores_per_server, 64);
+        assert_eq!(c.plant, PlantSpec::paper_default());
         assert_eq!(c.rated(), Watts(3200.0));
         assert_eq!(c.overloaded(), Watts(4000.0));
     }
@@ -446,12 +377,6 @@ mod tests {
     fn rejects_inverted_degradation_ladder() {
         let mut c = SprintConConfig::paper_default();
         c.blind_sprint_end = Seconds(1.0); // < measurement_hold_max
-        assert!(matches!(
-            c.validate().unwrap_err(),
-            ConfigError::InvalidDegradedMode(_)
-        ));
-        let mut c = SprintConConfig::paper_default();
-        c.spike_reject_above = Watts(3000.0); // below overloaded power
         assert!(matches!(
             c.validate().unwrap_err(),
             ConfigError::InvalidDegradedMode(_)

@@ -34,7 +34,7 @@
 //! let jobs: Vec<BatchJob> = (0..n)
 //!     .map(|i| BatchJob::new(format!("job{i}"), ProgressModel::new(0.2), 300.0, Seconds(900.0)))
 //!     .collect();
-//! let utils = vec![Utilization(0.6); ctl.cfg.num_servers];
+//! let utils = vec![Utilization(0.6); ctl.cfg.plant.num_servers];
 //! let freqs = vec![1.0; n];
 //! let out = ctl.step(Seconds(1.0), SprintConInputs {
 //!     p_total: Watts(4100.0),

@@ -48,21 +48,23 @@ impl ServerPowerController {
     /// server of the rack shares one `ServerSpec` and each fit is a pure
     /// function of it, so each model is fitted once and copied.
     pub fn new(cfg: &SprintConConfig) -> Self {
-        let m = cfg.batch_cores_per_server();
+        let plant = &cfg.plant;
+        let m = plant.batch_cores_per_server();
         assert!(m > 0, "controller needs batch cores to actuate");
         let batch_model =
-            LinearServerModel::fit(&cfg.server, m, Utilization(cfg.assumed_batch_util));
-        let inter_model = InteractivePowerModel::fit(&cfg.server, cfg.interactive_cores_per_server);
-        let batch_models = vec![batch_model; cfg.num_servers];
-        let inter_models = vec![inter_model; cfg.num_servers];
-        let n = cfg.num_servers * m;
+            LinearServerModel::fit(&plant.server, m, Utilization(cfg.assumed_batch_util));
+        let inter_model =
+            InteractivePowerModel::fit(&plant.server, plant.interactive_cores_per_server);
+        let batch_models = vec![batch_model; plant.num_servers];
+        let inter_models = vec![inter_model; plant.num_servers];
+        let n = plant.num_servers * m;
         // Per-core gain: the server's K spread across its batch cores.
         let gains: Vec<f64> = batch_models
             .iter()
             .flat_map(|bm| std::iter::repeat_n(bm.k / m as f64, m))
             .collect();
-        let fmin = vec![cfg.server.freq_scale.min.0; n];
-        let fmax = vec![cfg.server.freq_scale.max.0; n];
+        let fmin = vec![plant.server.freq_scale.min.0; n];
+        let fmax = vec![plant.server.freq_scale.max.0; n];
         // Fallback PID: a scalar loop on the aggregate batch power, with
         // the plant gain Σk divided out so a unit error nudges the uniform
         // frequency by ~0.5 steps per period (conservative, well inside
@@ -72,8 +74,8 @@ impl ServerPowerController {
             kp: 0.5 / k_total,
             ki: 0.25 / k_total,
             kd: 0.0,
-            out_min: cfg.server.freq_scale.min.0,
-            out_max: cfg.server.freq_scale.max.0,
+            out_min: plant.server.freq_scale.min.0,
+            out_max: plant.server.freq_scale.max.0,
             period: cfg.control_period.0,
         });
         ServerPowerController {
@@ -81,8 +83,8 @@ impl ServerPowerController {
             inter_models,
             batch_models,
             batch_cores_per_server: m,
-            num_servers: cfg.num_servers,
-            ladder: SnapLadder::new(cfg.server.freq_scale),
+            num_servers: plant.num_servers,
+            ladder: SnapLadder::new(plant.server.freq_scale),
             fallback_pid,
             last_finite_p_fb: 0.0,
             fallback_was_active: false,
@@ -234,12 +236,7 @@ mod tests {
     }
 
     fn rack(c: &SprintConConfig) -> Rack {
-        Rack::builder()
-            .server(c.server.clone())
-            .num_servers(c.num_servers)
-            .interactive_cores_per_server(c.interactive_cores_per_server)
-            .build()
-            .expect("paper config is a valid rack")
+        c.plant.rack().expect("paper config is a valid rack")
     }
 
     fn interactive_utils(rack: &Rack) -> Vec<Utilization> {
@@ -331,7 +328,7 @@ mod tests {
     fn feedback_subtracts_interactive_model() {
         let c = cfg();
         let ctrl = ServerPowerController::new(&c);
-        let utils = vec![Utilization(0.5); c.num_servers];
+        let utils = vec![Utilization(0.5); c.plant.num_servers];
         let p_inter = ctrl.interactive_power(&utils);
         assert!(p_inter.0 > 0.0);
         let p_fb = ctrl.feedback_power(Watts(4000.0), &utils);
@@ -386,7 +383,7 @@ mod tests {
     fn nan_measurement_falls_back_to_pid_and_stays_in_range() {
         let c = cfg();
         let mut ctrl = ServerPowerController::new(&c);
-        let utils = vec![Utilization(0.5); c.num_servers];
+        let utils = vec![Utilization(0.5); c.plant.num_servers];
         let n = ctrl.num_channels();
         // Prime the fallback state with one healthy period.
         let healthy = ctrl.control(Watts(4200.0), &utils, Watts(1700.0), &vec![0.6; n]);
@@ -399,7 +396,10 @@ mod tests {
             assert!(d.iterations == 0 && d.kkt_residual.is_nan());
             assert!(d.freqs.iter().all(|f| f.is_finite()));
             for &f in &d.freqs {
-                let (lo, hi) = (c.server.freq_scale.min.0, c.server.freq_scale.max.0);
+                let (lo, hi) = (
+                    c.plant.server.freq_scale.min.0,
+                    c.plant.server.freq_scale.max.0,
+                );
                 assert!((lo - 1e-9..=hi + 1e-9).contains(&f), "f={f}");
             }
             assert!(ctrl.last_finite_p_fb.is_finite());
@@ -421,8 +421,8 @@ mod tests {
     fn interactive_model_is_monotone_in_utilization() {
         let c = cfg();
         let ctrl = ServerPowerController::new(&c);
-        let lo = ctrl.interactive_power(&vec![Utilization(0.2); c.num_servers]);
-        let hi = ctrl.interactive_power(&vec![Utilization(0.9); c.num_servers]);
+        let lo = ctrl.interactive_power(&vec![Utilization(0.2); c.plant.num_servers]);
+        let hi = ctrl.interactive_power(&vec![Utilization(0.9); c.plant.num_servers]);
         assert!(hi.0 > lo.0 + 500.0, "lo={lo} hi={hi}");
     }
 }

@@ -290,9 +290,9 @@ impl SprintCon {
         p_inter: Watts,
         inputs: &SprintConInputs<'_>,
     ) -> (Vec<f64>, Watts) {
-        let fmin = self.cfg.server.freq_scale.min;
-        let fmax = self.cfg.server.freq_scale.max.0;
-        let bpc = self.cfg.batch_cores_per_server() as f64;
+        let fmin = self.cfg.plant.server.freq_scale.min;
+        let fmax = self.cfg.plant.server.freq_scale.max.0;
+        let bpc = self.cfg.plant.batch_cores_per_server() as f64;
         let models = self.server_ctrl.batch_models();
         let n = self.server_ctrl.num_channels();
         let mut freqs = vec![fmin.0; n];
@@ -323,7 +323,7 @@ impl SprintCon {
             if f_want <= fmin.0 {
                 continue;
             }
-            let k = models[i / self.cfg.batch_cores_per_server()].k;
+            let k = models[i / self.cfg.plant.batch_cores_per_server()].k;
             if k <= 0.0 {
                 freqs[i] = f_want;
                 continue;
@@ -357,7 +357,9 @@ impl SprintCon {
             }
             if self.repeat_run >= self.cfg.stuck_sensor_periods {
                 Some("stuck_sensor")
-            } else if raw.0 > self.cfg.spike_reject_above.0 {
+            } else if raw.0 > 2.0 * self.cfg.overloaded().0 {
+                // Twice the overloaded rack power: no legitimate reading
+                // of the plant comes close.
                 Some("spike_rejected")
             } else {
                 None
@@ -578,7 +580,7 @@ impl SprintCon {
                 if queue_hot {
                     self.inter_freq = NormFreq::PEAK;
                 } else {
-                    let fmin = self.cfg.server.freq_scale.min;
+                    let fmin = self.cfg.plant.server.freq_scale.min;
                     let p_inter_est = p_inter.0.max(1.0);
                     let excess = p_use.0 - cap.0;
                     let scale = 1.0 - excess / p_inter_est;
@@ -609,7 +611,7 @@ impl SprintCon {
                 // Batch cores drop to the DVFS floor; interactive cores
                 // are throttled proportionally until the measured total
                 // fits the budget (feedback iterates every period).
-                let fmin = self.cfg.server.freq_scale.min;
+                let fmin = self.cfg.plant.server.freq_scale.min;
                 let batch_freqs = vec![fmin.0; self.server_ctrl.num_channels()];
                 let p_inter_est = p_inter.0.max(1.0);
                 let excess = p_use.0 - budget.0;
@@ -636,6 +638,7 @@ impl SprintCon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powersim::plant::PlantError;
     use workloads::batch::MAX_CONTROL_WEIGHT;
     use workloads::progress_model::ProgressModel;
 
@@ -669,7 +672,7 @@ mod tests {
         soc: f64,
         js: &[BatchJob],
     ) -> SprintConOutputs {
-        let utils = vec![Utilization(0.6); sc.cfg.num_servers];
+        let utils = vec![Utilization(0.6); sc.cfg.plant.num_servers];
         let freqs = vec![0.6; js.len()];
         sc.step(
             Seconds(1.0),
@@ -692,33 +695,16 @@ mod tests {
         // Each of these passes every other check, and would panic while
         // the server controller fits its models or builds its MPC and PID.
         let mut no_batch = cfg();
-        no_batch.interactive_cores_per_server = no_batch.server.num_cores;
+        no_batch.plant.interactive_cores_per_server = no_batch.plant.server.num_cores;
         let err = SprintCon::try_new(no_batch).err();
         assert!(matches!(
             err,
-            Some(ConfigError::TooManyInteractiveCores {
-                interactive: 8,
-                cores: 8
-            })
+            Some(ConfigError::Plant(PlantError::NoBatchCores {
+                cores_per_server: 8,
+                interactive: 8
+            }))
         ));
         assert!(err.unwrap().to_string().contains("no batch core"));
-        for (min, max) in [
-            (0.6, 0.6),
-            (1.0, 0.2),
-            (f64::NAN, 1.0),
-            (0.2, f64::INFINITY),
-        ] {
-            let mut c = cfg();
-            c.server.freq_scale.min = NormFreq(min);
-            c.server.freq_scale.max = NormFreq(max);
-            assert!(
-                matches!(
-                    SprintCon::try_new(c).err(),
-                    Some(ConfigError::InvalidFreqScale { .. })
-                ),
-                "{min}..{max}"
-            );
-        }
         for util in [0.0, f64::NAN, -0.5, 1.5] {
             let mut c = cfg();
             c.assumed_batch_util = util;
@@ -745,7 +731,7 @@ mod tests {
             ("r_scale = 1e308", |c| c.mpc.r_scale = 1e308),
             ("fmax = 2", |c| {
                 c.mpc.r_scale = f64::MAX / (2.0 * MAX_CONTROL_WEIGHT);
-                c.server.freq_scale.max = NormFreq(2.0);
+                c.plant.server.freq_scale.max = NormFreq(2.0);
             }),
         ];
         for (case, break_it) in mpc_cases {
@@ -777,7 +763,7 @@ mod tests {
         for fmax in [1.0, 2.0] {
             let with = |r_scale: f64| {
                 let mut c = cfg();
-                c.server.freq_scale.max = NormFreq(fmax);
+                c.plant.server.freq_scale.max = NormFreq(fmax);
                 c.mpc.r_scale = r_scale;
                 c
             };
@@ -971,7 +957,7 @@ mod tests {
         soc: f64,
     ) -> SprintConOutputs {
         let n = sc.server_controller().num_channels();
-        let utils = vec![Utilization(0.6); sc.cfg.num_servers];
+        let utils = vec![Utilization(0.6); sc.cfg.plant.num_servers];
         let freqs = vec![0.6; n];
         let js = jobs(n);
         sc.step(
@@ -1039,7 +1025,7 @@ mod tests {
     fn implausible_spikes_are_rejected_not_acted_on() {
         let mut sc = SprintCon::new(cfg());
         let healthy = step_with_p(&mut sc, Watts(4200.0), 0.1, true, 1.0);
-        // A 25 kW reading (above `spike_reject_above`) would demand a
+        // A 25 kW reading (above twice the overloaded power) would demand a
         // huge UPS discharge; instead the held value keeps the command
         // where the healthy one was.
         let spiked = step_with_p(&mut sc, Watts(25_000.0), 0.1, true, 1.0);
@@ -1078,7 +1064,7 @@ mod tests {
         queue: Option<QueueMeasurement>,
     ) -> SprintConOutputs {
         let n = sc.server_controller().num_channels();
-        let utils = vec![Utilization(0.6); sc.cfg.num_servers];
+        let utils = vec![Utilization(0.6); sc.cfg.plant.num_servers];
         let freqs = vec![0.6; n];
         let js = jobs(n);
         sc.step(
@@ -1161,7 +1147,7 @@ mod tests {
         // Light interactive load (~1.3 kW est.) leaves headroom under the
         // 3 kW cap beyond the batch floor; at util 0.6 the cap is fully
         // consumed and every core pins to fmin.
-        let utils = vec![Utilization(0.05); sc.cfg.num_servers];
+        let utils = vec![Utilization(0.05); sc.cfg.plant.num_servers];
         let freqs = vec![0.6; n];
         // Half the cores carry urgent work (short deadline, lots left),
         // half are relaxed — under a tight cap only the urgent half may
@@ -1200,7 +1186,7 @@ mod tests {
             },
         );
         assert_eq!(out.mode, SprintMode::GridCurtail);
-        let fmin = sc.cfg.server.freq_scale.min.0;
+        let fmin = sc.cfg.plant.server.freq_scale.min.0;
         let urgent_above: usize = out
             .batch_freqs
             .iter()

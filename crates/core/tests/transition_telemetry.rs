@@ -117,7 +117,7 @@ fn run_case(steps: &[Obs]) -> (SprintMode, MetricsSnapshot) {
     let cfg = SprintConConfig::paper_default();
     let mut sc = SprintCon::new(cfg);
     let n = sc.server_controller().num_channels();
-    let utils = vec![Utilization(0.6); sc.cfg.num_servers];
+    let utils = vec![Utilization(0.6); sc.cfg.plant.num_servers];
     let freqs = vec![0.6; n];
     let jobs: Vec<BatchJob> = (0..n)
         .map(|i| {

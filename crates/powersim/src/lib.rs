@@ -13,7 +13,7 @@
 //! * [`server`] — the nonlinear plant power model and the controller's
 //!   fitted linear models (Eq. (1)–(5) of the paper).
 //! * [`rack`] — a rack of servers as SoA slabs (batched stepping, role
-//!   views, builder) plus a noisy power monitor.
+//!   views) plus a noisy power monitor.
 //! * [`breaker`] — inverse-time circuit-breaker trip model (Fig. 2).
 //! * [`ups`] — UPS battery with duty-cycled discharge circuit.
 //! * [`battery_life`] — LFP cycle-life vs depth-of-discharge (§VII-D).
@@ -22,6 +22,8 @@
 //!   sprinting limiter of \[1\]/\[4\], behind Fig. 3's duty cycle).
 //! * [`fan`] — cooling-fan power disturbance (§V-A).
 //! * [`topology`] — breaker + UPS feed serving a rack (Fig. 4).
+//! * [`plant`] — the whole rack plant (servers, core split, breaker,
+//!   UPS) as one validated value that simulators and controllers share.
 //! * [`datacenter`] — feeder → PDU → rack tree with breakers on every
 //!   shared edge (the cross-rack headroom market's substrate).
 //! * [`noise`] — seeded noise sources used by the above.
@@ -40,6 +42,7 @@ pub mod fan;
 pub mod faults;
 pub mod grid;
 pub mod noise;
+pub mod plant;
 pub mod rack;
 pub mod server;
 pub mod supercap;
@@ -56,9 +59,8 @@ pub use grid::{
     ActiveGrid, GridEvent, GridEventKind, GridInjector, GridPlan, GridPlanError,
     StochasticGridEvent,
 };
-pub use rack::{
-    CoreId, PowerMonitor, Rack, RackBuilder, RackConfigError, RackState, RoleView, RoleViewMut,
-};
+pub use plant::{PlantError, PlantSpec};
+pub use rack::{CoreId, PowerMonitor, Rack, RackConfigError, RackState, RoleView, RoleViewMut};
 pub use server::{InteractivePowerModel, LinearServerModel, ServerSpec};
 pub use supercap::{HybridStorage, Supercap, SupercapSpec};
 pub use thermal::{periodic_sprint_duty, ThermalModel};

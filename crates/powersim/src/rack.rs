@@ -62,7 +62,7 @@ pub struct RackState {
     pub temp_c: Vec<f64>,
 }
 
-/// Why a rack configuration was rejected by [`RackBuilder::build`].
+/// Why [`Rack::new`] rejected a rack shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RackConfigError {
     /// At least one server is required.
@@ -94,99 +94,6 @@ impl std::fmt::Display for RackConfigError {
 }
 
 impl std::error::Error for RackConfigError {}
-
-/// Validated builder for [`Rack`], seeded with the paper's §VI-A rack
-/// (16 servers, 8 cores each, 4 interactive + 4 batch).
-///
-/// ```
-/// use powersim::rack::Rack;
-///
-/// let rack = Rack::builder()
-///     .num_servers(4)
-///     .interactive_cores_per_server(2)
-///     .build()
-///     .expect("valid rack");
-/// assert_eq!(rack.num_servers(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RackBuilder {
-    spec: ServerSpec,
-    num_servers: usize,
-    interactive_cores_per_server: usize,
-    thermal: ThermalModel,
-}
-
-impl RackBuilder {
-    /// Paper defaults (§VI-A).
-    pub fn new() -> Self {
-        RackBuilder {
-            spec: ServerSpec::paper_default(),
-            num_servers: 16,
-            interactive_cores_per_server: 4,
-            thermal: ThermalModel::server_class(),
-        }
-    }
-
-    pub fn server(mut self, spec: ServerSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    pub fn num_servers(mut self, n: usize) -> Self {
-        self.num_servers = n;
-        self
-    }
-
-    pub fn interactive_cores_per_server(mut self, n: usize) -> Self {
-        self.interactive_cores_per_server = n;
-        self
-    }
-
-    /// Per-server processor thermal model (die-temperature slab).
-    pub fn thermal(mut self, thermal: ThermalModel) -> Self {
-        self.thermal = thermal;
-        self
-    }
-
-    /// Validate and build the rack.
-    pub fn build(self) -> Result<Rack, RackConfigError> {
-        if self.num_servers == 0 {
-            return Err(RackConfigError::NoServers);
-        }
-        if self.spec.num_cores == 0 {
-            return Err(RackConfigError::NoCores);
-        }
-        if self.interactive_cores_per_server > self.spec.num_cores {
-            return Err(RackConfigError::InteractiveExceedsCores {
-                cores_per_server: self.spec.num_cores,
-                interactive: self.interactive_cores_per_server,
-            });
-        }
-        let n = self.num_servers;
-        let lanes = n * self.spec.num_cores;
-        let ambient = self.thermal.ambient_c;
-        let idle = self.spec.idle_watts;
-        Ok(Rack {
-            spec: self.spec,
-            num_servers: n,
-            interactive_per_server: self.interactive_cores_per_server,
-            thermal: self.thermal,
-            state: RackState {
-                freq: vec![NormFreq::PEAK.0; lanes],
-                util: vec![Utilization::IDLE.0; lanes],
-                power: vec![idle; n],
-                temp_c: vec![ambient; n],
-            },
-            scratch: Scratch::default(),
-        })
-    }
-}
-
-impl Default for RackBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Read-only view of one role's lanes: contiguous frequency/utilization
 /// slices, server-major (`per_server` lanes per server).
@@ -347,9 +254,43 @@ pub struct Rack {
 }
 
 impl Rack {
-    /// Start building a rack from the paper defaults.
-    pub fn builder() -> RackBuilder {
-        RackBuilder::new()
+    /// `num_servers` identical `spec` servers whose first
+    /// `interactive_cores_per_server` cores are interactive, every core
+    /// idle at peak frequency. [`crate::plant::PlantSpec::rack`] builds a
+    /// plant's rack.
+    pub fn new(
+        spec: ServerSpec,
+        num_servers: usize,
+        interactive_cores_per_server: usize,
+    ) -> Result<Self, RackConfigError> {
+        if num_servers == 0 {
+            return Err(RackConfigError::NoServers);
+        }
+        if spec.num_cores == 0 {
+            return Err(RackConfigError::NoCores);
+        }
+        if interactive_cores_per_server > spec.num_cores {
+            return Err(RackConfigError::InteractiveExceedsCores {
+                cores_per_server: spec.num_cores,
+                interactive: interactive_cores_per_server,
+            });
+        }
+        let thermal = ThermalModel::server_class();
+        let lanes = num_servers * spec.num_cores;
+        let state = RackState {
+            freq: vec![NormFreq::PEAK.0; lanes],
+            util: vec![Utilization::IDLE.0; lanes],
+            power: vec![spec.idle_watts; num_servers],
+            temp_c: vec![thermal.ambient_c; num_servers],
+        };
+        Ok(Rack {
+            spec,
+            num_servers,
+            interactive_per_server: interactive_cores_per_server,
+            thermal,
+            state,
+            scratch: Scratch::default(),
+        })
     }
 
     // -- geometry ------------------------------------------------------
@@ -929,7 +870,7 @@ mod tests {
     use super::*;
 
     fn paper_rack() -> Rack {
-        Rack::builder().build().expect("paper rack is valid")
+        Rack::new(ServerSpec::paper_default(), 16, 4).expect("paper rack is valid")
     }
 
     #[test]
@@ -1082,26 +1023,24 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates() {
-        assert!(matches!(
-            Rack::builder().num_servers(0).build().unwrap_err(),
+    fn new_rejects_impossible_rack_shapes() {
+        let paper = ServerSpec::paper_default;
+        assert_eq!(
+            Rack::new(paper(), 0, 4).unwrap_err(),
             RackConfigError::NoServers
-        ));
-        let err = Rack::builder()
-            .interactive_cores_per_server(9)
-            .build()
-            .unwrap_err();
+        );
+        let err = Rack::new(paper(), 16, 9).unwrap_err();
         assert!(matches!(
             err,
             RackConfigError::InteractiveExceedsCores { .. }
         ));
         assert!(err.to_string().contains("9 interactive cores"));
-        let mut spec = ServerSpec::paper_default();
+        let mut spec = paper();
         spec.num_cores = 0;
-        assert!(matches!(
-            Rack::builder().server(spec).build().unwrap_err(),
+        assert_eq!(
+            Rack::new(spec, 16, 0).unwrap_err(),
             RackConfigError::NoCores
-        ));
+        );
     }
 
     #[test]

@@ -107,12 +107,7 @@ proptest! {
         utils in proptest::collection::vec(0.0f64..=1.0, 32),
         freqs in proptest::collection::vec(0.2f64..=1.0, 32),
     ) {
-        let mut rack = Rack::builder()
-            .server(ServerSpec::paper_default())
-            .num_servers(4)
-            .interactive_cores_per_server(4)
-            .build()
-            .unwrap();
+        let mut rack = Rack::new(ServerSpec::paper_default(), 4, 4).unwrap();
         rack.set_freq_scale(FreqScale::continuous());
         for s in 0..4 {
             for c in 0..8 {
@@ -139,11 +134,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..64),
         wants in proptest::collection::vec(-0.5f64..=1.5, 1..64),
     ) {
-        let mut rack = Rack::builder()
-            .num_servers(servers)
-            .interactive_cores_per_server(ipc)
-            .build()
-            .unwrap();
+        let mut rack = Rack::new(ServerSpec::paper_default(), servers, ipc).unwrap();
         rack.set_freq_scale(match ladder {
             0 => FreqScale::paper_default(),
             1 => FreqScale::continuous(),

@@ -145,7 +145,10 @@ fn main() -> ExitCode {
     };
     let collector = Arc::new(Collector::new(sink));
     let rec: Recorder = telemetry::with_collector(Arc::clone(&collector), || {
-        let mut policy = args.policy.build();
+        let mut policy = args
+            .policy
+            .build_for(&scenario.plant(), &Default::default())
+            .expect("the paper knobs drive the paper plant");
         sim.run(policy.as_mut(), scenario.duration)
     });
     collector.flush();

@@ -62,7 +62,7 @@
 //! [`run_digest`] of a rack's output starts from its recorder's fold.
 
 use crate::exec::{par_map, run_digest, DigestBuilder, ExecConfig};
-use crate::experiment::RunOutput;
+use crate::experiment::{sprintcon_for, RunOutput};
 use crate::metrics::RunSummary;
 use crate::policy::SprintConPolicy;
 use crate::recorder::Recorder;
@@ -70,7 +70,7 @@ use crate::scenario::{Scenario, ScenarioError};
 use powersim::datacenter::{Datacenter, DatacenterTopology, TopologyError};
 use powersim::grid::GridInjector;
 use powersim::units::{Seconds, Watts};
-use sprintcon::{allocate_headroom_two_level_with, HeadroomBid, MarketWorkspace};
+use sprintcon::{allocate_headroom_two_level_with, ConfigError, HeadroomBid, MarketWorkspace};
 use std::sync::Arc;
 use telemetry::{Collector, MetricsSnapshot};
 
@@ -121,6 +121,8 @@ pub enum DcRecordMode {
 pub enum DcError {
     Scenario(ScenarioError),
     Topology(TopologyError),
+    /// SprintCon's knobs cannot drive the rack plant.
+    Config(ConfigError),
     /// A PDU's rating cannot even carry its member racks at rated draw.
     PduBelowRated {
         pdu: usize,
@@ -139,6 +141,7 @@ impl std::fmt::Display for DcError {
         match self {
             DcError::Scenario(e) => write!(f, "rack scenario: {e}"),
             DcError::Topology(e) => write!(f, "power tree: {e}"),
+            DcError::Config(e) => write!(f, "rack controller: {e}"),
             DcError::PduBelowRated {
                 pdu,
                 rating,
@@ -160,6 +163,7 @@ impl std::error::Error for DcError {
         match self {
             DcError::Scenario(e) => Some(e),
             DcError::Topology(e) => Some(e),
+            DcError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -250,16 +254,21 @@ pub struct DatacenterSim {
 }
 
 impl DatacenterSim {
-    /// Build every rack shard and the shared tree from the scenario.
+    /// Build every rack shard and the shared tree from the scenario: each
+    /// rack's SprintCon is built for its own scenario's plant, and each
+    /// edge budgets against its racks' breaker ratings.
     pub fn from_scenario(scenario: &DcScenario) -> Result<Self, DcError> {
         scenario.base.validate().map_err(DcError::Scenario)?;
         scenario.topo.validate().map_err(DcError::Topology)?;
         let num_racks = scenario.topo.num_racks();
         let mut shards = Vec::with_capacity(num_racks);
+        let mut rated = Vec::with_capacity(num_racks);
         for r in 0..num_racks {
+            let sc = scenario.rack_scenario(r);
+            rated.push(sc.breaker.rated.0);
             shards.push(RackShard {
-                sim: scenario.rack_scenario(r).build(),
-                policy: SprintConPolicy::paper_default(),
+                sim: sc.try_build().map_err(DcError::Scenario)?,
+                policy: sprintcon_for(&sc.plant(), &Default::default()).map_err(DcError::Config)?,
                 rec: Recorder::streaming(),
                 collector: None,
             });
@@ -271,11 +280,7 @@ impl DatacenterSim {
         let mut pdu_caps = Vec::with_capacity(scenario.topo.num_pdus());
         let mut rated_total = 0.0;
         for (p, pdu) in scenario.topo.pdus.iter().enumerate() {
-            let rated_sum: f64 = scenario
-                .topo
-                .racks_of_pdu(p)
-                .map(|r| shards[r].policy.inner().cfg.rated().0)
-                .sum();
+            let rated_sum: f64 = scenario.topo.racks_of_pdu(p).map(|r| rated[r]).sum();
             rated_total += rated_sum;
             if pdu.rating.0 < rated_sum {
                 return Err(DcError::PduBelowRated {
@@ -715,5 +720,23 @@ mod tests {
             .err()
             .expect("6 kW feeder cannot carry 2 racks rated 3.2 kW each");
         assert!(matches!(err, DcError::FeederBelowRated { .. }), "{err}");
+        // Racks behind breakers derated to 2,560 W: the same PDU carries
+        // them, and each edge budgets against the racks' own rating.
+        let mut base = quick_base(1);
+        base.breaker = powersim::breaker::BreakerSpec::calibrated(
+            Watts(2560.0),
+            1.25,
+            Seconds(150.0),
+            Seconds(300.0),
+        );
+        let topo = DatacenterTopology::uniform(1, 2, Watts(6000.0), Watts(8000.0)).unwrap();
+        let dc = DcScenario::new(base, topo).unwrap();
+        let sim = DatacenterSim::from_scenario(&dc).expect("6 kW carries 2 racks rated 2.56 kW");
+        assert_eq!(sim.feeder_budget(), Watts(8000.0 - 2.0 * 2560.0));
+        let out = sim.run(ExecConfig::sequential());
+        assert_eq!(out.pdu_caps, [Watts(6000.0 - 2.0 * 2560.0)]);
+        for rack in &out.racks {
+            assert_eq!(rack.summary.trips, 0, "a derated rack tripped");
+        }
     }
 }

@@ -178,13 +178,7 @@ impl RackSim {
     /// sites cannot wire mismatched plants.
     pub fn from_scenario(scenario: &Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
-        let rack = Rack::builder()
-            .server(scenario.server.clone())
-            .num_servers(scenario.num_servers)
-            .interactive_cores_per_server(scenario.interactive_cores_per_server)
-            .build()
-            // Scenario validation is strictly tighter than the rack's.
-            .expect("validated scenario implies a valid rack");
+        let rack = scenario.plant().rack().map_err(ScenarioError::Plant)?;
         let tier = match &scenario.workload {
             WorkloadSource::UtilTrace(dm) => {
                 // Same stream position the pre-redesign engine used:
@@ -314,6 +308,8 @@ impl RackSim {
         let dt = self.dt;
         let lag_alpha = af.actuator_lag.map(|tau| dt.0 / (dt.0 + tau.0));
         let quant = af.actuator_quantize;
+        // Every caller writes the shaped value through the ladder's
+        // `quantize`, which clamps it into `[min, max]`.
         let shape = move |cur: f64, want: f64| -> f64 {
             let mut f = if want.is_finite() { want } else { cur };
             if let Some(step) = quant {
@@ -324,13 +320,14 @@ impl RackSim {
             if let Some(a) = lag_alpha {
                 f = cur + (f - cur) * a;
             }
-            f.clamp(0.0, 1.0)
+            f
         };
         let faulty = af.any_actuator();
         match cmd {
             FreqCommand::RoleBased { interactive, batch } => {
                 let mut iv = self.rack.role_mut(CoreRole::Interactive);
-                if !faulty && interactive.0.is_finite() {
+                if !faulty {
+                    // A non-finite request holds every lane.
                     iv.fill_freq(*interactive);
                 } else {
                     for lane in 0..iv.len() {
@@ -726,6 +723,43 @@ mod tests {
             assert!(smp.cb_power.0 < 3450.0, "cb={}", smp.cb_power);
         }
         assert!(s.feed.breaker.trip_margin() < 0.5);
+    }
+
+    #[test]
+    fn actuation_holds_and_reaches_a_ladder_above_one() {
+        use powersim::faults::{FaultKind, FaultPlan};
+        let mut sc = Scenario::paper_default(42);
+        sc.server.freq_scale.max = NormFreq(1.2);
+        let lanes = |s: &RackSim| s.rack.state().freq.clone();
+        let mut s = sc.build();
+        let mut rec = Recorder::with_capacity(4);
+        let mut p = FixedPolicy::new(NormFreq(1.2), 1.2, Watts(1500.0));
+        s.step(&mut p, &mut rec);
+        assert!(lanes(&s).iter().all(|&f| f == 1.2), "{:?}", lanes(&s));
+        // A non-finite command holds every lane, even above 1.0 and even
+        // off the ladder (as ideal actuation can leave it).
+        s.rack.set_freq_unquantized(
+            powersim::rack::CoreId { server: 0, core: 0 },
+            NormFreq(1.13),
+        );
+        let before = lanes(&s);
+        p.interactive = NormFreq(f64::NAN);
+        p.batch = f64::NAN;
+        s.step(&mut p, &mut rec);
+        assert_eq!(lanes(&s), before);
+        // A lagging actuator approaches a 1.2 command instead of stopping
+        // at 1.0.
+        sc.disturbances.faults = FaultPlan::none().with_event(
+            Seconds(0.0),
+            Seconds(600.0),
+            FaultKind::ActuatorLag { tau: Seconds(1.0) },
+        );
+        let mut s = sc.build();
+        let mut p = FixedPolicy::new(NormFreq(1.2), 1.2, Watts(1500.0));
+        for _ in 0..4 {
+            s.step(&mut p, &mut rec);
+        }
+        assert!(lanes(&s).iter().all(|&f| f > 1.0), "{:?}", lanes(&s));
     }
 
     #[test]

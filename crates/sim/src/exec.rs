@@ -278,6 +278,12 @@ impl Campaign {
     /// Execute every scheduled run on `exec`'s workers; results in input
     /// order, bit-identical to [`Campaign::run_sequential`] (see the
     /// module docs for the contract).
+    ///
+    /// # Panics
+    ///
+    /// As [`crate::run_policy`] does, on the caller's thread: if a run's
+    /// scenario fails validation, or its policy's knobs cannot drive the
+    /// scenario's plant.
     pub fn run_with(&self, exec: ExecConfig) -> Vec<CampaignResult> {
         let mut entries: Vec<&CampaignEntry> = self.entries.iter().collect();
         par_map(&mut entries, exec.resolved_jobs(), |e| CampaignResult {

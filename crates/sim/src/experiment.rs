@@ -1,6 +1,9 @@
-//! Experiment harness: the §VII policies and the single-run body.
+//! Experiment harness: the §VII policies, their one builder, and the
+//! single-run body.
 //!
-//! [`run_policy`] runs one policy over one scenario with paper defaults;
+//! [`PolicyKind::build_for`] builds every policy for a plant: the run's
+//! scenario's in a run, each rack's on the floor. [`run_policy`] runs
+//! one policy over one scenario with the paper's knobs;
 //! [`crate::exec::Campaign`] runs many, with per-run overrides, in
 //! parallel, and with telemetry when its [`crate::ExecConfig`] asks for
 //! it. Both go through one internal body that runs the simulation and
@@ -13,6 +16,8 @@ use crate::metrics::RunSummary;
 use crate::policy::{Policy, SgctSimPolicy, SprintConPolicy};
 use crate::recorder::Recorder;
 use crate::scenario::Scenario;
+use powersim::plant::PlantSpec;
+use sprintcon::ConfigError;
 use std::sync::Arc;
 use telemetry::{Collector, MetricsSnapshot};
 
@@ -25,17 +30,19 @@ pub enum PolicyKind {
     SgctV2,
 }
 
-/// Configuration overrides applied when instantiating a policy, replacing
-/// the former hard-coded `paper_default()` calls. `None` fields keep the
-/// paper defaults.
+/// Knob overrides applied when building a policy; `None` fields keep the
+/// paper's knobs. The builder writes the run's plant into whichever
+/// config it builds, so an override changes knobs, never the plant.
+/// The configs are boxed: most runs take none, and held inline they
+/// would make every [`crate::CampaignEntry`] larger than 1 KiB.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyOverrides {
     /// Configuration for SprintCon runs.
-    pub sprintcon: Option<sprintcon::SprintConConfig>,
+    pub sprintcon: Option<Box<sprintcon::SprintConConfig>>,
     /// Configuration for the SGCT family. The `variant` field is forced
     /// to match the [`PolicyKind`] being built, so one override serves
     /// all three variants.
-    pub sgct: Option<baselines::SgctConfig>,
+    pub sgct: Option<Box<baselines::SgctConfig>>,
 }
 
 impl PolicyKind {
@@ -55,41 +62,59 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiate a fresh policy with the paper's configuration.
-    pub fn build(&self) -> Box<dyn Policy> {
-        self.build_with(&PolicyOverrides::default())
+    /// Build a fresh policy for `plant`, with the knobs of `overrides`
+    /// where given and the paper's otherwise. Fails if the plant is
+    /// invalid or the knobs cannot drive it: a breaker that trips before
+    /// SprintCon's planned overload ends is
+    /// [`ConfigError::OverloadBeyondTripCurve`], and an SGCT overload
+    /// degree of at most 1 is [`ConfigError::NonOverloadDegree`].
+    pub fn build_for(
+        &self,
+        plant: &PlantSpec,
+        overrides: &PolicyOverrides,
+    ) -> Result<Box<dyn Policy>, ConfigError> {
+        let variant = match self {
+            PolicyKind::SprintCon => return Ok(Box::new(sprintcon_for(plant, overrides)?)),
+            PolicyKind::Sgct => baselines::SgctVariant::Uncontrolled,
+            PolicyKind::SgctV1 => baselines::SgctVariant::V1Ideal,
+            PolicyKind::SgctV2 => baselines::SgctVariant::V2InteractivePriority,
+        };
+        plant.validate().map_err(ConfigError::Plant)?;
+        let mut cfg = overrides
+            .sgct
+            .as_deref()
+            .cloned()
+            .unwrap_or_else(|| baselines::SgctConfig::paper_default(variant));
+        cfg.variant = variant;
+        cfg.plant = plant.clone();
+        if cfg.overload_degree.is_nan() || cfg.overload_degree <= 1.0 {
+            return Err(ConfigError::NonOverloadDegree(cfg.overload_degree));
+        }
+        Ok(Box::new(SgctSimPolicy::with_config(cfg)))
     }
 
-    /// Instantiate a fresh policy, taking configuration from `overrides`
-    /// where provided.
+    /// [`PolicyKind::build_for`] on the paper plant, panicking if the
+    /// knobs cannot drive it.
     pub fn build_with(&self, overrides: &PolicyOverrides) -> Box<dyn Policy> {
-        match self {
-            PolicyKind::SprintCon => {
-                let cfg = overrides
-                    .sprintcon
-                    .clone()
-                    .unwrap_or_else(sprintcon::SprintConConfig::paper_default);
-                Box::new(SprintConPolicy::new(cfg))
-            }
-            PolicyKind::Sgct | PolicyKind::SgctV1 | PolicyKind::SgctV2 => {
-                let variant = match self {
-                    PolicyKind::Sgct => baselines::SgctVariant::Uncontrolled,
-                    PolicyKind::SgctV1 => baselines::SgctVariant::V1Ideal,
-                    PolicyKind::SgctV2 => baselines::SgctVariant::V2InteractivePriority,
-                    PolicyKind::SprintCon => unreachable!(),
-                };
-                let cfg = match &overrides.sgct {
-                    Some(c) => {
-                        let mut c = c.clone();
-                        c.variant = variant;
-                        c
-                    }
-                    None => baselines::SgctConfig::paper_default(variant),
-                };
-                Box::new(SgctSimPolicy::with_config(cfg))
-            }
-        }
+        self.build_for(&PlantSpec::paper_default(), overrides)
+            .unwrap_or_else(|e| panic!("invalid {} config: {e}", self.name()))
     }
+}
+
+/// The SprintCon arm of [`PolicyKind::build_for`], which the floor
+/// also calls for each rack.
+pub(crate) fn sprintcon_for(
+    plant: &PlantSpec,
+    overrides: &PolicyOverrides,
+) -> Result<SprintConPolicy, ConfigError> {
+    let mut cfg = overrides
+        .sprintcon
+        .as_deref()
+        .cloned()
+        .unwrap_or_else(sprintcon::SprintConConfig::paper_default);
+    cfg.plant = plant.clone();
+    cfg.validate()?;
+    Ok(SprintConPolicy::new(cfg))
 }
 
 /// Everything one policy run produces.
@@ -128,7 +153,9 @@ pub(crate) fn run_instrumented(
 ) -> RunOutput {
     let ((recorder, summary), metrics) = traced(telemetry, || {
         let mut sim = scenario.build();
-        let mut policy = kind.build_with(overrides);
+        let mut policy = kind
+            .build_for(&scenario.plant(), overrides)
+            .unwrap_or_else(|e| panic!("{} cannot drive the scenario's plant: {e}", kind.name()));
         let recorder = sim.run(policy.as_mut(), scenario.duration);
         let summary = RunSummary::from_run(kind.name(), &sim, &recorder);
         (recorder, summary)
@@ -140,9 +167,15 @@ pub(crate) fn run_instrumented(
     }
 }
 
-/// Run one policy over one scenario end to end with paper defaults and
-/// no telemetry. A [`crate::exec::Campaign`] runs with overrides, in
+/// Run one policy over one scenario end to end with the paper's knobs
+/// and no telemetry. A [`crate::exec::Campaign`] runs with overrides, in
 /// parallel or traced.
+///
+/// # Panics
+///
+/// If the scenario fails [`Scenario::validate`], or if the policy's
+/// knobs cannot drive the scenario's plant (the [`ConfigError`] of
+/// [`PolicyKind::build_for`]).
 pub fn run_policy(scenario: &Scenario, kind: PolicyKind) -> RunOutput {
     run_instrumented(scenario, kind, &PolicyOverrides::default(), false)
 }
@@ -199,9 +232,9 @@ mod tests {
         // An SGCT override configured for the wrong variant still builds
         // the kind that was asked for.
         let overrides = PolicyOverrides {
-            sgct: Some(baselines::SgctConfig::paper_default(
+            sgct: Some(Box::new(baselines::SgctConfig::paper_default(
                 baselines::SgctVariant::Uncontrolled,
-            )),
+            ))),
             ..Default::default()
         };
         let p = PolicyKind::SgctV1.build_with(&overrides);
@@ -212,7 +245,7 @@ mod tests {
         let mut cfg = sprintcon::SprintConConfig::paper_default();
         cfg.t_burst = Seconds(30.0);
         let overrides = PolicyOverrides {
-            sprintcon: Some(cfg),
+            sprintcon: Some(Box::new(cfg)),
             ..Default::default()
         };
         let mut sc = Scenario::paper_default(3);
@@ -231,6 +264,66 @@ mod tests {
             .unwrap()
             .p_cb_target
             .is_some());
+    }
+
+    #[test]
+    fn every_policy_is_built_for_the_scenarios_plant() {
+        // Eight servers behind the paper breaker: SprintCon's controller
+        // drives 32 batch cores here, not the paper rack's 64.
+        let sc = Scenario::builder(7)
+            .duration(Seconds(300.0))
+            .deadline(Seconds(240.0))
+            .num_servers(8)
+            .build()
+            .expect("an 8-server rack is a valid scenario");
+        for kind in PolicyKind::ALL {
+            assert_eq!(run_policy(&sc, kind).summary.trips, 0, "{}", kind.name());
+        }
+        // An override sets knobs; the builder writes the plant over its
+        // copy, so the paper plant's config runs the 8-server rack.
+        let overrides = PolicyOverrides {
+            sprintcon: Some(Box::new(sprintcon::SprintConConfig::paper_default())),
+            ..Default::default()
+        };
+        let out = Campaign::new()
+            .add_with("paper knobs", sc.clone(), PolicyKind::SprintCon, overrides)
+            .run_sequential()
+            .remove(0)
+            .output;
+        assert_eq!(
+            crate::run_digest(&out),
+            crate::run_digest(&run_policy(&sc, PolicyKind::SprintCon))
+        );
+        // A breaker that trips after 100 s at 1.25× cannot carry
+        // SprintCon's 150 s overload plan; SGCT plans no such window.
+        let mut plant = sc.plant();
+        plant.breaker = powersim::breaker::BreakerSpec::calibrated(
+            powersim::units::Watts(3200.0),
+            1.25,
+            Seconds(100.0),
+            Seconds(300.0),
+        );
+        let none = PolicyOverrides::default();
+        let err = PolicyKind::SprintCon.build_for(&plant, &none).err();
+        assert!(
+            matches!(err, Some(ConfigError::OverloadBeyondTripCurve { .. })),
+            "{err:?}"
+        );
+        assert!(PolicyKind::Sgct.build_for(&plant, &none).is_ok());
+        let mut sgct = baselines::SgctConfig::paper_default(baselines::SgctVariant::Uncontrolled);
+        sgct.overload_degree = 1.0;
+        let knobs = PolicyOverrides {
+            sgct: Some(Box::new(sgct)),
+            ..Default::default()
+        };
+        let err = PolicyKind::SgctV2.build_for(&plant, &knobs).err();
+        assert!(
+            matches!(err, Some(ConfigError::NonOverloadDegree(_))),
+            "{err:?}"
+        );
+        plant.num_servers = 0;
+        let err = PolicyKind::SgctV1.build_for(&plant, &none).err();
+        assert!(matches!(err, Some(ConfigError::Plant(_))), "{err:?}");
     }
 
     #[test]

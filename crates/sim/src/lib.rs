@@ -17,8 +17,9 @@
 //! * [`recorder`] — per-period samples, run aggregates, CSV export.
 //! * [`metrics`] — run summaries (avg frequencies, DoD, deadlines, …).
 //! * [`mode`] — the shared [`mode::ModeLabel`] vocabulary for policy modes.
-//! * [`experiment`] — the §VII policy kinds and [`run_policy`], the
-//!   untraced single-run entry point.
+//! * [`experiment`] — the §VII policy kinds, the one builder that
+//!   builds each for a plant ([`PolicyKind::build_for`]), and
+//!   [`run_policy`], the untraced single-run entry point.
 //! * [`exec`] — the parallel execution layer: [`exec::par_map`], the
 //!   one order-preserving scoped map behind all parallel work, and
 //!   [`exec::Campaign`], which fans scenario × policy runs through it

@@ -168,12 +168,8 @@ pub struct SgctSimPolicy {
 }
 
 impl SgctSimPolicy {
-    pub fn new(variant: baselines::SgctVariant) -> Self {
-        Self::with_config(baselines::SgctConfig::paper_default(variant))
-    }
-
-    /// Build from an explicit configuration (the experiment harness'
-    /// override path).
+    /// Build from an explicit configuration; [`crate::PolicyKind::build_for`]
+    /// writes the run's plant into it.
     pub fn with_config(cfg: baselines::SgctConfig) -> Self {
         let name = match cfg.variant {
             baselines::SgctVariant::Uncontrolled => "SGCT",
@@ -184,10 +180,6 @@ impl SgctSimPolicy {
             policy: baselines::SgctPolicy::new(cfg),
             name,
         }
-    }
-
-    pub fn variant(&self) -> baselines::SgctVariant {
-        self.policy.cfg.variant
     }
 }
 
@@ -206,7 +198,7 @@ impl Policy for SgctSimPolicy {
             p_cb_target: Some(if cmd.overloading {
                 self.policy.cfg.sprint_budget()
             } else {
-                self.policy.cfg.rated
+                self.policy.cfg.plant.breaker.rated
             }),
             p_batch_target: None,
             mode_label: if cmd.overloading {
@@ -283,20 +275,17 @@ mod tests {
     }
 
     #[test]
-    fn sgct_adapters_have_distinct_names() {
-        let a = SgctSimPolicy::new(baselines::SgctVariant::Uncontrolled);
-        let b = SgctSimPolicy::new(baselines::SgctVariant::V1Ideal);
-        let c = SgctSimPolicy::new(baselines::SgctVariant::V2InteractivePriority);
-        assert_eq!(a.name(), "SGCT");
-        assert_eq!(b.name(), "SGCT-V1");
-        assert_eq!(c.name(), "SGCT-V2");
+    fn every_kind_builds_the_adapter_it_names() {
+        for kind in crate::PolicyKind::ALL {
+            assert_eq!(kind.build_with(&Default::default()).name(), kind.name());
+        }
     }
 
     #[test]
     fn sgct_policy_runs_in_the_engine() {
         let mut sim = Scenario::paper_default(7).build();
-        let mut p = SgctSimPolicy::new(baselines::SgctVariant::V1Ideal);
-        let rec = sim.run(&mut p, Seconds(30.0));
+        let mut p = crate::PolicyKind::SgctV1.build_with(&Default::default());
+        let rec = sim.run(p.as_mut(), Seconds(30.0));
         let last = rec.samples().last().unwrap();
         // Overload phase at the start: budget 4 kW; the ideal variant
         // only shaves the plan-vs-plant residual with the UPS.

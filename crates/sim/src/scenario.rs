@@ -12,6 +12,7 @@ use crate::engine::RackSim;
 use powersim::breaker::BreakerSpec;
 use powersim::faults::FaultPlan;
 use powersim::grid::{GridPlan, GridPlanError};
+use powersim::plant::{PlantError, PlantSpec};
 use powersim::server::ServerSpec;
 use powersim::units::Seconds;
 use powersim::ups::UpsSpec;
@@ -69,18 +70,8 @@ pub enum ScenarioError {
         deadline: Seconds,
         duration: Seconds,
     },
-    /// At least one server is required.
-    NoServers,
-    /// Interactive cores must leave at least one batch core per server.
-    NoBatchCores {
-        cores_per_server: usize,
-        interactive: usize,
-    },
-    /// The breaker cannot even carry the fleet's idle draw.
-    BreakerBelowIdle {
-        rated: powersim::units::Watts,
-        idle: powersim::units::Watts,
-    },
+    /// The plant fails [`PlantSpec::validate`].
+    Plant(PlantError),
     /// Job scaling must be positive and finite.
     InvalidJobScale(f64),
     /// Monitor noise parameters must be finite and non-negative.
@@ -123,19 +114,7 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "batch deadline {deadline} exceeds run duration {duration}"
             ),
-            ScenarioError::NoServers => write!(f, "scenario needs at least one server"),
-            ScenarioError::NoBatchCores {
-                cores_per_server,
-                interactive,
-            } => write!(
-                f,
-                "{interactive} interactive cores leave no batch cores on a \
-                 {cores_per_server}-core server"
-            ),
-            ScenarioError::BreakerBelowIdle { rated, idle } => write!(
-                f,
-                "breaker rated at {rated} cannot carry the fleet's idle draw of {idle}"
-            ),
+            ScenarioError::Plant(e) => write!(f, "plant: {e}"),
             ScenarioError::InvalidJobScale(s) => {
                 write!(f, "job_scale must be positive and finite, got {s}")
             }
@@ -175,7 +154,8 @@ pub struct Scenario {
     /// trace ([`WorkloadSource::UtilTrace`], today's behavior) or the
     /// open-loop request-queueing model ([`WorkloadSource::OpenLoop`]).
     pub workload: WorkloadSource,
-    /// Plant description.
+    /// Plant description, one field per [`PlantSpec`] field; read it
+    /// whole through [`Scenario::plant`].
     pub server: ServerSpec,
     pub num_servers: usize,
     pub interactive_cores_per_server: usize,
@@ -213,15 +193,16 @@ impl Scenario {
         self
     }
 
-    /// Batch cores per server.
-    pub fn batch_cores_per_server(&self) -> usize {
-        self.server.num_cores - self.interactive_cores_per_server
-    }
-
-    /// Approximate idle draw of the fleet (used by validation to reject
-    /// breakers that could never close).
-    fn idle_power(&self) -> powersim::units::Watts {
-        powersim::units::Watts(self.server.idle_watts * self.num_servers as f64)
+    /// The plant this scenario runs, as one value: the rack is built
+    /// from it, and every policy is built for it.
+    pub fn plant(&self) -> PlantSpec {
+        PlantSpec {
+            server: self.server.clone(),
+            num_servers: self.num_servers,
+            interactive_cores_per_server: self.interactive_cores_per_server,
+            breaker: self.breaker,
+            ups: self.ups,
+        }
     }
 
     /// Check every structural constraint; [`ScenarioBuilder::build`] and
@@ -243,22 +224,7 @@ impl Scenario {
         if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
             return Err(ScenarioError::InvalidDeadline(self.deadline.0));
         }
-        if self.num_servers == 0 {
-            return Err(ScenarioError::NoServers);
-        }
-        if self.interactive_cores_per_server >= self.server.num_cores {
-            return Err(ScenarioError::NoBatchCores {
-                cores_per_server: self.server.num_cores,
-                interactive: self.interactive_cores_per_server,
-            });
-        }
-        let idle = self.idle_power();
-        if self.breaker.rated.0 < idle.0 {
-            return Err(ScenarioError::BreakerBelowIdle {
-                rated: self.breaker.rated,
-                idle,
-            });
-        }
+        self.plant().validate().map_err(ScenarioError::Plant)?;
         if !(self.job_scale > 0.0 && self.job_scale.is_finite()) {
             return Err(ScenarioError::InvalidJobScale(self.job_scale));
         }
@@ -276,7 +242,7 @@ impl Scenario {
 
     /// Build the batch jobs (rack batch-core order: server-major).
     pub fn build_jobs(&self) -> Vec<BatchJob> {
-        let mix = paper_batch_mix(self.num_servers, self.batch_cores_per_server());
+        let mix = paper_batch_mix(self.num_servers, self.plant().batch_cores_per_server());
         let mut jobs = Vec::new();
         for server_profiles in mix {
             for profile in server_profiles {
@@ -329,6 +295,7 @@ pub struct ScenarioBuilder {
 impl ScenarioBuilder {
     /// Paper defaults (§VI-A) under the given seed.
     pub fn new(seed: u64) -> Self {
+        let plant = PlantSpec::paper_default();
         ScenarioBuilder {
             inner: Scenario {
                 seed,
@@ -337,11 +304,11 @@ impl ScenarioBuilder {
                 deadline: Seconds::minutes(12.0),
                 job_scale: 0.9,
                 workload: WorkloadSource::paper_default(),
-                server: ServerSpec::paper_default(),
-                num_servers: 16,
-                interactive_cores_per_server: 4,
-                breaker: BreakerSpec::paper_default(),
-                ups: UpsSpec::paper_default(),
+                server: plant.server,
+                num_servers: plant.num_servers,
+                interactive_cores_per_server: plant.interactive_cores_per_server,
+                breaker: plant.breaker,
+                ups: plant.ups,
                 disturbances: Disturbances::paper_default(),
                 grid: GridPlan::none(),
                 // §VI-A: "the batch workloads are processed repeatedly and
@@ -455,7 +422,6 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
     use powersim::cpu::CoreRole;
-    use powersim::units::Watts;
 
     #[test]
     fn paper_scenario_builds_the_documented_plant() {
@@ -531,29 +497,22 @@ mod tests {
             Scenario::builder(1).dt(Seconds(0.0)).build().unwrap_err(),
             ScenarioError::NonPositiveDt(_)
         ));
-        assert!(matches!(
-            Scenario::builder(1).num_servers(0).build().unwrap_err(),
-            ScenarioError::NoServers
-        ));
-        assert!(matches!(
-            Scenario::builder(1)
-                .interactive_cores_per_server(8)
-                .build()
-                .unwrap_err(),
-            ScenarioError::NoBatchCores { .. }
-        ));
-        assert!(matches!(
-            Scenario::builder(1)
-                .breaker(BreakerSpec::calibrated(
-                    Watts(100.0),
-                    1.25,
-                    Seconds(150.0),
-                    Seconds(300.0)
-                ))
-                .build()
-                .unwrap_err(),
-            ScenarioError::BreakerBelowIdle { .. }
-        ));
+        // `PlantSpec::validate` checks each plant constraint; a broken
+        // ladder, which only SprintCon's config used to catch, included.
+        let mut server = ServerSpec::paper_default();
+        server.freq_scale.max = server.freq_scale.min;
+        let err = Scenario::builder(1).server(server).build().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ScenarioError::Plant(PlantError::InvalidFreqScale { .. })
+            ),
+            "{err}"
+        );
+        assert!(
+            err.to_string().starts_with("plant: frequency ladder"),
+            "{err}"
+        );
         assert!(matches!(
             Scenario::builder(1).job_scale(0.0).build().unwrap_err(),
             ScenarioError::InvalidJobScale(_)

@@ -40,6 +40,16 @@ echo "==> cargo doc --no-deps (deny rustdoc warnings)"
 # Broken intra-doc links and malformed examples rot silently otherwise.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${OFFLINE[@]}" -q
 
+echo "==> cargo check the benchmark package"
+# benchmark/ is its own workspace over the library crates; a library
+# change that breaks one of its calls must fail here, not in the
+# pipeline's benchmark run. Building it rewrites benchmark/Cargo.lock,
+# which still lists a deleted shim, so the committed lock is restored.
+lock_backup=$(mktemp)
+cp benchmark/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
+cargo check "${OFFLINE[@]}" --manifest-path benchmark/Cargo.toml --all-targets
+
 echo "==> cargo test --doc"
 # Doctests don't run under `cargo test --workspace -q` below for the
 # crates that restrict test targets, so run them explicitly: README and

@@ -208,12 +208,7 @@ fn model_error_within_certified_stability_band() {
     let k_model: f64 = ctrl.batch_models().iter().map(|m| m.k).sum();
     // Plant aggregate gain: finite-difference of true power in the mean
     // batch frequency around mid-range.
-    let mut rack = powersim::rack::Rack::builder()
-        .server(cfg.server.clone())
-        .num_servers(cfg.num_servers)
-        .interactive_cores_per_server(cfg.interactive_cores_per_server)
-        .build()
-        .expect("paper config is a valid rack");
+    let mut rack = cfg.plant.rack().expect("paper config is a valid rack");
     for id in rack.cores_with_role(powersim::cpu::CoreRole::Batch) {
         rack.set_util(id, Utilization(0.95));
     }

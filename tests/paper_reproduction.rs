@@ -2,9 +2,12 @@
 //! campaign (`simkit::paper`) runs once per test binary, and each
 //! figure's test checks that figure's rows of the claims table, which
 //! `paper_figures` prints. The remaining tests run other scenarios: a
-//! scaled rack, two seeds, and a short V1 run for energy conservation.
+//! scaled and a derated rack, two seeds, and a short V1 run for energy
+//! conservation.
 
-use powersim::units::Seconds;
+use powersim::breaker::BreakerSpec;
+use powersim::units::{Seconds, WattHours, Watts};
+use powersim::ups::UpsSpec;
 use simkit::paper::{Claim, Figure, PaperCampaign};
 use simkit::{run_policy, ExecConfig, PolicyKind, Scenario};
 use std::sync::OnceLock;
@@ -50,42 +53,59 @@ fn fig8b_sprintcon_discharges_least() {
     assert_claims_hold(Figure::Fig8b);
 }
 
-/// The headline comparison on a scaled rack (8 servers, proportionally
-/// scaled breaker/UPS), full 15 minutes: SprintCon meets deadlines with
-/// far less stored energy than the ideal baselines and no trips.
+/// The headline on two plants other than the paper rack, each policy
+/// built by `run_policy` from the scenario alone:
+/// * a scaled rack (8 servers, proportionally scaled breaker and UPS),
+///   full 15 minutes: SprintCon meets every deadline on less stored
+///   energy than either ideal baseline;
+/// * the paper rack behind a breaker derated to 80% (2,560 W), 300 s.
+///
+/// On both, SprintCon and the ideal baselines never trip (§VI-B), and
+/// uncontrolled SGCT does (Fig. 5).
 #[test]
 fn scaled_rack_headline_ordering() {
-    let scenario = Scenario::builder(2019)
+    let breaker =
+        |rated| BreakerSpec::calibrated(Watts(rated), 1.25, Seconds(150.0), Seconds(300.0));
+    let scaled = Scenario::builder(2019)
         .num_servers(8)
-        .breaker(powersim::breaker::BreakerSpec::calibrated(
-            powersim::units::Watts(1600.0),
-            1.25,
-            Seconds(150.0),
-            Seconds(300.0),
-        ))
-        .ups(powersim::ups::UpsSpec {
-            capacity: powersim::units::WattHours(200.0),
-            max_discharge: powersim::units::Watts(2400.0),
-            ..powersim::ups::UpsSpec::paper_default()
+        .breaker(breaker(1600.0))
+        .ups(UpsSpec {
+            capacity: WattHours(200.0),
+            max_discharge: Watts(2400.0),
+            ..UpsSpec::paper_default()
         })
         .build()
         .expect("scaled rack is a valid scenario");
-    // SprintCon needs a matching plant description.
-    let (_, sc) = {
-        let mut sim = scenario.build();
-        let mut cfg = sprintcon::SprintConConfig::paper_default();
-        cfg.num_servers = 8;
-        cfg.breaker = scenario.breaker;
-        cfg.ups = scenario.ups;
-        let mut policy = simkit::SprintConPolicy::new(cfg);
-        let rec = sim.run(&mut policy, scenario.duration);
-        let s = simkit::RunSummary::from_run("SprintCon", &sim, &rec);
-        (rec, s)
-    };
-    assert_eq!(sc.trips, 0, "no trips on the scaled rack");
-    assert_eq!(sc.deadlines_met, sc.deadlines_total);
-    assert!((sc.avg_freq_interactive - 1.0).abs() < 1e-9);
-    assert!(sc.dod < 0.5, "stored energy stays bounded: {}", sc.dod);
+    let derated = Scenario::builder(7)
+        .duration(Seconds(300.0))
+        .deadline(Seconds(240.0))
+        .breaker(breaker(2560.0))
+        .build()
+        .expect("derated rack is a valid scenario");
+    for (rack, scenario) in [("scaled", &scaled), ("derated", &derated)] {
+        let [sprintcon, sgct, v1, v2] = PolicyKind::ALL.map(|k| run_policy(scenario, k).summary);
+        assert_eq!(sprintcon.trips, 0, "{rack}: SprintCon tripped");
+        assert_eq!(
+            (v1.trips, v2.trips),
+            (0, 0),
+            "{rack}: an ideal baseline tripped"
+        );
+        assert!(sgct.trips > 0, "{rack}: uncontrolled SGCT did not trip");
+        assert!(
+            (sprintcon.avg_freq_interactive - 1.0).abs() < 1e-9,
+            "{rack}"
+        );
+        if rack == "scaled" {
+            assert_eq!(sprintcon.deadlines_met, sprintcon.deadlines_total);
+            assert!(
+                sprintcon.max_dod < v1.max_dod.min(v2.max_dod) && sprintcon.dod < 0.5,
+                "SprintCon max DoD {} vs V1 {} / V2 {}",
+                sprintcon.max_dod,
+                v1.max_dod,
+                v2.max_dod
+            );
+        }
+    }
 }
 
 /// Determinism across the whole stack: identical seeds give identical
@@ -122,8 +142,10 @@ fn run_level_energy_conservation() {
     let mut scenario = Scenario::paper_default(11);
     scenario.duration = Seconds::minutes(3.0);
     let mut sim = scenario.build();
-    let mut policy = simkit::SgctSimPolicy::new(baselines::SgctVariant::V1Ideal);
-    let rec = sim.run(&mut policy, scenario.duration);
+    let mut policy = PolicyKind::SgctV1
+        .build_for(&scenario.plant(), &Default::default())
+        .expect("the paper knobs drive the paper plant");
+    let rec = sim.run(policy.as_mut(), scenario.duration);
     let dt = Seconds(1.0);
     let served: f64 = rec
         .samples()

@@ -42,7 +42,9 @@ fn golden_digests_unchanged() {
 fn digest_with_stepping(sc: &Scenario, kind: PolicyKind, reference: bool) -> u64 {
     let mut sim = sc.build();
     sim.set_reference_stepping(reference);
-    let mut policy = kind.build();
+    let mut policy = kind
+        .build_for(&sc.plant(), &Default::default())
+        .expect("the scenario's plant builds every policy");
     let recorder = sim.run(policy.as_mut(), sc.duration);
     let summary = RunSummary::from_run(kind.name(), &sim, &recorder);
     run_digest(&RunOutput {
