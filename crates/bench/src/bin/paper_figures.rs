@@ -1,15 +1,21 @@
-//! E4–E9 — the paper's evaluation (§VII): Figs. 5–8 and the headline
-//! numbers, from one run of the paper campaign ([`simkit::paper`]).
+//! The paper's whole evaluation from one pass of [`simkit::paper`]:
+//! Figs. 1–3 and 5–8, the headline numbers and the design ablations
+//! A1–A5 (E1–E9 and A1–A5 of DESIGN.md §4).
 //!
-//! Prints each figure's charts and tables, writes their series as CSV
-//! under `target/figures/`, then prints the claims table (paper value,
-//! measured value, check) and exits nonzero if any checked claim fails.
+//! Prints the charts of Figs. 3 and 5–7 and the Fig. 8 table, writes
+//! every artifact's series as CSV under `target/figures/`, then prints
+//! the claims table (paper value, measured value, check) and exits
+//! nonzero if any checked claim fails.
+//!
+//! `--jobs N` runs the campaign on `N` worker threads (`0`, the default,
+//! is one per core) and `--seq` on the calling thread; either way the
+//! results are bit-identical.
 
 use powersim::battery_life::LfpCycleLife;
 use simkit::ascii_plot::multi_chart;
-use simkit::paper::{PaperCampaign, DEADLINES_MIN};
-use simkit::{summary_table, PolicyKind, Recorder, Sample};
-use sprintcon_bench::{banner, write_csv, EngineArgs};
+use simkit::paper::{Figure, PaperCampaign, DEADLINES_MIN};
+use simkit::{summary_table, ExecConfig, PolicyKind, Recorder, Sample};
+use std::path::PathBuf;
 
 /// A named per-sample series: a chart line or a CSV column.
 type Series = (&'static str, fn(&Sample) -> f64);
@@ -41,6 +47,17 @@ const PANELS: [(&str, PolicyKind); 3] = [
 fn main() {
     let args = EngineArgs::parse();
     let campaign = PaperCampaign::run(args.exec);
+
+    banner("Figs. 1-3 and ablations A1-A5 (their numbers are in the claims table)");
+    for table in campaign.tables() {
+        if table.figure == Figure::Fig3 {
+            let power: Vec<f64> = table.rows.iter().map(|row| row[2]).collect();
+            let title = "Fig. 3 server power (W) over 120 s";
+            println!("{}", multi_chart(title, &[("power", &power)], 72, 10));
+        }
+        let path = write_csv(table.file, &table.header, &table.rows);
+        println!("csv: {}", path.display());
+    }
 
     banner("Fig. 5 — uncontrolled sprinting (SGCT): power and frequency curves");
     let rec = campaign.recorder(PolicyKind::Sgct);
@@ -167,5 +184,108 @@ fn fig8(campaign: &PaperCampaign) {
             life.service_years(dod, 10.0),
             life.replacements_over(dod, 10.0, 10.0)
         );
+    }
+}
+
+/// The worker-thread flags: `--jobs N` (`0` = one per core, the
+/// default) or `--seq` (`--jobs 1`). The last flag wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EngineArgs {
+    exec: ExecConfig,
+}
+
+impl EngineArgs {
+    /// Parse the process arguments; print usage and exit 2 on a bad one.
+    fn parse() -> Self {
+        match Self::from_args(std::env::args().skip(1)) {
+            Ok(args) => args,
+            Err(msg) => {
+                eprintln!("{msg}");
+                eprintln!("usage: [--jobs N | --seq]   (N = worker threads, 0 = per-core)");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    fn from_args<I>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = String>,
+    {
+        let mut exec = ExecConfig::parallel();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--seq" => exec = ExecConfig::sequential(),
+                "--jobs" => {
+                    let v = it.next().ok_or("--jobs needs a value")?;
+                    exec = ExecConfig::jobs(parse_jobs(&v)?);
+                }
+                other => {
+                    if let Some(v) = other.strip_prefix("--jobs=") {
+                        exec = ExecConfig::jobs(parse_jobs(v)?);
+                    } else {
+                        return Err(format!("unknown argument: {other}"));
+                    }
+                }
+            }
+        }
+        Ok(EngineArgs { exec })
+    }
+}
+
+fn parse_jobs(v: &str) -> Result<usize, String> {
+    v.parse()
+        .map_err(|_| format!("--jobs expects a non-negative integer, got {v:?}"))
+}
+
+/// Write a CSV under `target/figures/`: the header, then one line per
+/// row, each value with six decimals.
+fn write_csv(name: &str, header: &str, rows: &[Vec<f64>]) -> PathBuf {
+    use std::io::Write;
+    let dir = PathBuf::from("target/figures");
+    std::fs::create_dir_all(&dir).expect("create target/figures");
+    let path = dir.join(name);
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
+    writeln!(f, "{header}").expect("write csv");
+    for row in rows {
+        let line: Vec<String> = row.iter().map(|v| format!("{v:.6}")).collect();
+        writeln!(f, "{}", line.join(",")).expect("write csv");
+    }
+    f.flush().expect("write csv");
+    path
+}
+
+fn banner(title: &str) {
+    println!("\n==== {title} ====");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Result<EngineArgs, String> {
+        EngineArgs::from_args(list.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn engine_args_parse_forms() {
+        assert_eq!(args(&[]).unwrap().exec, ExecConfig::parallel());
+        assert_eq!(args(&["--seq"]).unwrap().exec, ExecConfig::sequential());
+        assert_eq!(args(&["--jobs", "4"]).unwrap().exec, ExecConfig::jobs(4));
+        assert_eq!(args(&["--jobs=2"]).unwrap().exec, ExecConfig::jobs(2));
+        assert_eq!(args(&["--jobs", "0"]).unwrap().exec, ExecConfig::parallel());
+        // Last flag wins, so scripts can append overrides.
+        assert_eq!(
+            args(&["--jobs", "4", "--seq"]).unwrap().exec,
+            ExecConfig::sequential()
+        );
+    }
+
+    #[test]
+    fn engine_args_reject_garbage() {
+        assert!(args(&["--jobs"]).is_err());
+        assert!(args(&["--jobs", "x"]).is_err());
+        assert!(args(&["--jobs=-1"]).is_err());
+        assert!(args(&["--frobnicate"]).is_err());
     }
 }

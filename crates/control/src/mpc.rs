@@ -807,7 +807,7 @@ mod tests {
     /// problem of [`dense_eq8`], and the decision's own residual agrees
     /// with the dense one within the rounding of the gradient. Runs the
     /// paper horizon for 200 periods and the short and long horizons
-    /// `ablation_horizons` samples, (4, 2) and (32, 8), for 50 each.
+    /// ablation A2 samples, (4, 2) and (32, 8), for 50 each.
     /// Each bound is about twice the worst residual measured at its
     /// horizon (1.2e-6, 1.7e-7 and 2.0e-5): the root find's precision
     /// floor, which grows with the horizon (see

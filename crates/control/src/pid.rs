@@ -1,8 +1,8 @@
 //! Discrete PID controller with anti-windup.
 //!
 //! Not part of SprintCon proper — the paper chooses MPC for the server
-//! power controller — but the ablation benches (`ablation_mpc_vs_pid`)
-//! need a credible classical alternative to quantify that choice, and the
+//! power controller — but ablation A1 (MPC vs PID, in `simkit::paper`)
+//! needs a credible classical alternative to quantify that choice, and the
 //! UPS power controller's deadbeat law is easiest to sanity-check against
 //! a PI loop.
 

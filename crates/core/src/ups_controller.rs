@@ -21,7 +21,7 @@ pub struct UpsPowerController {
     pub release_smoothing: f64,
     /// Optional Kalman smoothing of the power measurement before the
     /// deadbeat law. Off by default (the paper's controller is raw
-    /// deadbeat); the `ablation_ups_filter` bench quantifies the trade:
+    /// deadbeat); ablation A5 (`simkit::paper`) quantifies the trade:
     /// less duty-cycle chatter vs a one-filter-lag exposure of the
     /// breaker to fast rises.
     filter: Option<Kalman1d>,

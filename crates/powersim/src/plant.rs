@@ -39,6 +39,9 @@ pub enum PlantError {
     /// The breaker cannot even carry the fleet's idle draw (or its
     /// rating is NaN).
     BreakerBelowIdle { rated: Watts, idle: Watts },
+    /// A number of the server, UPS or breaker spec is not finite or lies
+    /// outside its physical range (see [`PlantSpec::validate`]).
+    NonPhysical { field: &'static str, value: f64 },
 }
 
 impl std::fmt::Display for PlantError {
@@ -54,6 +57,9 @@ impl std::fmt::Display for PlantError {
             }
             PlantError::BreakerBelowIdle { rated, idle } => {
                 write!(f, "breaker rating {rated} is below the idle draw {idle}")
+            }
+            PlantError::NonPhysical { field, value } => {
+                write!(f, "{field} = {value} is not physical")
             }
         }
     }
@@ -79,7 +85,11 @@ impl PlantSpec {
         self.server.num_cores - self.interactive_cores_per_server
     }
 
-    /// Check every structural constraint of the plant.
+    /// Check every structural constraint of the plant, then every number
+    /// of its specs: each must be finite, with `0 ≤ idle_watts <
+    /// full_watts`, `0 ≤ noncpu_fraction < 1`, a positive UPS capacity,
+    /// a discharge efficiency in `(0, 1]`, and a positive breaker
+    /// exponent, trip heat and cooling rate.
     pub fn validate(&self) -> Result<(), PlantError> {
         if self.num_servers == 0 {
             return Err(PlantError::NoServers);
@@ -101,6 +111,45 @@ impl PlantSpec {
                 idle,
             });
         }
+        let (s, law, u, b) = (
+            &self.server,
+            &self.server.core_law,
+            &self.ups,
+            &self.breaker,
+        );
+        let (idle, noncpu, eff) = (s.idle_watts, s.noncpu_fraction, u.discharge_efficiency);
+        let numbers = [
+            ("server.idle_watts", idle, idle >= 0.0),
+            ("server.full_watts", s.full_watts, s.full_watts > idle),
+            (
+                "server.noncpu_fraction",
+                noncpu,
+                (0.0..1.0).contains(&noncpu),
+            ),
+            (
+                "server.core_law.peak_active_watts",
+                law.peak_active_watts,
+                true,
+            ),
+            ("server.core_law.cubic_fraction", law.cubic_fraction, true),
+            ("server.core_law.idle_watts", law.idle_watts, true),
+            ("server.freq_scale.step", s.freq_scale.step, true),
+            ("server.freq_scale.peak_mhz", s.freq_scale.peak_mhz, true),
+            ("ups.capacity", u.capacity.0, u.capacity.0 > 0.0),
+            ("ups.max_discharge", u.max_discharge.0, true),
+            ("ups.discharge_efficiency", eff, eff > 0.0 && eff <= 1.0),
+            ("ups.duty_step", u.duty_step, true),
+            ("breaker.rated", b.rated.0, true),
+            ("breaker.exponent", b.exponent, b.exponent > 0.0),
+            ("breaker.trip_heat", b.trip_heat, b.trip_heat > 0.0),
+            ("breaker.cool_rate", b.cool_rate, b.cool_rate > 0.0),
+            ("breaker.reclose_delay", b.reclose_delay.0, true),
+        ];
+        for (field, value, physical) in numbers {
+            if !(value.is_finite() && physical) {
+                return Err(PlantError::NonPhysical { field, value });
+            }
+        }
         Ok(())
     }
 
@@ -120,7 +169,7 @@ impl PlantSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::NormFreq;
+    use crate::units::{NormFreq, WattHours};
 
     #[test]
     fn validate_rejects_each_broken_plant() {
@@ -165,6 +214,34 @@ mod tests {
                 "{min}..{max}"
             );
             assert!(err.to_string().contains("frequency ladder"), "{err}");
+        }
+        // Each of these ran, or panicked in library code, before the
+        // spec numbers were checked.
+        for (err, name) in [
+            (
+                broken(|p| p.server.idle_watts = f64::NAN),
+                "server.idle_watts",
+            ),
+            (broken(|p| p.server.full_watts = 100.0), "server.full_watts"),
+            (
+                broken(|p| p.server.noncpu_fraction = 2.0),
+                "server.noncpu_fraction",
+            ),
+            (
+                broken(|p| p.ups.capacity = WattHours(f64::NAN)),
+                "ups.capacity",
+            ),
+            (
+                broken(|p| p.ups.discharge_efficiency = 0.0),
+                "ups.discharge_efficiency",
+            ),
+            (broken(|p| p.breaker.trip_heat = -1.0), "breaker.trip_heat"),
+        ] {
+            assert!(
+                matches!(err, PlantError::NonPhysical { field, .. } if field == name),
+                "{name}: {err}"
+            );
+            assert!(err.to_string().starts_with(name), "{err}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! battery supplies the slow component. For an LFP pack this matters
 //! economically — every watt-second the supercap absorbs is cycling the
 //! battery does not see (see [`crate::battery_life`]). This module models
-//! that split so the `ablation_hybrid_storage` bench can quantify it for
+//! that split so ablation A4 (`simkit::paper`) can quantify it for
 //! SprintCon's UPS controller.
 //!
 //! The supercap is modelled as a small, high-power, lossy-ish buffer with

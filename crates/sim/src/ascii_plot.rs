@@ -1,46 +1,6 @@
-//! Terminal plotting for the examples and figure binaries: aligned data
-//! tables are the source of truth; these charts make runs legible at a
-//! glance.
-
-/// Render one series as a braille-free ASCII line chart.
-///
-/// `width` columns (series resampled by averaging), `height` rows.
-pub fn line_chart(title: &str, series: &[f64], width: usize, height: usize) -> String {
-    assert!(width >= 2 && height >= 2);
-    if series.is_empty() {
-        return format!("{title}\n  (no data)\n");
-    }
-    let cols = resample(series, width);
-    let (lo, hi) = bounds(&cols);
-    let span = (hi - lo).max(1e-12);
-    let mut grid = vec![vec![' '; width]; height];
-    for (x, &v) in cols.iter().enumerate() {
-        let yf = (v - lo) / span;
-        let y = ((1.0 - yf) * (height - 1) as f64).round() as usize;
-        grid[y.min(height - 1)][x] = '*';
-    }
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    for (r, row) in grid.iter().enumerate() {
-        let label = if r == 0 {
-            format!("{hi:>9.2} ")
-        } else if r == height - 1 {
-            format!("{lo:>9.2} ")
-        } else {
-            " ".repeat(10)
-        };
-        out.push_str(&label);
-        out.push('|');
-        out.extend(row.iter());
-        out.push('\n');
-    }
-    out.push_str(&" ".repeat(10));
-    out.push('+');
-    out.push_str(&"-".repeat(width));
-    out.push('\n');
-    out
-}
+//! Terminal plotting for the examples and `paper_figures`: the CSVs and
+//! the claims table are the source of truth; these charts make runs
+//! legible at a glance.
 
 /// Render several aligned series as a multi-line chart with one symbol
 /// per series ('*', 'o', '+', 'x', ...).
@@ -130,9 +90,9 @@ mod tests {
     #[test]
     fn chart_has_expected_shape() {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.1).sin()).collect();
-        let chart = line_chart("sine", &data, 40, 8);
+        let chart = multi_chart("sine", &[("s", &data)], 40, 8);
         let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines[0], "sine");
+        assert_eq!(lines[0], "sine   [*=s]");
         assert_eq!(lines.len(), 1 + 8 + 1);
         // Axis labels present.
         assert!(lines[1].contains("1.00"));
@@ -160,12 +120,12 @@ mod tests {
 
     #[test]
     fn constant_series_does_not_divide_by_zero() {
-        let chart = line_chart("flat", &[3.0; 20], 10, 4);
+        let chart = multi_chart("flat", &[("s", &[3.0; 20])], 10, 4);
         assert!(chart.contains('*'));
     }
 
     #[test]
     fn empty_series_is_graceful() {
-        assert!(line_chart("none", &[], 10, 4).contains("no data"));
+        assert!(multi_chart("none", &[("s", &[])], 10, 4).contains("no data"));
     }
 }

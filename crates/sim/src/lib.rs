@@ -29,7 +29,7 @@
 //! * [`paper`] — the §VII evaluation as one campaign of twelve runs and
 //!   one table of the paper's claims, each with its measured value and
 //!   check.
-//! * [`ascii_plot`] — terminal charts for the examples and figure bins.
+//! * [`ascii_plot`] — terminal charts for the examples and `paper_figures`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

@@ -1,13 +1,20 @@
-//! The paper's evaluation (§VII) as one campaign and one claims table.
+//! The paper's whole evaluation as one pass and one claims table.
 //!
 //! Figs. 5–8 and the headline numbers all come from one campaign: seed
 //! [`SEED`], the four §VII policies and the batch deadlines of
 //! [`DEADLINES_MIN`] ([`PaperCampaign`]). Figs. 5–7 and the headline read
 //! the 12-minute runs, which are [`Scenario::paper_default`]'s; Fig. 8
-//! reads all twelve. [`PaperCampaign::claims`] turns the runs into one
-//! [`Claim`] per reproduced statement. The `paper_figures` bin prints the
-//! table with the figures' series, and `tests/paper_reproduction.rs`
-//! checks every row.
+//! reads all twelve. Figs. 1–3 (`paper/motivation.rs`) and the design
+//! ablations A1–A5 of DESIGN.md §4 (`paper/ablation.rs`) run no rack
+//! simulation, except that A4 replays the 12-minute SprintCon run's UPS
+//! power. [`PaperCampaign::run`] computes each of them once, as one
+//! [`Table`] and its claims. [`PaperCampaign::claims`] holds one
+//! [`Claim`] per reproduced statement. The `paper_figures` bin prints
+//! the table with the figures' series and writes every CSV, and
+//! `tests/paper_reproduction.rs` checks every row.
+
+mod ablation;
+mod motivation;
 
 use crate::exec::{Campaign, ExecConfig};
 use crate::experiment::{PolicyKind, RunOutput};
@@ -31,15 +38,29 @@ const PAPER_DEADLINE_MIN: f64 = 12.0;
 /// SprintCon's first overload + recovery cycle, in samples.
 const FIRST_CYCLE: Range<usize> = 0..240;
 
-/// The paper artifact a [`Claim`] reproduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The paper artifact a [`Claim`] reproduces, in the claims table's
+/// order. `A1`–`A5` are DESIGN.md §4's design ablations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Figure {
+    Fig1,
+    Fig2,
+    Fig3,
     Fig5,
     Fig6,
     Fig7,
     Fig8a,
     Fig8b,
     Headline,
+    /// MPC against PID.
+    A1,
+    /// τ_r, Lp/Lc and the §V-C timing contract.
+    A2,
+    /// The progress weights R.
+    A3,
+    /// Hybrid battery + supercap storage.
+    A4,
+    /// The UPS measurement filter.
+    A5,
 }
 
 /// One row of the claims table.
@@ -64,25 +85,64 @@ impl Claim {
     }
 }
 
-/// The §VII campaign's twelve runs: [`DEADLINES_MIN`] ×
-/// [`PolicyKind::ALL`], deadline-major.
+/// The series of one artifact outside Figs. 5–8, which `paper_figures`
+/// writes as CSV.
+#[derive(Debug, Clone)]
+pub struct Table {
+    pub figure: Figure,
+    /// The CSV's file name.
+    pub file: &'static str,
+    /// The CSV's header line.
+    pub header: String,
+    pub rows: Vec<Vec<f64>>,
+}
+
+/// The paper's evaluation: the §VII campaign's twelve runs
+/// ([`DEADLINES_MIN`] × [`PolicyKind::ALL`], deadline-major) and the
+/// tables and claims of Figs. 1–3 and A1–A5.
 #[derive(Debug)]
 pub struct PaperCampaign {
     runs: Vec<RunOutput>,
+    /// Figs. 1–3 and A1–A5, in that order.
+    tables: Vec<Table>,
+    /// Their claims.
+    claims: Vec<Claim>,
 }
 
 impl PaperCampaign {
     /// Run the campaign on `exec`'s workers (bit-identical to a
-    /// sequential run).
+    /// sequential run), then compute Figs. 1–3 and A1–A5.
     pub fn run(exec: ExecConfig) -> Self {
         let scenarios =
             DEADLINES_MIN.map(|d| Scenario::paper_default(SEED).with_deadline(Seconds::minutes(d)));
         let runs = Campaign::new()
             .add_grid(scenarios, &PolicyKind::ALL)
             .run_with(exec);
-        PaperCampaign {
+        let mut paper = PaperCampaign {
             runs: runs.into_iter().map(|r| r.output).collect(),
-        }
+            tables: Vec::new(),
+            claims: Vec::new(),
+        };
+        let samples = paper.recorder(SprintCon).samples();
+        let ups: Vec<f64> = samples.iter().map(|s| s.ups_power.0).collect();
+        let mut claims = Vec::new();
+        paper.tables = vec![
+            motivation::fig1(&mut Rows(Figure::Fig1, &mut claims)),
+            motivation::fig2(&mut Rows(Figure::Fig2, &mut claims)),
+            motivation::fig3(&mut Rows(Figure::Fig3, &mut claims)),
+            ablation::mpc_vs_pid(&mut Rows(Figure::A1, &mut claims)),
+            ablation::horizons(&mut Rows(Figure::A2, &mut claims)),
+            ablation::rweights(&mut Rows(Figure::A3, &mut claims)),
+            ablation::hybrid_storage(&ups, &mut Rows(Figure::A4, &mut claims)),
+            ablation::ups_filter(&mut Rows(Figure::A5, &mut claims)),
+        ];
+        paper.claims = claims;
+        paper
+    }
+
+    /// The CSV tables of Figs. 1–3 and A1–A5, in that order.
+    pub fn tables(&self) -> &[Table] {
+        &self.tables
     }
 
     fn output(&self, deadline_min: f64, kind: PolicyKind) -> &RunOutput {
@@ -108,15 +168,16 @@ impl PaperCampaign {
         &self.output(PAPER_DEADLINE_MIN, kind).recorder
     }
 
-    /// Every claim of Figs. 5–8 and the headline, in figure order.
+    /// Every claim of the evaluation, in [`Figure`] order.
     pub fn claims(&self) -> Vec<Claim> {
-        let mut claims = Vec::new();
+        let mut claims = self.claims.clone();
         self.fig5(&mut Rows(Figure::Fig5, &mut claims));
         self.fig6(&mut Rows(Figure::Fig6, &mut claims));
         self.fig7(&mut Rows(Figure::Fig7, &mut claims));
         self.fig8a(&mut Rows(Figure::Fig8a, &mut claims));
         self.fig8b(&mut Rows(Figure::Fig8b, &mut claims));
         self.headline(&mut Rows(Figure::Headline, &mut claims));
+        claims.sort_by_key(|c| c.figure);
         claims
     }
 
@@ -440,6 +501,16 @@ impl Rows<'_> {
             measured,
             holds,
         });
+    }
+
+    /// The figure's CSV table.
+    fn table(&self, file: &'static str, header: impl Into<String>, rows: Vec<Vec<f64>>) -> Table {
+        Table {
+            figure: self.0,
+            file,
+            header: header.into(),
+            rows,
+        }
     }
 }
 

@@ -513,6 +513,17 @@ mod tests {
             err.to_string().starts_with("plant: frequency ladder"),
             "{err}"
         );
+        // ... and every spec number: a NaN idle draw used to panic the
+        // first control period of every policy.
+        let mut server = ServerSpec::paper_default();
+        server.idle_watts = f64::NAN;
+        assert!(matches!(
+            Scenario::builder(7).server(server).build().unwrap_err(),
+            ScenarioError::Plant(PlantError::NonPhysical {
+                field: "server.idle_watts",
+                ..
+            })
+        ));
         assert!(matches!(
             Scenario::builder(1).job_scale(0.0).build().unwrap_err(),
             ScenarioError::InvalidJobScale(_)

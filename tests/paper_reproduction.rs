@@ -1,9 +1,9 @@
-//! The paper's evaluation (§VII), checked end to end: the paper
-//! campaign (`simkit::paper`) runs once per test binary, and each
-//! figure's test checks that figure's rows of the claims table, which
-//! `paper_figures` prints. The remaining tests run other scenarios: a
-//! scaled and a derated rack, two seeds, and a short V1 run for energy
-//! conservation.
+//! The paper's evaluation, checked end to end: `simkit::paper` runs the
+//! §VII campaign and computes Figs. 1–3 and the ablations A1–A5 once per
+//! test binary, and each artifact's test checks its rows of the claims
+//! table, which `paper_figures` prints. The remaining tests run other
+//! scenarios: a scaled and a derated rack, two seeds, and a short V1 run
+//! for energy conservation.
 
 use powersim::breaker::BreakerSpec;
 use powersim::units::{Seconds, WattHours, Watts};
@@ -29,6 +29,21 @@ fn assert_claims_hold(figure: Figure) {
 }
 
 #[test]
+fn fig1_per_watt_speedup_falls_with_frequency() {
+    assert_claims_hold(Figure::Fig1);
+}
+
+#[test]
+fn fig2_breaker_trips_after_150_s_at_1_25x() {
+    assert_claims_hold(Figure::Fig2);
+}
+
+#[test]
+fn fig3_thermal_sprints_repeat_every_18_s() {
+    assert_claims_hold(Figure::Fig3);
+}
+
+#[test]
 fn fig5_uncontrolled_sprinting_trips_and_dies() {
     assert_claims_hold(Figure::Fig5);
 }
@@ -51,6 +66,31 @@ fn fig8a_sprintcon_uses_most_of_each_deadline() {
 #[test]
 fn fig8b_sprintcon_discharges_least() {
     assert_claims_hold(Figure::Fig8b);
+}
+
+#[test]
+fn a1_mpc_tracks_tighter_than_pid() {
+    assert_claims_hold(Figure::A1);
+}
+
+#[test]
+fn a2_reference_horizons_and_the_timing_contract() {
+    assert_claims_hold(Figure::A2);
+}
+
+#[test]
+fn a3_progress_weights_lift_the_laggards() {
+    assert_claims_hold(Figure::A3);
+}
+
+#[test]
+fn a4_supercap_offloads_the_battery() {
+    assert_claims_hold(Figure::A4);
+}
+
+#[test]
+fn a5_ups_filter_calms_the_duty_cycle() {
+    assert_claims_hold(Figure::A5);
 }
 
 /// The headline on two plants other than the paper rack, each policy
